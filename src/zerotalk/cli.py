@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -461,7 +462,8 @@ def _verify_one(s) -> list:
     w = common_function(s)
     closed = w.entropy_bits
 
-    oracle_bits = gk_oracle(s).entropy_bits
+    d = to_discrete(s)
+    oracle_bits = gk_oracle(d).entropy_bits
     checks.append(
         (
             "closed_form_vs_oracle",
@@ -479,7 +481,7 @@ def _verify_one(s) -> list:
         )
     )
 
-    profile_ok = entropy_profile(s).matches(entropy_profile(to_discrete(s)))
+    profile_ok = entropy_profile(s).matches(entropy_profile(d))
     checks.append(
         (
             "expansion_preserves_profile",
@@ -499,8 +501,6 @@ def _verify_one(s) -> list:
         )
         m = user_count(s)
         if m <= 4:
-            import itertools
-
             values = {
                 round(chain_bound(s, order), 12)
                 for order in itertools.permutations(range(1, m + 1))

@@ -14,7 +14,8 @@ thousands); no attempt is made at sparse or blocked elimination.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from operator import add
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ModelError, SubspaceNotContained
 
@@ -198,6 +199,55 @@ def rref(m: FiniteMatrix) -> tuple[FiniteMatrix, tuple[int, ...]]:
     return FiniteMatrix.from_rows(q, work, cols=m.cols), tuple(pivots)
 
 
+def row_space_basis(m: FiniteMatrix) -> FiniteMatrix:
+    """The nonzero rows of rref(m): a canonical basis of the row space of m.
+
+    Its row count is the rank of m.
+    """
+    reduced, pivots = rref(m)
+    return FiniteMatrix(m.q, len(pivots), m.cols, reduced.entries[: len(pivots) * m.cols])
+
+
+def row_space(basis: FiniteMatrix) -> Iterator[tuple[int, ...]]:
+    """Stream every GF(q) combination of the rows of basis, each exactly once.
+
+    With linearly independent rows (as from row_space_basis) these are the
+    q**rows distinct points of the row space; zero rows yield the single
+    zero vector.  The walk is an odometer over the coefficients with the
+    first row's turning fastest.  Stepping a coefficient adds its row once,
+    and a wrap from q-1 back to 0 adds the q-th copy, which is zero mod q,
+    so a point costs one vector addition plus amortized carries.  Nothing
+    is materialized.
+    """
+    q = int(basis.q)
+    reduce = q.__rmod__
+
+    def plus(u, v):
+        return tuple(map(reduce, map(add, u, v)))
+
+    rows = [basis.row(i) for i in range(basis.rows)]
+    start = (0,) * basis.cols
+    if not rows:
+        yield start
+        return
+    first, rest = rows[0], rows[1:]
+    digits = [0] * len(rest)
+    while True:
+        point = start
+        yield point
+        for _ in range(q - 1):
+            point = plus(point, first)
+            yield point
+        for k, row in enumerate(rest):
+            start = plus(start, row)
+            if digits[k] < q - 1:
+                digits[k] += 1
+                break
+            digits[k] = 0
+        else:
+            return
+
+
 def rank(m: FiniteMatrix) -> int:
     """Rank of m over GF(q)."""
     return len(rref(m)[1])
@@ -302,22 +352,14 @@ def extend_basis(base: FiniteMatrix, target: FiniteMatrix) -> FiniteMatrix:
     """
     if base.q != target.q or base.rows != target.rows:
         raise ValueError("base and target must share field and row count")
-    if rank(base) != base.cols:
+    # A column of target is picked exactly when it lies outside the span of
+    # base and the target columns before it: the pivots of [base | target].
+    _, pivots = rref(hstack(base, target))
+    if pivots[: base.cols] != tuple(range(base.cols)):
         raise ModelError("base must have full column rank")
-    target_rank = rank(target)
-    if rank(hstack(target, base)) != target_rank:
+    if len(pivots) != rank(target):
         raise SubspaceNotContained("base spans vectors outside the target space")
-    picked: list[int] = []
-    current = base.cols
-    for j in range(target.cols):
-        if current == target_rank:
-            break
-        candidate = hstack(base, columns_subset(target, picked + [j]))
-        r = rank(candidate)
-        if r > current:
-            picked.append(j)
-            current = r
-    return columns_subset(target, picked)
+    return columns_subset(target, [p - base.cols for p in pivots[base.cols :]])
 
 
 def solve(a: FiniteMatrix, b: FiniteMatrix) -> FiniteMatrix:

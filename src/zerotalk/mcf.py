@@ -23,12 +23,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import ModelError
-from .gf import FiniteMatrix, intersect_all, vec_mat
+from .errors import ExpansionTooLarge, ModelError
+from .gf import FiniteMatrix, hstack, intersect_all, row_space, row_space_basis
+from .gf import vec_mat  # noqa: F401  unused here; perfbench's self-test reads mcf.vec_mat
 from .sources import (
     DiscreteSource,
     FiniteLinearSource,
     HypergraphicalSource,
+    expansion_limit,
     shannon_bits,
     to_discrete,
 )
@@ -169,7 +171,15 @@ def evaluate_witness(s: Source, w: CommonFunctionWitness, limit: Union[int, None
 
     Used to cross-check closed-form entropies against brute force.  For an
     edge-subset witness the label is the tuple of named edge values; for a
-    subspace basis it is the image of the hidden vector under the basis.
+    subspace basis it is the image of the hidden vector under the basis,
+    counted over the row space of [A | basis] with A = [M_1 | ... | M_m]:
+    that is the support of the joint law of (observations, label), so the
+    walk costs q**rank rather than q**dim and assumes nothing about whether
+    the witness is valid.
+
+    Raises:
+        ExpansionTooLarge: if the points to walk exceed the enumeration
+            limit (ZEROTALK_EXPANSION_LIMIT unless ``limit`` is given).
     """
     if w.kind == "support-labeling":
         d = to_discrete(s, limit)
@@ -187,17 +197,15 @@ def evaluate_witness(s: Source, w: CommonFunctionWitness, limit: Union[int, None
         if not isinstance(s, FiniteLinearSource):
             raise ModelError("subspace-basis witness needs a finite linear source")
         basis: FiniteMatrix = w.payload
-        q = int(s.q)
+        cap = expansion_limit() if limit is None else limit
+        joint = row_space_basis(hstack(*s.matrices, basis))
+        total = int(s.q) ** joint.rows
+        if total > cap:
+            raise ExpansionTooLarge(f"witness check: {total} points exceed the limit of {cap}")
+        first = joint.cols - basis.cols
         counts: dict = {}
-        total = q**s.dim
-        # enumerate hidden vectors; count image multiplicity
-        vec = [0] * s.dim
-        for code in range(total):
-            x, rem = [], code
-            for _ in range(s.dim):
-                rem, digit = divmod(rem, q)
-                x.append(digit)
-            image = tuple(vec_mat(x, basis))
-            counts[image] = counts.get(image, 0) + 1
+        for point in row_space(joint):
+            label = point[first:]
+            counts[label] = counts.get(label, 0) + 1
         return shannon_bits(Fraction(c, total) for c in counts.values())
     raise ModelError(f"unknown witness kind: {w.kind!r}")

@@ -13,7 +13,11 @@ correlated randomness:
 Probabilities may be exact ``Fraction`` values (kept exact through
 expansion) or floats; entropies are always reported as floats in bits.
 Enumerating a joint support is capped by ``ZEROTALK_EXPANSION_LIMIT``
-(default 10**6) so oversized models fail loudly instead of thrashing.
+(default 10**6) so oversized models fail loudly instead of thrashing.  The
+cap counts the points an expansion enumerates, checked before it starts:
+edge assignments for a hypergraphical source, and the q**rank support points
+of a finite linear source, whose expansion walks the row space of the
+stacked observation matrix rather than all q**dim hidden vectors.
 """
 
 from __future__ import annotations
@@ -323,23 +327,33 @@ def expand_hypergraphical(h: HypergraphicalSource, limit: int | None = None) -> 
 def expand_finite_linear(f: FiniteLinearSource, limit: int | None = None) -> DiscreteSource:
     """Enumerate the joint pmf of a finite linear source.
 
-    Walks all q**dim values of the shared vector; user i's symbol encodes
-    the residue tuple x @ matrices[i] in base q.
+    The joint observation is x @ A for the stacked A = [M_1 | ... | M_m], so
+    for uniform x it is uniform on the row space of A: q**r points of mass
+    q**-r each, r being the rank of A.  The walk streams that row space from
+    one RREF of A instead of walking all q**dim hidden vectors; user i's
+    symbol encodes its slice of the point in base q.  The support and the
+    exact masses are those of the q**dim walk.
 
     Raises:
-        ExpansionTooLarge: if q**dim exceeds the enumeration limit.
+        ExpansionTooLarge: if the q**r support points exceed the
+            enumeration limit (checked before the walk starts).
     """
     cap = _resolve_limit(limit)
     q = int(f.q)
-    total = q**f.dim
+    basis = gf.row_space_basis(gf.hstack(*f.matrices))
+    total = q**basis.rows
     if total > cap:
-        raise ExpansionTooLarge(f"{total} vector values exceed the limit of {cap}")
+        raise ExpansionTooLarge(f"{total} support points exceed the limit of {cap}")
     alphabets = tuple(q**m.cols for m in f.matrices)
+    slices = []
+    end = 0
+    for m in f.matrices:
+        slices.append((end, end + m.cols, [q] * m.cols))
+        end += m.cols
     weight = Fraction(1, total)
     pmf: dict[tuple[int, ...], Probability] = {}
-    for x in product(range(q), repeat=f.dim):
-        key = tuple(_encode(gf.vec_mat(x, m), [q] * m.cols) for m in f.matrices)
-        pmf[key] = pmf.get(key, 0) + weight
+    for point in gf.row_space(basis):
+        pmf[tuple(_encode(point[lo:hi], radix) for lo, hi, radix in slices)] = weight
     return DiscreteSource(alphabets, pmf)
 
 

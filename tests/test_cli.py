@@ -265,6 +265,16 @@ def test_verify_reports_mismatch(capsys, monkeypatch):
     assert any(c["status"] == "mismatch" for c in doc["checks"])
 
 
+def test_verify_over_expansion_limit_exits_5(tmp_path, capsys, monkeypatch):
+    eye = [[int(i == j) for j in range(16)] for i in range(16)]
+    model = tmp_path / "gf2_16.json"
+    model.write_text(
+        json.dumps({"model": "finite_linear", "q": 2, "dim": 16, "matrices": {"1": eye, "2": eye}})
+    )
+    monkeypatch.setenv("ZEROTALK_EXPANSION_LIMIT", "1000")
+    assert run_cli(capsys, "verify", str(model))[0] == EXIT_RESOURCE
+
+
 def test_simulate_output(capsys):
     code, out, _ = run_cli(
         capsys, "simulate", SHARED_BIT, "--n", "500", "--seed", "9", "--json"

@@ -8,7 +8,7 @@ checks.
 from __future__ import annotations
 
 import random
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -29,9 +29,14 @@ from zerotalk.gf import (
     null_space,
     rank,
     reduce_to_full_column_rank,
+    row_space,
+    row_space_basis,
     rref,
     solve,
+    vec_mat,
 )
+
+from helpers import greedy_extend_basis
 
 
 def det_mod(rows: list[list[int]], q: int) -> int:
@@ -146,6 +151,33 @@ def test_rref_preserves_row_space(m):
     reduced, pivots = rref(m)
     stacked = FiniteMatrix.from_rows(m.q, m.row_list() + reduced.row_list(), cols=m.cols)
     assert rank(stacked) == rank(m) == len(pivots)
+
+
+# --- row space walk ---
+
+
+@given(matrix_strategy)
+@settings(max_examples=60, deadline=None)
+def test_row_space_is_every_image_once(m):
+    basis = row_space_basis(m)
+    assert basis.rows == rank(m)
+    points = list(row_space(basis))
+    assert len(points) == int(m.q) ** basis.rows
+    images = {vec_mat(x, m) for x in product(range(m.q), repeat=m.rows)}
+    assert set(points) == images
+
+
+def test_row_space_of_no_rows_is_the_zero_vector():
+    assert list(row_space(FiniteMatrix.zeros(5, 0, 3))) == [(0, 0, 0)]
+    assert list(row_space(FiniteMatrix.zeros(2, 0, 0))) == [()]
+
+
+def test_row_space_basis_is_the_nonzero_rref_rows():
+    m = FiniteMatrix.from_rows(3, [[1, 2, 0], [2, 1, 0], [0, 0, 1]])
+    reduced, pivots = rref(m)
+    basis = row_space_basis(m)
+    assert basis.rows == len(pivots) == 2
+    assert [basis.row(i) for i in range(2)] == [reduced.row(i) for i in range(2)]
 
 
 # --- null space ---
@@ -310,6 +342,33 @@ def test_extend_basis_random_nested_subspaces():
         joined = hstack(base, ext)
         assert rank(joined) == joined.cols == rank(target)
         assert spans_equal(joined, target)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_extend_basis_matches_greedy_reference(q):
+    rng = random.Random(7000 + q)
+    for _ in range(40):
+        rows = rng.randrange(1, 6)
+        target = random_matrix(rng, q, rows, rng.randrange(0, 6))
+        take = rng.randrange(0, rank(target) + 1)  # zero base columns included
+        base = column_space_basis(matmul(target, random_matrix(rng, q, target.cols, take)))
+        assert extend_basis(base, target) == greedy_extend_basis(base, target)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_extend_basis_errors_match_greedy_reference(q):
+    rng = random.Random(7100 + q)
+    for _ in range(40):
+        rows = rng.randrange(1, 5)
+        base = random_matrix(rng, q, rows, rng.randrange(0, 4))
+        target = random_matrix(rng, q, rows, rng.randrange(0, 4))
+        outcomes = []
+        for fn in (extend_basis, greedy_extend_basis):
+            try:
+                outcomes.append(fn(base, target))
+            except (ModelError, SubspaceNotContained) as exc:
+                outcomes.append(type(exc))
+        assert outcomes[0] == outcomes[1]
 
 
 def test_extend_basis_rejects_outside_vectors():

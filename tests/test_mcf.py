@@ -10,8 +10,9 @@ from fractions import Fraction
 import pytest
 
 from zerotalk.errors import ExpansionTooLarge
-from zerotalk.gf import FiniteMatrix, intersect_all
+from zerotalk.gf import FiniteMatrix, intersect_all, matmul
 from zerotalk.mcf import (
+    CommonFunctionWitness,
     common_function,
     evaluate_witness,
     gk_finite_linear,
@@ -28,7 +29,13 @@ from zerotalk.sources import (
 )
 
 
-from helpers import bfs_components, partition_of, random_fls, random_hypergraphical
+from helpers import (
+    bfs_components,
+    hidden_walk_witness_bits,
+    partition_of,
+    random_fls,
+    random_hypergraphical,
+)
 
 
 # --- goldens ---
@@ -149,6 +156,43 @@ def test_witness_entropy_survives_brute_force(shared_bit_source, overlap_pair_so
     for s in (shared_bit_source, overlap_pair_source):
         w = common_function(s)
         assert evaluate_witness(s, w) == pytest.approx(w.entropy_bits, abs=1e-9)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("seed", range(10))
+def test_subspace_witness_bits_match_hidden_walk(q, seed):
+    rng = random.Random(f"witness:{q}:{seed}")
+    dim = rng.randrange(1, {2: 7, 3: 6, 5: 5}[q])
+
+    def draw(rows, cols):
+        return FiniteMatrix(q, rows, cols, tuple(rng.randrange(q) for _ in range(rows * cols)))
+
+    k = rng.randrange(0, dim + 1)  # k < dim gives a rank-deficient stack
+    embed = draw(dim, k)
+    f = FiniteLinearSource(
+        q, dim, tuple(matmul(embed, draw(k, rng.randrange(0, 4))) for _ in range(rng.randrange(2, 4)))
+    )
+    # the engine's witness, and an arbitrary basis that need not be valid
+    for basis in (gk_finite_linear(f).payload, draw(dim, rng.randrange(0, 3))):
+        w = CommonFunctionWitness("subspace-basis", basis, 0.0)
+        assert evaluate_witness(f, w) == hidden_walk_witness_bits(f, basis)
+
+
+def test_subspace_witness_check_respects_limit(monkeypatch):
+    import zerotalk.mcf as mcf_module
+
+    def no_walk(basis):
+        raise AssertionError("the walk started before the limit check")
+
+    monkeypatch.setattr(mcf_module, "row_space", no_walk)
+    eye = FiniteMatrix.identity(2, 16)
+    f = FiniteLinearSource(2, 16, (eye, eye))  # full rank: 2**16 points to walk
+    w = gk_finite_linear(f)
+    with pytest.raises(ExpansionTooLarge):
+        evaluate_witness(f, w, limit=1000)
+    monkeypatch.setenv("ZEROTALK_EXPANSION_LIMIT", "1000")
+    with pytest.raises(ExpansionTooLarge):
+        evaluate_witness(f, w)
 
 
 def test_dispatcher_matches_engines(shared_bit_source, pairwise_xor_source):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zerotalk.errors import ExpansionTooLarge, ModelError, NotTwoUsers
-from zerotalk.gf import FiniteMatrix, rank, hstack
+from zerotalk.gf import FiniteMatrix, rank, hstack, matmul
 from zerotalk.sources import (
     DiscreteSource,
     Edge,
@@ -25,6 +25,8 @@ from zerotalk.sources import (
     shannon_bits,
     to_discrete,
 )
+
+from helpers import hidden_walk_expansion
 
 
 def random_fls(rng: random.Random, users=None, q=None, dim=None, max_cols=3) -> FiniteLinearSource:
@@ -145,6 +147,44 @@ def test_expansion_limit_enforced(shared_bit_source):
         expand_hypergraphical(shared_bit_source, limit=7)
     with pytest.raises(ExpansionTooLarge):
         expand_finite_linear(FiniteLinearSource(2, 3, (FiniteMatrix.identity(2, 3),) * 2), limit=7)
+
+
+def random_stacked_fls(rng: random.Random, q: int) -> FiniteLinearSource:
+    """Linear source with zero-column users allowed and, half of the time, a
+    stacked matrix of rank below dim (every M_i factors through dim x k)."""
+    dim = rng.randrange(1, {2: 7, 3: 6, 5: 5}[q])
+
+    def draw(rows, cols):
+        return FiniteMatrix(q, rows, cols, tuple(rng.randrange(q) for _ in range(rows * cols)))
+
+    k = rng.randrange(0, dim) if rng.random() < 0.5 else dim
+    embed = draw(dim, k)
+    mats = tuple(matmul(embed, draw(k, rng.randrange(0, 4))) for _ in range(rng.randrange(2, 5)))
+    return FiniteLinearSource(q, dim, mats)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("seed", range(15))
+def test_row_space_expansion_matches_hidden_walk(q, seed):
+    f = random_stacked_fls(random.Random(f"expand:{q}:{seed}"), q)
+    got, want = expand_finite_linear(f), hidden_walk_expansion(f)
+    assert got.alphabet_sizes == want.alphabet_sizes
+    assert got.pmf == want.pmf
+    assert list(got.pmf) == list(want.pmf)  # same sorted support order
+    assert all(type(p) is Fraction for p in got.pmf.values())
+
+
+def test_expansion_cap_counts_support_points():
+    # dim 6 over GF(3), but the stacked matrix has rank 2: 9 support points
+    e1 = FiniteMatrix.from_cols(3, [[1, 0, 0, 0, 0, 0]])
+    e2 = FiniteMatrix.from_cols(3, [[0, 1, 0, 0, 0, 0]])
+    f = FiniteLinearSource(3, 6, (e1, e2, hstack(e1, e2)))
+    assert rank(hstack(*f.matrices)) == 2
+    d = expand_finite_linear(f, limit=9)  # 3**6 > 9 >= 3**2
+    assert len(d.support()) == 9
+    assert d.pmf == hidden_walk_expansion(f).pmf
+    with pytest.raises(ExpansionTooLarge):
+        expand_finite_linear(f, limit=8)
 
 
 def test_expansion_limit_env_override(shared_bit_source, monkeypatch):
