@@ -35,6 +35,9 @@ from .errors import (
 from .gf import FieldOrder, FiniteMatrix
 from .mcf import (
     CommonFunctionWitness,
+    EdgeSubsetWitness,
+    LabelingWitness,
+    SubspaceWitness,
     common_function,
     evaluate_witness,
     gk_finite_linear,
@@ -63,6 +66,7 @@ __all__ = [
     "CommonFunctionWitness",
     "DiscreteSource",
     "Edge",
+    "EdgeSubsetWitness",
     "EntropyProfile",
     "ExpansionTooLarge",
     "FieldOrder",
@@ -70,6 +74,7 @@ __all__ = [
     "FiniteMatrix",
     "HypergraphicalSource",
     "KeyExtractor",
+    "LabelingWitness",
     "LaminationBound",
     "ModelError",
     "NotTwoUsers",
@@ -78,6 +83,7 @@ __all__ = [
     "PartitionInvalid",
     "SimulationRun",
     "SubspaceNotContained",
+    "SubspaceWitness",
     "TooManyUsers",
     "UnsupportedModel",
     "WitnessInvalid",

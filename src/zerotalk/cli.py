@@ -222,20 +222,6 @@ def load_model(path: str):
     return parse_model(doc)
 
 
-def model_kind(s) -> str:
-    if isinstance(s, HypergraphicalSource):
-        return "hypergraphical"
-    if isinstance(s, FiniteLinearSource):
-        return "finite_linear"
-    return "discrete"
-
-
-def user_count(s) -> int:
-    if isinstance(s, DiscreteSource):
-        return len(s.alphabet_sizes)
-    return s.user_count
-
-
 # --- model file writing (convert) ---
 
 
@@ -289,30 +275,6 @@ def _bits(x: float) -> str:
     return f"{x:.6f}"
 
 
-def _witness_summary(w) -> dict:
-    if w.kind == "edge-subset":
-        return {"kind": w.kind, "edges": list(w.payload)}
-    if w.kind == "subspace-basis":
-        basis: FiniteMatrix = w.payload
-        return {
-            "kind": w.kind,
-            "q": int(basis.q),
-            "basis_columns": [list(basis.col(j)) for j in range(basis.cols)],
-        }
-    return {"kind": w.kind, "labels": len(set(w.payload.values()))}
-
-
-def _witness_lines(w) -> list:
-    if w.kind == "edge-subset":
-        inner = ", ".join(w.payload) if w.payload else ""
-        return [f"witness edges: {{{inner}}}"]
-    if w.kind == "subspace-basis":
-        basis: FiniteMatrix = w.payload
-        cols = [list(basis.col(j)) for j in range(basis.cols)]
-        return [f"witness subspace basis columns (GF({int(basis.q)})): {cols}"]
-    return [f"witness labels: {len(set(w.payload.values()))} support components"]
-
-
 # --- subcommands ---
 
 
@@ -321,15 +283,15 @@ def cmd_jgk(args) -> int:
     w = common_function(s)
     report = {
         "command": "jgk",
-        "model": model_kind(s),
-        "users": user_count(s),
+        "model": s.model,
+        "users": s.user_count,
         "jgk_bits": w.entropy_bits,
-        "witness": _witness_summary(w),
+        "witness": w.summary(),
     }
     lines = [
-        f"model: {model_kind(s)} ({user_count(s)} users)",
+        f"model: {s.model} ({s.user_count} users)",
         f"J_GK = {_bits(w.entropy_bits)} bits",
-        *_witness_lines(w),
+        str(w),
     ]
     _emit(report, lines, args.json)
     return EXIT_OK
@@ -402,14 +364,14 @@ def cmd_oracle(args) -> int:
     labels = len(set(w.payload.values()))
     report = {
         "command": "oracle",
-        "model": model_kind(s),
-        "users": user_count(s),
+        "model": s.model,
+        "users": s.user_count,
         "support": len(d.support()),
         "components": labels,
         "jgk_bits": w.entropy_bits,
     }
     lines = [
-        f"model: {model_kind(s)} ({user_count(s)} users)",
+        f"model: {s.model} ({s.user_count} users)",
         f"support size: {len(d.support())}",
         f"connected components: {labels}",
         f"J_GK = {_bits(w.entropy_bits)} bits",
@@ -458,7 +420,6 @@ def _random_model(rng: random.Random):
 def _verify_one(s) -> list:
     """Cross-checks for one model; returns (name, ok, detail) triples."""
     checks = []
-    kind = model_kind(s)
     w = common_function(s)
     closed = w.entropy_bits
 
@@ -490,7 +451,7 @@ def _verify_one(s) -> list:
         )
     )
 
-    if kind in ("hypergraphical", "finite_linear"):
+    if not isinstance(s, DiscreteSource):
         chain = chain_bound(s)
         checks.append(
             (
@@ -499,7 +460,7 @@ def _verify_one(s) -> list:
                 f"{_bits(chain)} vs {_bits(closed)}",
             )
         )
-        m = user_count(s)
+        m = s.user_count
         if m <= 4:
             values = {
                 round(chain_bound(s, order), 12)
@@ -598,8 +559,8 @@ def cmd_simulate(args) -> int:
     preview = [repr(label) for label in result.per_user_keys[0][:16]]
     report = {
         "command": "simulate",
-        "model": model_kind(s),
-        "users": user_count(s),
+        "model": s.model,
+        "users": s.user_count,
         "n": result.n,
         "seed": result.seed,
         "agreement": result.agreement,
@@ -611,7 +572,7 @@ def cmd_simulate(args) -> int:
         "first_labels": preview,
     }
     lines = [
-        f"model: {model_kind(s)} ({user_count(s)} users)",
+        f"model: {s.model} ({s.user_count} users)",
         f"rounds: {result.n}, seed: {result.seed}",
         f"agreement: {'yes' if result.agreement else 'NO'}",
         f"discussion bits: {result.discussion_bits}",

@@ -21,11 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import ClassVar, Union
 
-from .errors import ExpansionTooLarge, ModelError
-from .gf import FiniteMatrix, hstack, intersect_all, row_space, row_space_basis
-from .gf import vec_mat  # noqa: F401  unused here; perfbench's self-test reads mcf.vec_mat
+from .errors import ExpansionTooLarge, ModelError, SubspaceNotContained, WitnessInvalid
+from .gf import FiniteMatrix, hstack, intersect_all, row_space, row_space_basis, solve, vec_mat
 from .sources import (
     DiscreteSource,
     FiniteLinearSource,
@@ -38,26 +37,186 @@ from .sources import (
 Source = Union[HypergraphicalSource, FiniteLinearSource, DiscreteSource]
 
 
+def _surprisal_variance(probs) -> float:
+    """Variance of -log2 p in bits^2 for a probability vector."""
+    ps = [float(p) for p in probs if p > 0]
+    surprises = [-math.log2(p) for p in ps]
+    mean = math.fsum(p * s for p, s in zip(ps, surprises))
+    return math.fsum(p * (s - mean) ** 2 for p, s in zip(ps, surprises))
+
+
+def _label_masses(pmf: dict, labeling: dict) -> dict:
+    """Mass of each label, in first-seen order; exact masses stay exact."""
+    masses: dict = {}
+    try:
+        for realization, p in pmf.items():
+            label = labeling[realization]
+            masses[label] = masses.get(label, 0) + p
+    except KeyError:
+        raise WitnessInvalid(f"labeling does not cover support realization {realization}") from None
+    return masses
+
+
 @dataclass(frozen=True)
 class CommonFunctionWitness:
     """A common function realized as an explicit, checkable object.
 
-    kind:
-        "edge-subset"     payload is a tuple of edge names (hypergraphical)
-        "subspace-basis"  payload is a FiniteMatrix whose columns span the
-                          common subspace (finite linear)
-        "support-labeling" payload is a dict mapping each support realization
-                          to a component label (discrete oracle)
-    entropy_bits:
-        Shannon entropy of the witness value under the source distribution.
+    One subclass per model family, named by ``kind`` in reports.  payload is
+    a tuple of edge names (EdgeSubsetWitness), a FiniteMatrix whose
+    columns span the common subspace (SubspaceWitness), or a dict from
+    support realizations to component labels (LabelingWitness).
+    entropy_bits is the entropy of the witness value under the source law.
     """
 
-    kind: str
+    kind: ClassVar[str]
     payload: object
     entropy_bits: float
 
+    def brute_force_bits(self, s: Source, limit: Union[int, None] = None) -> float:
+        """Entropy of the witness value, recomputed on the source's distribution."""
+        raise NotImplementedError
 
-def gk_hypergraphical(h: HypergraphicalSource) -> CommonFunctionWitness:
+    def key_map(self, s: Source) -> tuple:
+        """(source, decoders, surprisal variance, label count) of the key;
+        decoders[i] maps user (i+1)'s observation of source to the label."""
+        raise NotImplementedError
+
+    def summary(self) -> dict:
+        """JSON-ready description of the witness."""
+        raise NotImplementedError
+
+
+class EdgeSubsetWitness(CommonFunctionWitness):
+    kind = "edge-subset"
+
+    def _edges(self, s: Source) -> list:
+        """Indices, in edge order, of the named edges of s."""
+        if not isinstance(s, HypergraphicalSource):
+            raise WitnessInvalid("edge-subset witness needs a hypergraphical source")
+        names = set(self.payload)
+        if len(names) != len(self.payload):
+            raise WitnessInvalid("witness names an edge more than once")
+        unknown = names - {e.name for e in s.edges}
+        if unknown:
+            name = next(n for n in self.payload if n in unknown)
+            raise WitnessInvalid(f"witness names unknown edge {name!r}")
+        return [k for k, e in enumerate(s.edges) if e.name in names]
+
+    def brute_force_bits(self, s: Source, limit: Union[int, None] = None) -> float:
+        return math.fsum(s.edges[k].entropy_bits() for k in self._edges(s))
+
+    def key_map(self, s: Source) -> tuple:
+        chosen = self._edges(s)
+        everyone = s.users()
+        for k in chosen:
+            if s.edges[k].subset != everyone:
+                raise WitnessInvalid(
+                    f"edge {s.edges[k].name!r} is not observed by every user; "
+                    "some user cannot compute the key"
+                )
+        decoders = []
+        for user in range(1, s.user_count + 1):
+            incident = s.incident(user)
+            positions = tuple(incident.index(k) for k in chosen)
+
+            def decode(obs, positions=positions):
+                return tuple(obs[p] for p in positions)
+
+            decoders.append(decode)
+        var = math.fsum(_surprisal_variance(s.edges[k].pmf) for k in chosen)
+        return s, decoders, var, math.prod(s.edges[k].alphabet_size for k in chosen)
+
+    def summary(self) -> dict:
+        return {"kind": self.kind, "edges": list(self.payload)}
+
+    def __str__(self) -> str:
+        return f"witness edges: {{{', '.join(self.payload)}}}"
+
+
+class SubspaceWitness(CommonFunctionWitness):
+    kind = "subspace-basis"
+
+    def _basis(self, s: Source) -> FiniteMatrix:
+        if not isinstance(s, FiniteLinearSource):
+            raise WitnessInvalid("subspace-basis witness needs a finite linear source")
+        basis: FiniteMatrix = self.payload
+        if basis.q != s.q or basis.rows != s.dim:
+            raise WitnessInvalid("witness basis has the wrong field or dimension")
+        return basis
+
+    def brute_force_bits(self, s: Source, limit: Union[int, None] = None) -> float:
+        """Walks the row space of [A | basis], A = [M_1 | ... | M_m]: the support
+        of (observations, label), q**rank points, valid witness or not."""
+        basis = self._basis(s)
+        cap = expansion_limit(limit)
+        joint = row_space_basis(hstack(*s.matrices, basis))
+        total = int(s.q) ** joint.rows
+        if total > cap:
+            raise ExpansionTooLarge(f"witness check: {total} points exceed the limit of {cap}")
+        first = joint.cols - basis.cols
+        counts: dict = {}
+        for point in row_space(joint):
+            label = point[first:]
+            counts[label] = counts.get(label, 0) + 1
+        return shannon_bits(Fraction(c, total) for c in counts.values())
+
+    def key_map(self, s: Source) -> tuple:
+        basis = self._basis(s)
+        decoders = []
+        for mat in s.matrices:
+            try:
+                coeffs = solve(mat, basis)
+            except (SubspaceNotContained, ModelError) as exc:
+                raise WitnessInvalid("witness subspace is not computable from every observation") from exc
+
+            def decode(obs, coeffs=coeffs):
+                return tuple(vec_mat(list(obs), coeffs))
+
+            decoders.append(decode)
+        # the key is uniform over the image: surprisal is constant, variance zero
+        return s, decoders, 0.0, int(s.q) ** basis.cols
+
+    def _columns(self) -> list:
+        return [list(self.payload.col(j)) for j in range(self.payload.cols)]
+
+    def summary(self) -> dict:
+        return {"kind": self.kind, "q": int(self.payload.q), "basis_columns": self._columns()}
+
+    def __str__(self) -> str:
+        return f"witness subspace basis columns (GF({int(self.payload.q)})): {self._columns()}"
+
+
+class LabelingWitness(CommonFunctionWitness):
+    kind = "support-labeling"
+
+    def brute_force_bits(self, s: Source, limit: Union[int, None] = None) -> float:
+        return shannon_bits(_label_masses(to_discrete(s, limit).pmf, self.payload).values())
+
+    def key_map(self, s: Source) -> tuple:
+        d = to_discrete(s)
+        masses = _label_masses(d.pmf, self.payload)
+        decoders = []
+        for coord in range(d.user_count):
+            fiber: dict = {}
+            for realization in d.pmf:
+                v = realization[coord]
+                label = self.payload[realization]
+                if fiber.setdefault(v, label) != label:
+                    raise WitnessInvalid(
+                        f"user {coord + 1} cannot compute the labeling: "
+                        f"symbol {v} belongs to two different labels"
+                    )
+            decoders.append(fiber.__getitem__)
+        return d, decoders, _surprisal_variance(masses.values()), len(masses)
+
+    def summary(self) -> dict:
+        return {"kind": self.kind, "labels": len(set(self.payload.values()))}
+
+    def __str__(self) -> str:
+        return f"witness labels: {len(set(self.payload.values()))} support components"
+
+
+def gk_hypergraphical(h: HypergraphicalSource) -> EdgeSubsetWitness:
     """Common function of a hypergraphical source: the globally seen edges.
 
     An edge variable is computable by every user iff its subset is the full
@@ -69,10 +228,10 @@ def gk_hypergraphical(h: HypergraphicalSource) -> CommonFunctionWitness:
     bits = math.fsum(
         e.entropy_bits() for e in h.edges if e.subset == everyone
     )
-    return CommonFunctionWitness("edge-subset", global_edges, bits)
+    return EdgeSubsetWitness(global_edges, bits)
 
 
-def gk_finite_linear(f: FiniteLinearSource) -> CommonFunctionWitness:
+def gk_finite_linear(f: FiniteLinearSource) -> SubspaceWitness:
     """Common function of a finite linear source.
 
     The linear functions of the hidden vector that every user can compute are
@@ -81,7 +240,7 @@ def gk_finite_linear(f: FiniteLinearSource) -> CommonFunctionWitness:
     """
     basis = intersect_all(list(f.matrices))
     bits = basis.cols * math.log2(int(f.q))
-    return CommonFunctionWitness("subspace-basis", basis, bits)
+    return SubspaceWitness(basis, bits)
 
 
 class _UnionFind:
@@ -109,7 +268,7 @@ class _UnionFind:
         self.size[ri] += self.size[rj]
 
 
-def gk_oracle(s: Source, limit: Union[int, None] = None) -> CommonFunctionWitness:
+def gk_oracle(s: Source, limit: Union[int, None] = None) -> LabelingWitness:
     """Ground-truth common function via the joint support.
 
     Two realizations are linked when they agree in some coordinate; connected
@@ -140,14 +299,8 @@ def gk_oracle(s: Source, limit: Union[int, None] = None) -> CommonFunctionWitnes
         if root not in roots:
             roots[root] = len(roots)
         labeling[realization] = roots[root]
-    masses: list = [Fraction(0)] * len(roots)
-    exact = all(isinstance(p, Fraction) for p in d.pmf.values())
-    if not exact:
-        masses = [0.0] * len(roots)
-    for realization, p in d.pmf.items():
-        masses[labeling[realization]] += p
-    bits = shannon_bits(masses)
-    return CommonFunctionWitness("support-labeling", labeling, bits)
+    bits = shannon_bits(_label_masses(d.pmf, labeling).values())
+    return LabelingWitness(labeling, bits)
 
 
 def common_function(s: Source) -> CommonFunctionWitness:
@@ -167,45 +320,10 @@ def jgk(s: Source) -> float:
 
 
 def evaluate_witness(s: Source, w: CommonFunctionWitness, limit: Union[int, None] = None) -> float:
-    """Recompute a witness's entropy directly on the expanded distribution.
+    """Recompute a witness's entropy directly on the source's distribution.
 
-    Used to cross-check closed-form entropies against brute force.  For an
-    edge-subset witness the label is the tuple of named edge values; for a
-    subspace basis it is the image of the hidden vector under the basis,
-    counted over the row space of [A | basis] with A = [M_1 | ... | M_m]:
-    that is the support of the joint law of (observations, label), so the
-    walk costs q**rank rather than q**dim and assumes nothing about whether
-    the witness is valid.
-
-    Raises:
-        ExpansionTooLarge: if the points to walk exceed the enumeration
-            limit (ZEROTALK_EXPANSION_LIMIT unless ``limit`` is given).
+    Raises WitnessInvalid if the witness does not fit the source, and
+    ExpansionTooLarge past the enumeration limit (ZEROTALK_EXPANSION_LIMIT
+    unless ``limit`` is given).
     """
-    if w.kind == "support-labeling":
-        d = to_discrete(s, limit)
-        masses: dict = {}
-        for realization, p in d.pmf.items():
-            label = w.payload[realization]
-            masses[label] = masses.get(label, 0) + p
-        return shannon_bits(masses.values())
-    if w.kind == "edge-subset":
-        if not isinstance(s, HypergraphicalSource):
-            raise ModelError("edge-subset witness needs a hypergraphical source")
-        names = set(w.payload)
-        return math.fsum(e.entropy_bits() for e in s.edges if e.name in names)
-    if w.kind == "subspace-basis":
-        if not isinstance(s, FiniteLinearSource):
-            raise ModelError("subspace-basis witness needs a finite linear source")
-        basis: FiniteMatrix = w.payload
-        cap = expansion_limit() if limit is None else limit
-        joint = row_space_basis(hstack(*s.matrices, basis))
-        total = int(s.q) ** joint.rows
-        if total > cap:
-            raise ExpansionTooLarge(f"witness check: {total} points exceed the limit of {cap}")
-        first = joint.cols - basis.cols
-        counts: dict = {}
-        for point in row_space(joint):
-            label = point[first:]
-            counts[label] = counts.get(label, 0) + 1
-        return shannon_bits(Fraction(c, total) for c in counts.values())
-    raise ModelError(f"unknown witness kind: {w.kind!r}")
+    return w.brute_force_bits(s, limit)

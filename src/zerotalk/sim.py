@@ -15,18 +15,15 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import ModelError, SubspaceNotContained, WitnessInvalid
-from .gf import FiniteMatrix, solve, vec_mat
+from .errors import ModelError
+from .gf import vec_mat
 from .mcf import CommonFunctionWitness, Source, common_function
 from .sources import (
     DiscreteSource,
     FiniteLinearSource,
     HypergraphicalSource,
     shannon_bits,
-    to_discrete,
 )
-
-Decoder = Callable[[tuple], object]
 
 
 @dataclass(frozen=True)
@@ -48,117 +45,12 @@ class KeyExtractor:
     label_count: int
 
 
-def _surprise_stats(probs) -> tuple:
-    """(entropy, variance of -log2 p) for a probability vector."""
-    ps = [float(p) for p in probs if p > 0]
-    surprises = [-math.log2(p) for p in ps]
-    mean = math.fsum(p * s for p, s in zip(ps, surprises))
-    var = math.fsum(p * (s - mean) ** 2 for p, s in zip(ps, surprises))
-    return mean, var
-
-
-def _edge_subset_extractor(
-    s: HypergraphicalSource, w: CommonFunctionWitness
-) -> KeyExtractor:
-    everyone = s.users()
-    names = {e.name for e in s.edges}
-    chosen = []
-    for name in w.payload:
-        if name not in names:
-            raise WitnessInvalid(f"witness names unknown edge {name!r}")
-        e = s.edge_named(name)
-        if e.subset != everyone:
-            raise WitnessInvalid(
-                f"edge {name!r} is not observed by every user; "
-                "some user cannot compute the key"
-            )
-        chosen.append(e)
-    chosen_indices = [k for k, e in enumerate(s.edges) if e.name in set(w.payload)]
-    decoders = []
-    for user in range(1, s.user_count + 1):
-        incident = s.incident(user)
-        positions = tuple(incident.index(k) for k in chosen_indices)
-
-        def decode(obs, positions=positions):
-            return tuple(obs[p] for p in positions)
-
-        decoders.append(decode)
-    var = math.fsum(_surprise_stats(e.pmf)[1] for e in chosen)
-    count = 1
-    for e in chosen:
-        count *= e.alphabet_size
-    return KeyExtractor(s, w, tuple(decoders), w.entropy_bits, var, count)
-
-
-def _subspace_extractor(
-    s: FiniteLinearSource, w: CommonFunctionWitness
-) -> KeyExtractor:
-    basis: FiniteMatrix = w.payload
-    if basis.q != s.q or basis.rows != s.dim:
-        raise WitnessInvalid("witness basis has the wrong field or dimension")
-    decoders = []
-    for mat in s.matrices:
-        try:
-            coeffs = solve(mat, basis)
-        except (SubspaceNotContained, ModelError) as exc:
-            raise WitnessInvalid(
-                "witness subspace is not computable from every observation"
-            ) from exc
-
-        def decode(obs, coeffs=coeffs):
-            return tuple(vec_mat(list(obs), coeffs))
-
-        decoders.append(decode)
-    # the key is uniform over the image: surprisal is constant, variance zero
-    count = int(s.q) ** basis.cols
-    return KeyExtractor(s, w, tuple(decoders), w.entropy_bits, 0.0, count)
-
-
-def _labeling_extractor(s: Source, w: CommonFunctionWitness) -> KeyExtractor:
-    d = to_discrete(s)
-    support = set(d.support())
-    if not support <= set(w.payload):
-        raise WitnessInvalid("labeling does not cover the support")
-    m = len(d.alphabet_sizes)
-    decoders = []
-    for coord in range(m):
-        fiber: dict = {}
-        for realization in d.support():
-            v = realization[coord]
-            label = w.payload[realization]
-            if fiber.setdefault(v, label) != label:
-                raise WitnessInvalid(
-                    f"user {coord + 1} cannot compute the labeling: "
-                    f"symbol {v} belongs to two different labels"
-                )
-
-        def decode(obs, fiber=fiber):
-            return fiber[obs]
-
-        decoders.append(decode)
-    masses: dict = {}
-    for realization, p in d.pmf.items():
-        label = w.payload[realization]
-        masses[label] = masses.get(label, 0) + p
-    _, var = _surprise_stats(masses.values())
-    return KeyExtractor(d, w, tuple(decoders), w.entropy_bits, var, len(masses))
-
-
 def build_extractor(
     s: Source, witness: Optional[CommonFunctionWitness] = None
 ) -> KeyExtractor:
     w = witness if witness is not None else common_function(s)
-    if w.kind == "edge-subset":
-        if not isinstance(s, HypergraphicalSource):
-            raise WitnessInvalid("edge-subset witness needs a hypergraphical source")
-        return _edge_subset_extractor(s, w)
-    if w.kind == "subspace-basis":
-        if not isinstance(s, FiniteLinearSource):
-            raise WitnessInvalid("subspace-basis witness needs a finite linear source")
-        return _subspace_extractor(s, w)
-    if w.kind == "support-labeling":
-        return _labeling_extractor(s, w)
-    raise WitnessInvalid(f"unknown witness kind: {w.kind!r}")
+    source, decoders, var, count = w.key_map(s)
+    return KeyExtractor(source, w, tuple(decoders), w.entropy_bits, var, count)
 
 
 def _observation_sampler(s: Source) -> Callable[[random.Random], tuple]:

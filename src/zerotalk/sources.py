@@ -27,7 +27,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, product
-from typing import Union
+from typing import ClassVar, Union
 
 from . import gf
 from .errors import ExpansionTooLarge, InternalRankError, ModelError, NotTwoUsers
@@ -39,8 +39,10 @@ PROBABILITY_TOLERANCE = 1e-9
 ENTROPY_TOLERANCE = 1e-9
 
 
-def expansion_limit() -> int:
-    """Joint-realization cap; ZEROTALK_EXPANSION_LIMIT overrides the default."""
+def expansion_limit(limit: int | None = None) -> int:
+    """Joint-realization cap: ``limit`` if given, else ZEROTALK_EXPANSION_LIMIT or the default."""
+    if limit is not None:
+        return limit
     raw = os.environ.get("ZEROTALK_EXPANSION_LIMIT")
     if raw is None:
         return DEFAULT_EXPANSION_LIMIT
@@ -128,6 +130,7 @@ class Edge:
 class HypergraphicalSource:
     """Independent edge variables; user i observes every edge whose subset contains i."""
 
+    model: ClassVar[str] = "hypergraphical"
     user_count: int
     edges: tuple[Edge, ...]
 
@@ -161,6 +164,7 @@ class HypergraphicalSource:
 class FiniteLinearSource:
     """Shared uniform vector over GF(q); user i observes x @ matrices[i]."""
 
+    model: ClassVar[str] = "finite_linear"
     q: gf.FieldOrder
     dim: int
     matrices: tuple[gf.FiniteMatrix, ...]
@@ -190,6 +194,7 @@ class FiniteLinearSource:
 class DiscreteSource:
     """Explicit joint pmf over per-user finite alphabets (0-based symbol indices)."""
 
+    model: ClassVar[str] = "discrete"
     alphabet_sizes: tuple[int, ...]
     pmf: dict[tuple[int, ...], Probability]
 
@@ -287,10 +292,6 @@ def _nonempty_subsets(user_count: int):
     return chain.from_iterable(combinations(users, k) for k in range(1, user_count + 1))
 
 
-def _resolve_limit(limit: int | None) -> int:
-    return expansion_limit() if limit is None else limit
-
-
 def expand_hypergraphical(h: HypergraphicalSource, limit: int | None = None) -> DiscreteSource:
     """Enumerate the joint pmf of a hypergraphical source.
 
@@ -302,7 +303,7 @@ def expand_hypergraphical(h: HypergraphicalSource, limit: int | None = None) -> 
         ExpansionTooLarge: if the product of edge alphabet sizes exceeds
             the enumeration limit.
     """
-    cap = _resolve_limit(limit)
+    cap = expansion_limit(limit)
     total = math.prod(e.alphabet_size for e in h.edges)
     if total > cap:
         raise ExpansionTooLarge(f"{total} edge assignments exceed the limit of {cap}")
@@ -338,7 +339,7 @@ def expand_finite_linear(f: FiniteLinearSource, limit: int | None = None) -> Dis
         ExpansionTooLarge: if the q**r support points exceed the
             enumeration limit (checked before the walk starts).
     """
-    cap = _resolve_limit(limit)
+    cap = expansion_limit(limit)
     q = int(f.q)
     basis = gf.row_space_basis(gf.hstack(*f.matrices))
     total = q**basis.rows
@@ -360,7 +361,7 @@ def expand_finite_linear(f: FiniteLinearSource, limit: int | None = None) -> Dis
 def to_discrete(s: AnySource, limit: int | None = None) -> DiscreteSource:
     """Expand any source model to its explicit joint pmf."""
     if isinstance(s, DiscreteSource):
-        cap = _resolve_limit(limit)
+        cap = expansion_limit(limit)
         if len(s.pmf) > cap:
             raise ExpansionTooLarge(f"support of {len(s.pmf)} points exceeds the limit of {cap}")
         return s

@@ -19,7 +19,7 @@ from zerotalk.cli import (
     render_hypergraphical,
 )
 from zerotalk.errors import ParseError
-from zerotalk.mcf import CommonFunctionWitness
+from zerotalk.mcf import LabelingWitness
 from zerotalk.sources import (
     DiscreteSource,
     FiniteLinearSource,
@@ -109,6 +109,12 @@ def test_parse_discrete_document():
 def test_parse_rejects_malformed_documents(doc):
     with pytest.raises(ParseError):
         parse_model(doc)
+
+
+def test_parsed_model_names_its_family():
+    for path in sorted(SPECS.glob("*.json")):
+        doc = json.loads(path.read_text())
+        assert parse_model(doc).model == doc["model"]
 
 
 def test_parse_partition_text():
@@ -256,7 +262,7 @@ def test_verify_reports_mismatch(capsys, monkeypatch):
     import zerotalk.cli as cli_module
 
     def broken_oracle(s, limit=None):
-        return CommonFunctionWitness("support-labeling", {}, 123.0)
+        return LabelingWitness({}, 123.0)
 
     monkeypatch.setattr(cli_module, "gk_oracle", broken_oracle)
     code, out, _ = run_cli(capsys, "verify", SHARED_BIT, "--json")

@@ -9,10 +9,13 @@ from fractions import Fraction
 
 import pytest
 
-from zerotalk.errors import ExpansionTooLarge
+from zerotalk.errors import ExpansionTooLarge, WitnessInvalid
 from zerotalk.gf import FiniteMatrix, intersect_all, matmul
 from zerotalk.mcf import (
     CommonFunctionWitness,
+    EdgeSubsetWitness,
+    LabelingWitness,
+    SubspaceWitness,
     common_function,
     evaluate_witness,
     gk_finite_linear,
@@ -174,7 +177,7 @@ def test_subspace_witness_bits_match_hidden_walk(q, seed):
     )
     # the engine's witness, and an arbitrary basis that need not be valid
     for basis in (gk_finite_linear(f).payload, draw(dim, rng.randrange(0, 3))):
-        w = CommonFunctionWitness("subspace-basis", basis, 0.0)
+        w = SubspaceWitness(basis, 0.0)
         assert evaluate_witness(f, w) == hidden_walk_witness_bits(f, basis)
 
 
@@ -201,6 +204,38 @@ def test_dispatcher_matches_engines(shared_bit_source, pairwise_xor_source):
     d = to_discrete(shared_bit_source)
     assert common_function(d).kind == "support-labeling"
     assert jgk(d) == pytest.approx(jgk(shared_bit_source), abs=1e-9)
+
+
+def test_engines_return_typed_witnesses(shared_bit_source, overlap_pair_source):
+    d = to_discrete(shared_bit_source)
+    for w, cls, kind, payload_type in (
+        (gk_hypergraphical(shared_bit_source), EdgeSubsetWitness, "edge-subset", tuple),
+        (gk_finite_linear(overlap_pair_source), SubspaceWitness, "subspace-basis", FiniteMatrix),
+        (gk_oracle(d), LabelingWitness, "support-labeling", dict),
+        (common_function(d), LabelingWitness, "support-labeling", dict),
+    ):
+        assert type(w) is cls and isinstance(w, CommonFunctionWitness)
+        assert w.kind == kind and w.summary()["kind"] == kind
+        assert isinstance(w.payload, payload_type)
+
+
+def test_edge_witness_check_rejects_unknown_and_repeated_names(shared_bit_source):
+    for names in (("zzz",), ("c", "c")):
+        with pytest.raises(WitnessInvalid):
+            evaluate_witness(shared_bit_source, EdgeSubsetWitness(names, 0.0))
+
+
+def test_witness_check_rejects_wrong_family(shared_bit_source, overlap_pair_source):
+    with pytest.raises(WitnessInvalid):
+        evaluate_witness(overlap_pair_source, EdgeSubsetWitness(("c",), 1.0))
+    with pytest.raises(WitnessInvalid):
+        evaluate_witness(shared_bit_source, SubspaceWitness(FiniteMatrix.identity(2, 3), 1.0))
+
+
+def test_witness_check_rejects_partial_labeling():
+    d = DiscreteSource((2, 2), {(0, 0): Fraction(1, 2), (1, 1): Fraction(1, 2)})
+    with pytest.raises(WitnessInvalid):
+        evaluate_witness(d, LabelingWitness({(0, 0): 0}, 1.0))
 
 
 # --- structural properties ---

@@ -9,7 +9,13 @@ import pytest
 
 from zerotalk.errors import ModelError, WitnessInvalid
 from zerotalk.gf import FiniteMatrix, vec_mat
-from zerotalk.mcf import CommonFunctionWitness, common_function, gk_oracle
+from zerotalk.mcf import (
+    EdgeSubsetWitness,
+    LabelingWitness,
+    SubspaceWitness,
+    common_function,
+    gk_oracle,
+)
 from zerotalk.sim import build_extractor, rate_tolerance, run
 from zerotalk.sources import (
     DiscreteSource,
@@ -116,40 +122,46 @@ def test_extractor_computes_hidden_sum(overlap_pair_source):
 
 
 def test_extractor_rejects_nonglobal_edge_witness(shared_bit_source):
-    w = CommonFunctionWitness("edge-subset", ("a",), 1.0)
+    w = EdgeSubsetWitness(("a",), 1.0)
     with pytest.raises(WitnessInvalid):
         build_extractor(shared_bit_source, w)
 
 
 def test_extractor_rejects_unknown_edge(shared_bit_source):
-    w = CommonFunctionWitness("edge-subset", ("zzz",), 1.0)
+    w = EdgeSubsetWitness(("zzz",), 1.0)
+    with pytest.raises(WitnessInvalid):
+        build_extractor(shared_bit_source, w)
+
+
+def test_extractor_rejects_repeated_edge(shared_bit_source):
+    w = EdgeSubsetWitness(("c", "c"), 1.0)
     with pytest.raises(WitnessInvalid):
         build_extractor(shared_bit_source, w)
 
 
 def test_extractor_rejects_uncomputable_subspace(pairwise_xor_source):
     # the full hidden vector is not computable from any single observation
-    w = CommonFunctionWitness("subspace-basis", FiniteMatrix.identity(2, 2), 2.0)
+    w = SubspaceWitness(FiniteMatrix.identity(2, 2), 2.0)
     with pytest.raises(WitnessInvalid):
         build_extractor(pairwise_xor_source, w)
 
 
 def test_extractor_rejects_wrong_field_subspace(overlap_pair_source):
-    w = CommonFunctionWitness("subspace-basis", FiniteMatrix.identity(3, 3), 1.0)
+    w = SubspaceWitness(FiniteMatrix.identity(3, 3), 1.0)
     with pytest.raises(WitnessInvalid):
         build_extractor(overlap_pair_source, w)
 
 
 def test_extractor_rejects_conflicting_labeling():
     d = DiscreteSource((1, 2), {(0, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)})
-    w = CommonFunctionWitness("support-labeling", {(0, 0): 0, (0, 1): 1}, 1.0)
+    w = LabelingWitness({(0, 0): 0, (0, 1): 1}, 1.0)
     with pytest.raises(WitnessInvalid):
         build_extractor(d, w)
 
 
 def test_extractor_rejects_partial_labeling():
     d = DiscreteSource((2, 2), {(0, 0): Fraction(1, 2), (1, 1): Fraction(1, 2)})
-    w = CommonFunctionWitness("support-labeling", {(0, 0): 0}, 1.0)
+    w = LabelingWitness({(0, 0): 0}, 1.0)
     with pytest.raises(WitnessInvalid):
         build_extractor(d, w)
 

@@ -197,6 +197,11 @@ def test_expansion_limit_env_override(shared_bit_source, monkeypatch):
         expansion_limit()
 
 
+def test_explicit_expansion_limit_overrides_env(monkeypatch):
+    monkeypatch.setenv("ZEROTALK_EXPANSION_LIMIT", "not-a-number")
+    assert expansion_limit(7) == 7
+
+
 def test_to_discrete_passthrough_checks_support_cap():
     d = DiscreteSource((2, 2), {(0, 0): 0.5, (1, 1): 0.5})
     assert to_discrete(d) is d
