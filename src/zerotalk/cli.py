@@ -549,13 +549,19 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_ok else EXIT_MISMATCH
 
 
+def _key_digest(stream) -> str:
+    return hashlib.sha256(",".join(map(repr, stream)).encode()).hexdigest()
+
+
 def cmd_simulate(args) -> int:
     s = load_model(args.model)
     result = run_simulation(s, n=args.n, seed=args.seed)
-    digests = [
-        hashlib.sha256(",".join(repr(label) for label in stream).encode()).hexdigest()
-        for stream in result.per_user_keys
-    ]
+    keys = result.per_user_keys
+    # agreeing users hold equal streams: hash one and repeat its digest
+    if result.agreement:
+        digests = [_key_digest(keys[0])] * len(keys)
+    else:
+        digests = [_key_digest(stream) for stream in keys]
     preview = [repr(label) for label in result.per_user_keys[0][:16]]
     report = {
         "command": "simulate",

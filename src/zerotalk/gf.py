@@ -14,6 +14,7 @@ thousands); no attempt is made at sparse or blocked elimination.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import add
 from typing import Iterable, Iterator, Sequence
 
@@ -149,6 +150,56 @@ def vec_mat(x: Sequence[int], a: FiniteMatrix) -> tuple[int, ...]:
         raise ValueError(f"vector length {len(x)} does not match {a.rows} rows")
     q = a.q
     return tuple(sum((x[k] % q) * a.at(k, j) for k in range(a.rows)) % q for j in range(a.cols))
+
+
+@lru_cache(maxsize=None)  # called only for the 31 primes below 128
+def _byte_tables(q: int) -> tuple[bytes, tuple[bytes, ...]]:
+    """Translate tables for bytes holding one value each: b -> b % q, and
+    b -> c*b % q for every c in [0, q)."""
+    reduce = bytes(b % q for b in range(256))
+    return reduce, tuple(bytes(c * b % q for b in range(256)) for c in range(q))
+
+
+def cols_mat(x_cols: Sequence[Sequence[int]], a: FiniteMatrix, n: int) -> list[list[int]]:
+    """Products x @ a for n row vectors x at once, given and returned by column.
+
+    x_cols holds a.rows columns of n values in [0, q) each: column k lists
+    coordinate k of every x.  Returns the a.cols columns of the products,
+    each a list of n values.  For q < 128 a column is one big integer with a
+    byte per value, so each term of a product column is a handful of
+    whole-column byte and integer operations rather than n Python steps.
+    (A byte must hold a reduced value plus one more term, 2(q-1) < 256.)
+    """
+    if len(x_cols) != a.rows:
+        raise ValueError(f"{len(x_cols)} columns do not match {a.rows} rows")
+    q = int(a.q)
+    if q > 127:
+        out = []
+        for j in range(a.cols):
+            acc = [0] * n
+            for k, col in enumerate(x_cols):
+                c = a.at(k, j)
+                if c:
+                    acc = [s + c * v for s, v in zip(acc, col)]
+            out.append([s % q for s in acc])
+        return out
+    reduce, scale = _byte_tables(q)
+    packed = [bytes(col) for col in x_cols]
+    batch = 255 // (q - 1)  # terms a byte can sum before it must be reduced
+    out = []
+    for j in range(a.cols):
+        acc, terms = 0, 0
+        for k, col in enumerate(packed):
+            c = a.at(k, j)
+            if not c:
+                continue
+            if terms == batch:
+                acc = int.from_bytes(acc.to_bytes(n, "little").translate(reduce), "little")
+                terms = 1
+            acc += int.from_bytes(col if c == 1 else col.translate(scale[c]), "little")
+            terms += 1
+        out.append(list(acc.to_bytes(n, "little").translate(reduce)))
+    return out
 
 
 def hstack(*mats: FiniteMatrix) -> FiniteMatrix:

@@ -24,7 +24,10 @@ from fractions import Fraction
 from typing import ClassVar, Union
 
 from .errors import ExpansionTooLarge, ModelError, SubspaceNotContained, WitnessInvalid
-from .gf import FiniteMatrix, hstack, intersect_all, row_space, row_space_basis, solve, vec_mat
+from .gf import FiniteMatrix, cols_mat, hstack, intersect_all, row_space, row_space_basis, solve
+# Unused here; perfbench's test_instrument_patches_every_namespace_and_restores_it
+# reads mcf.vec_mat.
+from .gf import vec_mat  # noqa: F401
 from .sources import (
     DiscreteSource,
     FiniteLinearSource,
@@ -77,8 +80,13 @@ class CommonFunctionWitness:
         raise NotImplementedError
 
     def key_map(self, s: Source) -> tuple:
-        """(source, decoders, surprisal variance, label count) of the key;
-        decoders[i] maps user (i+1)'s observation of source to the label."""
+        """(source, decoders, surprisal variance, label count) of the key.
+
+        decoders[i] is user (i+1)'s column decoder: decoders[i](obs, n) takes
+        that user's observations of n rounds of source as a tuple of
+        coordinate columns, each n values long, and returns the list of the
+        n key labels.  One observation is the case n = 1.
+        """
         raise NotImplementedError
 
     def summary(self) -> dict:
@@ -119,8 +127,8 @@ class EdgeSubsetWitness(CommonFunctionWitness):
             incident = s.incident(user)
             positions = tuple(incident.index(k) for k in chosen)
 
-            def decode(obs, positions=positions):
-                return tuple(obs[p] for p in positions)
+            def decode(obs, n, positions=positions):
+                return list(zip(*(obs[p] for p in positions))) if positions else [()] * n
 
             decoders.append(decode)
         var = math.fsum(_surprisal_variance(s.edges[k].pmf) for k in chosen)
@@ -169,8 +177,8 @@ class SubspaceWitness(CommonFunctionWitness):
             except (SubspaceNotContained, ModelError) as exc:
                 raise WitnessInvalid("witness subspace is not computable from every observation") from exc
 
-            def decode(obs, coeffs=coeffs):
-                return tuple(vec_mat(list(obs), coeffs))
+            def decode(obs, n, coeffs=coeffs):
+                return list(zip(*cols_mat(obs, coeffs, n))) if coeffs.cols else [()] * n
 
             decoders.append(decode)
         # the key is uniform over the image: surprisal is constant, variance zero
@@ -206,7 +214,11 @@ class LabelingWitness(CommonFunctionWitness):
                         f"user {coord + 1} cannot compute the labeling: "
                         f"symbol {v} belongs to two different labels"
                     )
-            decoders.append(fiber.__getitem__)
+
+            def decode(obs, n, lookup=fiber.__getitem__):
+                return list(map(lookup, obs[0]))
+
+            decoders.append(decode)
         return d, decoders, _surprisal_variance(masses.values()), len(masses)
 
     def summary(self) -> dict:

@@ -1,22 +1,30 @@
 """Zero-discussion agreement simulator.
 
-Draws i.i.d. realizations of a source, has every user apply a deterministic
-decoder (derived from a common-function witness) to its own observation only,
-and checks that all users produce the identical key stream with no messages
-exchanged.  The empirical key rate is compared against the witness entropy
-with a concentration-style tolerance.
+Draws n i.i.d. realizations of a source, has every user apply a deterministic
+decoder (derived from a common-function witness) to its own observations
+only, and checks that all users produce the identical key stream with no
+messages exchanged.  The empirical key rate is compared against the witness
+entropy with a concentration-style tolerance.
+
+The simulation is column-wise: the sampler draws every coordinate for all n
+rounds at once (one column per edge, hidden coordinate or discrete draw), and
+each user's decoder turns its own observation columns into its n key labels
+in one call.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .errors import ModelError
-from .gf import vec_mat
+from .gf import cols_mat
+# Unused here; perfbench's test_instrument_patches_every_namespace_and_restores_it
+# reads sim.vec_mat.
+from .gf import vec_mat  # noqa: F401
 from .mcf import CommonFunctionWitness, Source, common_function
 from .sources import (
     DiscreteSource,
@@ -32,9 +40,11 @@ class KeyExtractor:
 
     source is the model the decoders read observations of (a discrete view of
     the original model when the witness is a support labeling).  decoders[i]
-    maps user (i+1)'s observation to the key label.  surprise_var is the
-    variance of the label's surprisal in bits^2, used for the empirical-rate
-    tolerance; label_count the number of possible labels.
+    is user (i+1)'s column decoder: decoders[i](obs, n) maps that user's
+    observation columns of n rounds to its list of n key labels (see
+    CommonFunctionWitness.key_map).  surprise_var is the variance of the
+    label's surprisal in bits^2, used for the empirical-rate tolerance;
+    label_count the number of possible labels.
     """
 
     source: Source
@@ -53,47 +63,44 @@ def build_extractor(
     return KeyExtractor(source, w, tuple(decoders), w.entropy_bits, var, count)
 
 
-def _observation_sampler(s: Source) -> Callable[[random.Random], tuple]:
-    """Returns rng -> (obs_1, ..., obs_m), one observation per user."""
+def _cdf(probs) -> list:
+    """Float cumulative weights for random.choices, ending at exactly 1."""
+    acc, cum = 0.0, []
+    for p in probs:
+        acc += float(p)
+        cum.append(acc)
+    cum[-1] = 1.0
+    return cum
+
+
+def _uniform_column(rng: random.Random, q: int, n: int):
+    """n exactly uniform draws from [0, q).
+
+    For q < 256 random bytes are reduced mod q after dropping those at or
+    above the largest multiple of q, so every kept byte is uniform.
+    """
+    if q >= 256:
+        return [rng.randrange(q) for _ in range(n)]
+    reduce = bytes(b % q for b in range(256))
+    reject = bytes(range(256 - 256 % q, 256))
+    col = b""
+    while len(col) < n:
+        col += rng.randbytes(n - len(col)).translate(reduce, reject)
+    return col
+
+
+def _observation_columns(s: Source, rng: random.Random, n: int) -> list:
+    """n rounds of s: per user, the tuple of its observation columns."""
     if isinstance(s, HypergraphicalSource):
-        cdfs = []
-        for e in s.edges:
-            acc, cum = 0.0, []
-            for p in e.pmf:
-                acc += float(p)
-                cum.append(acc)
-            cum[-1] = 1.0
-            cdfs.append(cum)
-        incident = [s.incident(u) for u in range(1, s.user_count + 1)]
-
-        def draw(rng: random.Random) -> tuple:
-            values = [bisect.bisect_right(cum, rng.random()) for cum in cdfs]
-            return tuple(
-                tuple(values[k] for k in inc) for inc in incident
-            )
-
-        return draw
+        cols = [rng.choices(range(e.alphabet_size), cum_weights=_cdf(e.pmf), k=n) for e in s.edges]
+        return [tuple(cols[k] for k in s.incident(u)) for u in range(1, s.user_count + 1)]
     if isinstance(s, FiniteLinearSource):
-        q = int(s.q)
-
-        def draw(rng: random.Random) -> tuple:
-            x = [rng.randrange(q) for _ in range(s.dim)]
-            return tuple(tuple(vec_mat(x, mat)) for mat in s.matrices)
-
-        return draw
+        hidden = [_uniform_column(rng, int(s.q), n) for _ in range(s.dim)]
+        return [tuple(cols_mat(hidden, mat, n)) for mat in s.matrices]
     if isinstance(s, DiscreteSource):
         support = s.support()
-        acc, cum = 0.0, []
-        for realization in support:
-            acc += float(s.pmf[realization])
-            cum.append(acc)
-        cum[-1] = 1.0
-
-        def draw(rng: random.Random) -> tuple:
-            realization = support[bisect.bisect_right(cum, rng.random())]
-            return tuple(realization)
-
-        return draw
+        draws = rng.choices(support, cum_weights=_cdf(s.pmf[r] for r in support), k=n)
+        return [(list(col),) for col in zip(*draws)]
     raise ModelError(f"unrecognized source type: {type(s).__name__}")
 
 
@@ -126,25 +133,18 @@ def run(
     if n < 1:
         raise ModelError("need at least one round")
     ext = build_extractor(s, witness)
-    draw = _observation_sampler(ext.source)
-    rng = random.Random(seed)
-    keys: list = [[] for _ in ext.decoders]
-    for _ in range(n):
-        world = draw(rng)
-        for i, decode in enumerate(ext.decoders):
-            keys[i].append(decode(world[i]))
+    observations = _observation_columns(ext.source, random.Random(seed), n)
+    keys = [decode(obs, n) for decode, obs in zip(ext.decoders, observations)]
     first = keys[0]
     agreement = all(stream == first for stream in keys[1:])
-    counts: dict = {}
-    for label in first:
-        counts[label] = counts.get(label, 0) + 1
+    counts = Counter(first)
     empirical = shannon_bits(c / n for c in counts.values())
     gap = abs(empirical - ext.expected_bits)
     ok = gap <= rate_tolerance(ext.surprise_var, ext.label_count, n)
     return SimulationRun(
         n=n,
         seed=seed,
-        per_user_keys=tuple(tuple(stream) for stream in keys),
+        per_user_keys=tuple(map(tuple, keys)),
         agreement=agreement,
         empirical_rate_bits=empirical,
         expected_rate_bits=ext.expected_bits,

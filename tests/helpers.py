@@ -2,18 +2,21 @@
 
 from __future__ import annotations
 
+import bisect
 import random
 from fractions import Fraction
 from itertools import product
 
 from zerotalk.errors import ModelError, SubspaceNotContained
-from zerotalk.gf import FiniteMatrix, columns_subset, hstack, rank, vec_mat
+from zerotalk.gf import FiniteMatrix, columns_subset, hstack, rank, solve, vec_mat
+from zerotalk.mcf import EdgeSubsetWitness, LabelingWitness, SubspaceWitness
 from zerotalk.sources import (
     DiscreteSource,
     Edge,
     FiniteLinearSource,
     HypergraphicalSource,
     shannon_bits,
+    to_discrete,
 )
 
 
@@ -28,14 +31,23 @@ def random_hypergraphical(rng: random.Random, users: int, edge_count: int) -> Hy
     return HypergraphicalSource(users, tuple(edges))
 
 
-def random_fls(rng: random.Random, users: int) -> FiniteLinearSource:
-    q = rng.choice([2, 3])
+def random_fls(rng: random.Random, users: int, q: int | None = None) -> FiniteLinearSource:
+    q = q if q is not None else rng.choice([2, 3])
     dim = rng.randrange(1, 4)
     mats = tuple(
         FiniteMatrix(q, dim, cols, tuple(rng.randrange(q) for _ in range(dim * cols)))
         for cols in (rng.randrange(0, 3) for _ in range(users))
     )
     return FiniteLinearSource(q, dim, mats)
+
+
+def random_discrete(rng: random.Random, users: int) -> DiscreteSource:
+    """Random support on small alphabets with exact random masses."""
+    alphabets = tuple(rng.randrange(2, 5) for _ in range(users))
+    points = list(product(*(range(a) for a in alphabets)))
+    support = rng.sample(points, rng.randrange(1, min(len(points), 12) + 1))
+    weights = [rng.randrange(1, 10) for _ in support]
+    return DiscreteSource(alphabets, {r: Fraction(w, sum(weights)) for r, w in zip(support, weights)})
 
 
 def bfs_components(support):
@@ -125,3 +137,86 @@ def hidden_walk_witness_bits(f: FiniteLinearSource, basis: FiniteMatrix) -> floa
         image = vec_mat(x, basis)
         counts[image] = counts.get(image, 0) + 1
     return shannon_bits(Fraction(c, total) for c in counts.values())
+
+
+# --- reference per-round simulator kept from the one-draw-per-round sim ---
+
+
+def round_sampler(s):
+    """rng -> (obs_1, ..., obs_m): one realization, one observation per user.
+
+    An observation is a tuple of coordinates, or the bare symbol for a
+    discrete source."""
+    if isinstance(s, HypergraphicalSource):
+        cdfs = []
+        for e in s.edges:
+            acc, cum = 0.0, []
+            for p in e.pmf:
+                acc += float(p)
+                cum.append(acc)
+            cum[-1] = 1.0
+            cdfs.append(cum)
+        incident = [s.incident(u) for u in range(1, s.user_count + 1)]
+
+        def draw(rng):
+            values = [bisect.bisect_right(cum, rng.random()) for cum in cdfs]
+            return tuple(tuple(values[k] for k in inc) for inc in incident)
+
+        return draw
+    if isinstance(s, FiniteLinearSource):
+        q = int(s.q)
+
+        def draw(rng):
+            x = [rng.randrange(q) for _ in range(s.dim)]
+            return tuple(tuple(vec_mat(x, mat)) for mat in s.matrices)
+
+        return draw
+    support = s.support()
+    acc, cum = 0.0, []
+    for realization in support:
+        acc += float(s.pmf[realization])
+        cum.append(acc)
+    cum[-1] = 1.0
+
+    def draw(rng):
+        return tuple(support[bisect.bisect_right(cum, rng.random())])
+
+    return draw
+
+
+def round_decoders(s, w):
+    """(source the decoders read, per-user maps from one observation to the
+    label) for a witness already checked against s."""
+    if isinstance(w, EdgeSubsetWitness):
+        chosen = [k for k, e in enumerate(s.edges) if e.name in w.payload]
+        decoders = []
+        for user in range(1, s.user_count + 1):
+            positions = tuple(s.incident(user).index(k) for k in chosen)
+            decoders.append(lambda obs, positions=positions: tuple(obs[p] for p in positions))
+        return s, decoders
+    if isinstance(w, SubspaceWitness):
+        decoders = []
+        for mat in s.matrices:
+            coeffs = solve(mat, w.payload)
+            decoders.append(lambda obs, coeffs=coeffs: tuple(vec_mat(list(obs), coeffs)))
+        return s, decoders
+    assert isinstance(w, LabelingWitness)
+    d = to_discrete(s)
+    decoders = []
+    for coord in range(d.user_count):
+        fiber = {r[coord]: w.payload[r] for r in d.pmf}
+        decoders.append(fiber.__getitem__)
+    return d, decoders
+
+
+def round_key_streams(s, w, n: int, seed: int) -> tuple:
+    """Per-user key streams of n rounds, one draw and one decode per round."""
+    source, decoders = round_decoders(s, w)
+    draw = round_sampler(source)
+    rng = random.Random(seed)
+    keys = [[] for _ in decoders]
+    for _ in range(n):
+        world = draw(rng)
+        for i, decode in enumerate(decoders):
+            keys[i].append(decode(world[i]))
+    return tuple(tuple(stream) for stream in keys)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from zerotalk.cli import (
     EXIT_PARSE,
     EXIT_RESOURCE,
     EXIT_UNSUPPORTED,
+    load_model,
     main,
     parse_model,
     parse_partition_text,
@@ -20,6 +22,7 @@ from zerotalk.cli import (
 )
 from zerotalk.errors import ParseError
 from zerotalk.mcf import LabelingWitness
+from zerotalk.sim import run
 from zerotalk.sources import (
     DiscreteSource,
     FiniteLinearSource,
@@ -292,6 +295,24 @@ def test_simulate_output(capsys):
     assert doc["rate_ok"] is True
     assert len(set(doc["key_digests"])) == 1
     assert len(doc["first_labels"]) == 16
+
+
+@pytest.mark.parametrize("model", [SHARED_BIT, OVERLAP_PAIR, TWO_COINS])
+def test_simulate_digest_is_sha256_of_joined_labels(capsys, model):
+    code, out, _ = run_cli(capsys, "simulate", model, "--n", "300", "--seed", "2", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    stream = run(load_model(model), n=300, seed=2).per_user_keys[0]
+    joined = ",".join(map(repr, stream))
+    assert doc["key_digests"][0] == hashlib.sha256(joined.encode()).hexdigest()
+    assert doc["key_digests"] == [doc["key_digests"][0]] * doc["users"]
+
+
+@pytest.mark.parametrize("n", ["0", "-5"])
+def test_simulate_rejects_nonpositive_rounds(capsys, n):
+    code, _, err = run_cli(capsys, "simulate", SHARED_BIT, "--n", n)
+    assert code == EXIT_MODEL
+    assert "need at least one round" in err
 
 
 def test_simulate_human_output(capsys):

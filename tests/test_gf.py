@@ -18,6 +18,7 @@ from zerotalk.errors import ModelError, SubspaceNotContained
 from zerotalk.gf import (
     FieldOrder,
     FiniteMatrix,
+    cols_mat,
     column_space_basis,
     column_space_intersection,
     columns_subset,
@@ -422,3 +423,22 @@ def test_operations_are_deterministic():
     assert rref(a) == rref(a)
     assert null_space(a) == null_space(a)
     assert column_space_intersection(a, b) == column_space_intersection(a, b)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 17, 127, 131, 65521])
+def test_cols_mat_is_vec_mat_row_by_row(q):
+    # 20 rows of nonzero entries overflow a byte's sum for q = 17 and 127,
+    # so the running reduction is exercised; q > 127 takes the list path
+    rng = random.Random(q)
+    n = 40
+    for rows, cols in ((20, 3), (3, 0), (0, 2), (4, 5)):
+        a = FiniteMatrix(q, rows, cols, tuple(rng.randrange(1, q) for _ in range(rows * cols)))
+        xs = [[rng.randrange(q) for _ in range(rows)] for _ in range(n)]
+        x_cols = [[x[k] for x in xs] for k in range(rows)]
+        products = [vec_mat(x, a) for x in xs]
+        assert cols_mat(x_cols, a, n) == [[p[j] for p in products] for j in range(cols)]
+
+
+def test_cols_mat_rejects_wrong_column_count():
+    with pytest.raises(ValueError):
+        cols_mat([[0, 1]], FiniteMatrix.identity(2, 2), 2)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +17,8 @@ from zerotalk.mcf import (
     common_function,
     gk_oracle,
 )
-from zerotalk.sim import build_extractor, rate_tolerance, run
+from zerotalk.cli import load_model
+from zerotalk.sim import _uniform_column, build_extractor, rate_tolerance, run
 from zerotalk.sources import (
     DiscreteSource,
     Edge,
@@ -24,7 +26,16 @@ from zerotalk.sources import (
     HypergraphicalSource,
     to_discrete,
 )
-from helpers import random_fls, random_hypergraphical
+from helpers import (
+    random_discrete,
+    random_fls,
+    random_hypergraphical,
+    round_decoders,
+    round_key_streams,
+    round_sampler,
+)
+
+TWO_COINS = Path(__file__).resolve().parent.parent / "specs" / "two_coins.json"
 
 
 def test_run_shared_bit(shared_bit_source):
@@ -101,10 +112,10 @@ def test_rejects_nonpositive_rounds(shared_bit_source):
 def test_extractor_projects_global_edge(shared_bit_source):
     ext = build_extractor(shared_bit_source)
     # user 1 sees (a, b, c); users 2 and 3 see two edges each; each decoder
-    # must pick out exactly the c component
-    assert ext.decoders[0]((10, 20, 30)) == (30,)
-    assert ext.decoders[1]((20, 30)) == (30,)
-    assert ext.decoders[2]((10, 30)) == (30,)
+    # must pick out exactly the c component (one round: one-value columns)
+    assert ext.decoders[0](([10], [20], [30]), 1) == [(30,)]
+    assert ext.decoders[1](([20], [30]), 1) == [(30,)]
+    assert ext.decoders[2](([10], [30]), 1) == [(30,)]
     assert ext.label_count == 2
     assert ext.surprise_var == pytest.approx(0.0, abs=1e-12)
 
@@ -117,8 +128,8 @@ def test_extractor_computes_hidden_sum(overlap_pair_source):
         x = [rng.randrange(2) for _ in range(3)]
         expected = ((x[0] + x[1]) % 2,)
         for decode, mat in zip(ext.decoders, overlap_pair_source.matrices):
-            obs = tuple(vec_mat(x, mat))
-            assert decode(obs) == expected
+            obs = tuple([v] for v in vec_mat(x, mat))
+            assert decode(obs, 1) == [expected]
 
 
 def test_extractor_rejects_nonglobal_edge_witness(shared_bit_source):
@@ -173,6 +184,103 @@ def test_extractor_rejects_model_mismatch(shared_bit_source, overlap_pair_source
     basis_witness = common_function(overlap_pair_source)
     with pytest.raises(WitnessInvalid):
         build_extractor(shared_bit_source, basis_witness)
+
+
+# --- column decoders and sampler against the per-round reference ---
+
+
+def _linear(q, dim, *cols_per_user):
+    return FiniteLinearSource(
+        q, dim, tuple(FiniteMatrix.from_cols(q, cols, rows=dim) for cols in cols_per_user)
+    )
+
+
+def _decoder_cases():
+    rng = random.Random(5100)
+    cases = []
+    for k in range(4):
+        h = random_hypergraphical(rng, rng.randrange(2, 5), rng.randrange(0, 5))
+        cases.append(pytest.param(h, common_function(h), id=f"edge-{k}"))
+    for q in (2, 3, 5):
+        for k in range(3):
+            f = random_fls(rng, rng.randrange(2, 4), q)
+            cases.append(pytest.param(f, common_function(f), id=f"gf{q}-random-{k}"))
+        # one shared column plus private ones: a nonzero key
+        shared = _linear(q, 3, [[1, 2, 0], [0, 0, 1]], [[1, 1, 1], [1, 2, 0]], [[1, 2, 0]])
+        cases.append(pytest.param(shared, common_function(shared), id=f"gf{q}-shared"))
+        # a user with no columns: jgk = 0
+        blind = _linear(q, 2, [[1, 1]], [], [[0, 1], [1, 0]])
+        cases.append(pytest.param(blind, common_function(blind), id=f"gf{q}-zero-column-user"))
+    for k in range(3):
+        d = random_discrete(rng, rng.randrange(2, 4))
+        cases.append(pytest.param(d, common_function(d), id=f"discrete-{k}"))
+    h = random_hypergraphical(rng, 3, 3)
+    cases.append(pytest.param(h, gk_oracle(h), id="labeling-on-edges"))
+    f = random_fls(rng, 3, 3)
+    cases.append(pytest.param(f, gk_oracle(f), id="labeling-on-linear"))
+    return cases
+
+
+def _user_columns(worlds, i, source):
+    """User (i+1)'s observations in the drawn rounds as a tuple of columns."""
+    if isinstance(source, DiscreteSource):
+        return ([world[i] for world in worlds],)
+    return tuple(list(col) for col in zip(*(world[i] for world in worlds)))
+
+
+@pytest.mark.parametrize("s, w", _decoder_cases())
+def test_column_decoders_match_reference_round_by_round(s, w):
+    ext = build_extractor(s, w)
+    source, reference = round_decoders(s, w)
+    assert ext.source == source
+    rng = random.Random(17)
+    draw = round_sampler(source)
+    worlds = [draw(rng) for _ in range(80)]
+    for i, (decode, ref) in enumerate(zip(ext.decoders, reference)):
+        labels = decode(_user_columns(worlds, i, source), len(worlds))
+        assert labels == [ref(world[i]) for world in worlds]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_discrete_key_stream_matches_reference(seed, shared_bit_source):
+    rng = random.Random(5200 + seed)
+    for d in (load_model(str(TWO_COINS)), random_discrete(rng, 2), random_discrete(rng, 3),
+              to_discrete(shared_bit_source)):
+        w = common_function(d)
+        assert run(d, 300, seed).per_user_keys == round_key_streams(d, w, 300, seed)
+    w = gk_oracle(shared_bit_source)
+    keys = run(shared_bit_source, 300, seed, witness=w).per_user_keys
+    assert keys == round_key_streams(shared_bit_source, w, 300, seed)
+
+
+class _CyclingBytes:
+    """Stands in for random.Random: randbytes returns 0, 1, ..., 255, 0, ..."""
+
+    def __init__(self):
+        self.next = 0
+
+    def randbytes(self, n):
+        out = bytes((self.next + i) % 256 for i in range(n))
+        self.next = (self.next + n) % 256
+        return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 251])
+def test_uniform_column_keeps_bytes_below_a_multiple_of_q(q):
+    # bytes at or above the largest multiple of q are dropped and the draw is
+    # topped up, so every residue comes from the same number of byte values
+    keep = 256 - 256 % q
+    col = _uniform_column(_CyclingBytes(), q, 4 * keep)
+    assert list(col) == [b % q for b in range(keep)] * 4
+
+
+def test_large_field_run_agrees():
+    q = 65521
+    f = _linear(q, 2, [[1, 5]], [[2, 10], [0, 1]])
+    result = run(f, n=300, seed=8)
+    assert result.agreement and result.rate_ok
+    assert len(set(result.per_user_keys[0])) > 250
+    assert all(0 <= v < q for (v,) in result.per_user_keys[0])
 
 
 # --- empirical rate behavior ---
