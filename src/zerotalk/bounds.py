@@ -155,18 +155,16 @@ def lamination_bound(h: HypergraphicalSource, p: Partition) -> LaminationBound:
 MAX_EXHAUSTIVE_USERS = 8
 
 
-def best_partition(
-    h: HypergraphicalSource, max_users: int = MAX_EXHAUSTIVE_USERS
-) -> LaminationBound:
+def best_partition(h: HypergraphicalSource) -> LaminationBound:
     """Exhaustively find the partition with the smallest spread coefficient.
 
     Ties break toward fewer blocks, then lexicographically by blocks, so the
     result is deterministic.  Refuses sources with more users than the cap
     (the partition count is a Bell number).
     """
-    if h.user_count > max_users:
+    if h.user_count > MAX_EXHAUSTIVE_USERS:
         raise TooManyUsers(
-            f"{h.user_count} users exceeds exhaustive-search cap {max_users}"
+            f"{h.user_count} users exceeds exhaustive-search cap {MAX_EXHAUSTIVE_USERS}"
         )
     best: Optional[Partition] = None
     best_key = None

@@ -59,6 +59,7 @@ from .gf import FiniteMatrix
 from .mcf import common_function, evaluate_witness, gk_oracle, jgk
 from .sim import run as run_simulation
 from .sources import (
+    ENTROPY_TOLERANCE,
     DiscreteSource,
     Edge,
     FiniteLinearSource,
@@ -74,8 +75,6 @@ EXIT_PARSE = 2
 EXIT_MODEL = 3
 EXIT_UNSUPPORTED = 4
 EXIT_RESOURCE = 5
-
-TOLERANCE = 1e-9
 
 
 # --- model file parsing ---
@@ -417,6 +416,11 @@ def _random_model(rng: random.Random):
     return FiniteLinearSource(q, dim, mats)
 
 
+def _agree(name: str, a: float, b: float) -> tuple:
+    """Check that two entropies agree within ENTROPY_TOLERANCE."""
+    return (name, abs(a - b) <= ENTROPY_TOLERANCE, f"{_bits(a)} vs {_bits(b)}")
+
+
 def _verify_one(s) -> list:
     """Cross-checks for one model; returns (name, ok, detail) triples."""
     checks = []
@@ -424,25 +428,11 @@ def _verify_one(s) -> list:
     closed = w.entropy_bits
 
     d = to_discrete(s)
-    oracle_bits = gk_oracle(d).entropy_bits
-    checks.append(
-        (
-            "closed_form_vs_oracle",
-            abs(closed - oracle_bits) <= TOLERANCE,
-            f"{_bits(closed)} vs {_bits(oracle_bits)}",
-        )
-    )
+    checks.append(_agree("closed_form_vs_oracle", closed, gk_oracle(d).entropy_bits))
+    checks.append(_agree("witness_entropy_brute_force", closed, evaluate_witness(s, w)))
 
-    brute = evaluate_witness(s, w)
-    checks.append(
-        (
-            "witness_entropy_brute_force",
-            abs(closed - brute) <= TOLERANCE,
-            f"{_bits(closed)} vs {_bits(brute)}",
-        )
-    )
-
-    profile_ok = entropy_profile(s).matches(entropy_profile(d))
+    profile = entropy_profile(s)
+    profile_ok = profile.matches(entropy_profile(d))
     checks.append(
         (
             "expansion_preserves_profile",
@@ -452,14 +442,7 @@ def _verify_one(s) -> list:
     )
 
     if not isinstance(s, DiscreteSource):
-        chain = chain_bound(s)
-        checks.append(
-            (
-                "chain_vs_closed_form",
-                abs(chain - closed) <= TOLERANCE,
-                f"{_bits(chain)} vs {_bits(closed)}",
-            )
-        )
+        checks.append(_agree("chain_vs_closed_form", chain_bound(s), closed))
         m = s.user_count
         if m <= 4:
             values = {
@@ -479,7 +462,7 @@ def _verify_one(s) -> list:
         lam_target = s
     elif isinstance(s, FiniteLinearSource) and s.user_count == 2:
         lam_target = fls_to_hypergraphical(s)
-        conv_ok = entropy_profile(s).matches(entropy_profile(lam_target))
+        conv_ok = profile.matches(entropy_profile(lam_target))
         checks.append(
             (
                 "conversion_preserves_profile",
@@ -488,21 +471,9 @@ def _verify_one(s) -> list:
             )
         )
     if lam_target is not None:
-        b = best_partition(lam_target)
-        if b.vacuous:
-            checks.append(
-                ("lamination_at_zero", True, "best partition vacuous; nothing to check")
-            )
-        else:
-            at_zero = b.bound_at(0.0)
-            target_bits = jgk(lam_target)
-            checks.append(
-                (
-                    "lamination_at_zero",
-                    abs(at_zero - target_bits) <= TOLERANCE,
-                    f"{_bits(at_zero)} vs {_bits(target_bits)}",
-                )
-            )
+        # never vacuous: the singleton partition's coefficient is at most (m-2)/(m-1) < 1
+        at_zero = best_partition(lam_target).bound_at(0.0)
+        checks.append(_agree("lamination_at_zero", at_zero, jgk(lam_target)))
     return checks
 
 

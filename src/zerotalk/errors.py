@@ -30,7 +30,7 @@ class NotTwoUsers(UnsupportedModel):
 
 
 class ExpansionTooLarge(ZerotalkError):
-    """Enumerating the joint support would exceed the configured limit."""
+    """A size or an enumeration would exceed ZEROTALK_EXPANSION_LIMIT."""
 
 
 class TooManyUsers(ZerotalkError):

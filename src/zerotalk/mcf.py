@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Union
 
-from .errors import ExpansionTooLarge, ModelError, SubspaceNotContained, WitnessInvalid
+from .errors import ModelError, SubspaceNotContained, WitnessInvalid
 from .gf import FiniteMatrix, cols_mat, hstack, intersect_all, row_space, row_space_basis, solve
 # Unused here; perfbench's test_instrument_patches_every_namespace_and_restores_it
 # reads mcf.vec_mat.
@@ -32,7 +32,7 @@ from .sources import (
     DiscreteSource,
     FiniteLinearSource,
     HypergraphicalSource,
-    expansion_limit,
+    check_budget,
     shannon_bits,
     to_discrete,
 )
@@ -75,7 +75,7 @@ class CommonFunctionWitness:
     payload: object
     entropy_bits: float
 
-    def brute_force_bits(self, s: Source, limit: Union[int, None] = None) -> float:
+    def brute_force_bits(self, s: Source) -> float:
         """Entropy of the witness value, recomputed on the source's distribution."""
         raise NotImplementedError
 
@@ -110,7 +110,7 @@ class EdgeSubsetWitness(CommonFunctionWitness):
             raise WitnessInvalid(f"witness names unknown edge {name!r}")
         return [k for k, e in enumerate(s.edges) if e.name in names]
 
-    def brute_force_bits(self, s: Source, limit: Union[int, None] = None) -> float:
+    def brute_force_bits(self, s: Source) -> float:
         return math.fsum(s.edges[k].entropy_bits() for k in self._edges(s))
 
     def key_map(self, s: Source) -> tuple:
@@ -152,15 +152,13 @@ class SubspaceWitness(CommonFunctionWitness):
             raise WitnessInvalid("witness basis has the wrong field or dimension")
         return basis
 
-    def brute_force_bits(self, s: Source, limit: Union[int, None] = None) -> float:
+    def brute_force_bits(self, s: Source) -> float:
         """Walks the row space of [A | basis], A = [M_1 | ... | M_m]: the support
         of (observations, label), q**rank points, valid witness or not."""
         basis = self._basis(s)
-        cap = expansion_limit(limit)
         joint = row_space_basis(hstack(*s.matrices, basis))
         total = int(s.q) ** joint.rows
-        if total > cap:
-            raise ExpansionTooLarge(f"witness check: {total} points exceed the limit of {cap}")
+        check_budget("witness check", total, "points")
         first = joint.cols - basis.cols
         counts: dict = {}
         for point in row_space(joint):
@@ -197,8 +195,8 @@ class SubspaceWitness(CommonFunctionWitness):
 class LabelingWitness(CommonFunctionWitness):
     kind = "support-labeling"
 
-    def brute_force_bits(self, s: Source, limit: Union[int, None] = None) -> float:
-        return shannon_bits(_label_masses(to_discrete(s, limit).pmf, self.payload).values())
+    def brute_force_bits(self, s: Source) -> float:
+        return shannon_bits(_label_masses(to_discrete(s).pmf, self.payload).values())
 
     def key_map(self, s: Source) -> tuple:
         d = to_discrete(s)
@@ -280,7 +278,7 @@ class _UnionFind:
         self.size[ri] += self.size[rj]
 
 
-def gk_oracle(s: Source, limit: Union[int, None] = None) -> LabelingWitness:
+def gk_oracle(s: Source) -> LabelingWitness:
     """Ground-truth common function via the joint support.
 
     Two realizations are linked when they agree in some coordinate; connected
@@ -292,7 +290,7 @@ def gk_oracle(s: Source, limit: Union[int, None] = None) -> LabelingWitness:
     Labels are 0..K-1, ordered by each component's lexicographically smallest
     member realization.
     """
-    d = to_discrete(s, limit)
+    d = to_discrete(s)
     support = d.support()
     uf = _UnionFind(len(support))
     m = len(d.alphabet_sizes)
@@ -331,11 +329,10 @@ def jgk(s: Source) -> float:
     return common_function(s).entropy_bits
 
 
-def evaluate_witness(s: Source, w: CommonFunctionWitness, limit: Union[int, None] = None) -> float:
+def evaluate_witness(s: Source, w: CommonFunctionWitness) -> float:
     """Recompute a witness's entropy directly on the source's distribution.
 
     Raises WitnessInvalid if the witness does not fit the source, and
-    ExpansionTooLarge past the enumeration limit (ZEROTALK_EXPANSION_LIMIT
-    unless ``limit`` is given).
+    ExpansionTooLarge past the enumeration limit (ZEROTALK_EXPANSION_LIMIT).
     """
-    return w.brute_force_bits(s, limit)
+    return w.brute_force_bits(s)

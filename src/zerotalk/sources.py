@@ -17,7 +17,9 @@ Enumerating a joint support is capped by ``ZEROTALK_EXPANSION_LIMIT``
 cap counts the points an expansion enumerates, checked before it starts:
 edge assignments for a hypergraphical source, and the q**rank support points
 of a finite linear source, whose expansion walks the row space of the
-stacked observation matrix rather than all q**dim hidden vectors.
+stacked observation matrix rather than all q**dim hidden vectors.  The same
+cap refuses a hypergraphical user count or a uniform edge size before
+anything of that size is built; ``check_budget`` is the one check.
 """
 
 from __future__ import annotations
@@ -39,10 +41,8 @@ PROBABILITY_TOLERANCE = 1e-9
 ENTROPY_TOLERANCE = 1e-9
 
 
-def expansion_limit(limit: int | None = None) -> int:
-    """Joint-realization cap: ``limit`` if given, else ZEROTALK_EXPANSION_LIMIT or the default."""
-    if limit is not None:
-        return limit
+def expansion_limit() -> int:
+    """Joint-realization cap: ZEROTALK_EXPANSION_LIMIT, or the default."""
     raw = os.environ.get("ZEROTALK_EXPANSION_LIMIT")
     if raw is None:
         return DEFAULT_EXPANSION_LIMIT
@@ -53,6 +53,17 @@ def expansion_limit(limit: int | None = None) -> int:
     if value < 1:
         raise ModelError(f"ZEROTALK_EXPANSION_LIMIT must be positive, got {value}")
     return value
+
+
+def check_budget(stage: str, count: int, what: str) -> None:
+    """Refuse to build ``count`` items past the expansion limit, before building any.
+
+    Raises:
+        ExpansionTooLarge: naming the stage, the count and the cap.
+    """
+    cap = expansion_limit()
+    if count > cap:
+        raise ExpansionTooLarge(f"{stage}: {count} {what} exceed the limit of {cap}")
 
 
 def _check_pmf(probs: tuple[Probability, ...], what: str) -> None:
@@ -116,6 +127,7 @@ class Edge:
     def uniform(cls, name: str, subset, size: int) -> "Edge":
         if size < 1:
             raise ModelError(f"edge {name!r}: alphabet size must be positive, got {size}")
+        check_budget(f"edge {name!r}", size, "uniform values")
         return cls(name, frozenset(subset), tuple(Fraction(1, size) for _ in range(size)))
 
     @property
@@ -138,6 +150,7 @@ class HypergraphicalSource:
         object.__setattr__(self, "edges", tuple(self.edges))
         if self.user_count < 2:
             raise ModelError(f"need at least 2 users, got {self.user_count}")
+        check_budget("hypergraphical model", self.user_count, "users")
         names = [e.name for e in self.edges]
         if len(set(names)) != len(names):
             raise ModelError("edge names must be unique")
@@ -260,7 +273,8 @@ class EntropyProfile:
             raise ModelError(f"profile needs {expected} subsets, got {len(self.bits)}")
         self._validate()
 
-    def _validate(self, tol: float = ENTROPY_TOLERANCE) -> None:
+    def _validate(self) -> None:
+        tol = ENTROPY_TOLERANCE
         subsets = list(self.bits)
         get = self.of
         for s in subsets:
@@ -281,10 +295,10 @@ class EntropyProfile:
     def total(self) -> float:
         return self.of(range(1, self.user_count + 1))
 
-    def matches(self, other: "EntropyProfile", tol: float = ENTROPY_TOLERANCE) -> bool:
+    def matches(self, other: "EntropyProfile") -> bool:
         if self.user_count != other.user_count:
             return False
-        return all(abs(self.bits[s] - other.bits[s]) <= tol for s in self.bits)
+        return all(abs(self.bits[s] - other.bits[s]) <= ENTROPY_TOLERANCE for s in self.bits)
 
 
 def _nonempty_subsets(user_count: int):
@@ -292,7 +306,7 @@ def _nonempty_subsets(user_count: int):
     return chain.from_iterable(combinations(users, k) for k in range(1, user_count + 1))
 
 
-def expand_hypergraphical(h: HypergraphicalSource, limit: int | None = None) -> DiscreteSource:
+def expand_hypergraphical(h: HypergraphicalSource) -> DiscreteSource:
     """Enumerate the joint pmf of a hypergraphical source.
 
     Each user's symbol encodes the values of its incident edges (in edge
@@ -303,10 +317,8 @@ def expand_hypergraphical(h: HypergraphicalSource, limit: int | None = None) -> 
         ExpansionTooLarge: if the product of edge alphabet sizes exceeds
             the enumeration limit.
     """
-    cap = expansion_limit(limit)
-    total = math.prod(e.alphabet_size for e in h.edges)
-    if total > cap:
-        raise ExpansionTooLarge(f"{total} edge assignments exceed the limit of {cap}")
+    check_budget("hypergraphical expansion", math.prod(e.alphabet_size for e in h.edges),
+                 "edge assignments")
     incident = [h.incident(i) for i in range(1, h.user_count + 1)]
     sizes = [e.alphabet_size for e in h.edges]
     alphabets = tuple(math.prod(sizes[k] for k in inc) for inc in incident)
@@ -325,7 +337,7 @@ def expand_hypergraphical(h: HypergraphicalSource, limit: int | None = None) -> 
     return DiscreteSource(alphabets, pmf)
 
 
-def expand_finite_linear(f: FiniteLinearSource, limit: int | None = None) -> DiscreteSource:
+def expand_finite_linear(f: FiniteLinearSource) -> DiscreteSource:
     """Enumerate the joint pmf of a finite linear source.
 
     The joint observation is x @ A for the stacked A = [M_1 | ... | M_m], so
@@ -339,12 +351,10 @@ def expand_finite_linear(f: FiniteLinearSource, limit: int | None = None) -> Dis
         ExpansionTooLarge: if the q**r support points exceed the
             enumeration limit (checked before the walk starts).
     """
-    cap = expansion_limit(limit)
     q = int(f.q)
     basis = gf.row_space_basis(gf.hstack(*f.matrices))
     total = q**basis.rows
-    if total > cap:
-        raise ExpansionTooLarge(f"{total} support points exceed the limit of {cap}")
+    check_budget("linear expansion", total, "support points")
     alphabets = tuple(q**m.cols for m in f.matrices)
     slices = []
     end = 0
@@ -358,21 +368,19 @@ def expand_finite_linear(f: FiniteLinearSource, limit: int | None = None) -> Dis
     return DiscreteSource(alphabets, pmf)
 
 
-def to_discrete(s: AnySource, limit: int | None = None) -> DiscreteSource:
+def to_discrete(s: AnySource) -> DiscreteSource:
     """Expand any source model to its explicit joint pmf."""
     if isinstance(s, DiscreteSource):
-        cap = expansion_limit(limit)
-        if len(s.pmf) > cap:
-            raise ExpansionTooLarge(f"support of {len(s.pmf)} points exceeds the limit of {cap}")
+        check_budget("discrete support", len(s.pmf), "points")
         return s
     if isinstance(s, HypergraphicalSource):
-        return expand_hypergraphical(s, limit)
+        return expand_hypergraphical(s)
     if isinstance(s, FiniteLinearSource):
-        return expand_finite_linear(s, limit)
+        return expand_finite_linear(s)
     raise ModelError(f"not a source model: {type(s).__name__}")
 
 
-def entropy_profile(s: AnySource, limit: int | None = None) -> EntropyProfile:
+def entropy_profile(s: AnySource) -> EntropyProfile:
     """Subset entropies of any source model, in bits.
 
     Hypergraphical and linear sources use their closed forms (edge-entropy
@@ -392,7 +400,7 @@ def entropy_profile(s: AnySource, limit: int | None = None) -> EntropyProfile:
         }
         return EntropyProfile(s.user_count, bits)
     if isinstance(s, DiscreteSource):
-        to_discrete(s, limit)  # enforce the support cap
+        to_discrete(s)  # enforce the support cap
         bits = {
             frozenset(sub): shannon_bits(s.marginal(sub).values())
             for sub in _nonempty_subsets(s.user_count)

@@ -145,7 +145,7 @@ def test_criterion_3(capsys, overlap_pair_source):
         ]
         for e in h.edges:
             assert abs(e.entropy_bits() - 1.0) <= TOL
-        assert entropy_profile(overlap_pair_source).matches(entropy_profile(h), tol=TOL)
+        assert entropy_profile(overlap_pair_source).matches(entropy_profile(h))
         state.detail = (
             "overlap pair: basis column (1, 1, 0), J_GK = 1 bit; conversion "
             "gives 3 edges of 1 bit with matching entropy profile"

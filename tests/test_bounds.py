@@ -232,11 +232,22 @@ def test_best_partition_matches_exhaustive_reference(seed):
     assert b.coefficient == min(candidates)
 
 
-def test_best_partition_user_cap():
+def test_best_partition_user_cap(monkeypatch):
+    import zerotalk.bounds as bounds_module
+
     h = HypergraphicalSource(9, (Edge.uniform("e", set(range(1, 10)), 2),))
     with pytest.raises(TooManyUsers):
         best_partition(h)
-    assert best_partition(h, max_users=9).coefficient == Fraction(0)
+    monkeypatch.setattr(bounds_module, "MAX_EXHAUSTIVE_USERS", 9)
+    assert best_partition(h).coefficient == Fraction(0)
+
+
+def test_best_partition_is_never_vacuous():
+    # the singleton partition's coefficient is at most (m-2)/(m-1) < 1
+    rng = random.Random(800)
+    for _ in range(40):
+        h = random_hypergraphical(rng, rng.randrange(2, 7), rng.randrange(0, 6))
+        assert best_partition(h).vacuous is False, h
 
 
 def test_best_partition_is_deterministic(shared_bit_source):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import shlex
+import time
 from fractions import Fraction
 
 import pytest
@@ -32,7 +34,8 @@ from zerotalk.sources import (
 
 from pathlib import Path
 
-SPECS = Path(__file__).resolve().parent.parent / "specs"
+ROOT = Path(__file__).resolve().parent.parent
+SPECS = ROOT / "specs"
 SHARED_BIT = str(SPECS / "shared_bit.json")
 PAIRWISE_XOR = str(SPECS / "pairwise_xor.json")
 OVERLAP_PAIR = str(SPECS / "overlap_pair.json")
@@ -264,7 +267,7 @@ def test_verify_argument_validation(capsys):
 def test_verify_reports_mismatch(capsys, monkeypatch):
     import zerotalk.cli as cli_module
 
-    def broken_oracle(s, limit=None):
+    def broken_oracle(s):
         return LabelingWitness({}, 123.0)
 
     monkeypatch.setattr(cli_module, "gk_oracle", broken_oracle)
@@ -282,6 +285,43 @@ def test_verify_over_expansion_limit_exits_5(tmp_path, capsys, monkeypatch):
     )
     monkeypatch.setenv("ZEROTALK_EXPANSION_LIMIT", "1000")
     assert run_cli(capsys, "verify", str(model))[0] == EXIT_RESOURCE
+
+
+def test_verify_builds_each_entropy_profile_once(capsys, monkeypatch):
+    import zerotalk.cli as cli_module
+
+    calls = []
+
+    def counting_profile(s):
+        calls.append(type(s).__name__)
+        return entropy_profile(s)
+
+    monkeypatch.setattr(cli_module, "entropy_profile", counting_profile)
+    assert run_cli(capsys, "verify", OVERLAP_PAIR)[0] == 0
+    # the linear model, its expansion, and the converted edge model
+    assert calls == ["FiniteLinearSource", "DiscreteSource", "HypergraphicalSource"]
+
+
+@pytest.mark.parametrize(
+    "doc, stage",
+    [
+        ({"model": "hypergraphical", "users": 10**9,
+          "edges": [{"name": "e", "subset": [1, 2], "uniform": 2}]},
+         "hypergraphical model: 1000000000 users exceed the limit of 1000000"),
+        ({"model": "hypergraphical", "users": 2,
+          "edges": [{"name": "e", "subset": [1, 2], "uniform": 10**9}]},
+         "edge 'e': 1000000000 uniform values exceed the limit of 1000000"),
+    ],
+    ids=["users", "uniform"],
+)
+def test_oversized_model_file_exits_5_fast(tmp_path, capsys, doc, stage):
+    model = tmp_path / "huge.json"
+    model.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "jgk", str(model))
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_RESOURCE
+    assert stage in err
 
 
 def test_simulate_output(capsys):
@@ -364,3 +404,40 @@ def test_output_is_deterministic(capsys, argv):
     first = run_cli(capsys, *argv)
     second = run_cli(capsys, *argv)
     assert first == second
+
+
+# --- README examples ---
+
+
+def readme_examples():
+    """(argv, expected stdout) for each command in the README's command-line
+    block that is followed by its output as '# ' lines."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    examples = []
+    for i, line in enumerate(lines):
+        if not line.startswith("zerotalk "):
+            continue
+        output = []
+        for follow in lines[i + 1:]:
+            if not follow.startswith("# "):
+                break
+            output.append(follow[2:])
+        if output:
+            examples.append((shlex.split(line, comments=True)[1:], output))
+    return examples
+
+
+def test_readme_has_worked_examples():
+    assert len(readme_examples()) >= 3
+
+
+@pytest.mark.parametrize(
+    "argv, output", [pytest.param(a, o, id=" ".join(a)) for a, o in readme_examples()]
+)
+def test_readme_example_output(capsys, monkeypatch, argv, output):
+    monkeypatch.chdir(ROOT)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == "\n".join(output) + "\n"

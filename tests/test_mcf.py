@@ -95,9 +95,10 @@ def test_oracle_labels_are_canonical():
     assert [w.payload[r] for r in ordered] == [0, 1, 2]
 
 
-def test_oracle_respects_limit(shared_bit_source):
+def test_oracle_respects_limit(shared_bit_source, monkeypatch):
+    monkeypatch.setenv("ZEROTALK_EXPANSION_LIMIT", "3")
     with pytest.raises(ExpansionTooLarge):
-        gk_oracle(shared_bit_source, limit=3)
+        gk_oracle(shared_bit_source)
 
 
 # --- oracle vs independent reference ---
@@ -191,10 +192,8 @@ def test_subspace_witness_check_respects_limit(monkeypatch):
     eye = FiniteMatrix.identity(2, 16)
     f = FiniteLinearSource(2, 16, (eye, eye))  # full rank: 2**16 points to walk
     w = gk_finite_linear(f)
-    with pytest.raises(ExpansionTooLarge):
-        evaluate_witness(f, w, limit=1000)
     monkeypatch.setenv("ZEROTALK_EXPANSION_LIMIT", "1000")
-    with pytest.raises(ExpansionTooLarge):
+    with pytest.raises(ExpansionTooLarge, match=r"^witness check: 65536 points exceed the limit of 1000$"):
         evaluate_witness(f, w)
 
 

@@ -142,11 +142,12 @@ def test_expand_overlap_pair_entropies(overlap_pair_source):
     assert shannon_bits(d.pmf.values()) == pytest.approx(3.0, abs=1e-12)
 
 
-def test_expansion_limit_enforced(shared_bit_source):
+def test_expansion_limit_enforced(shared_bit_source, monkeypatch):
+    monkeypatch.setenv("ZEROTALK_EXPANSION_LIMIT", "7")
     with pytest.raises(ExpansionTooLarge):
-        expand_hypergraphical(shared_bit_source, limit=7)
+        expand_hypergraphical(shared_bit_source)
     with pytest.raises(ExpansionTooLarge):
-        expand_finite_linear(FiniteLinearSource(2, 3, (FiniteMatrix.identity(2, 3),) * 2), limit=7)
+        expand_finite_linear(FiniteLinearSource(2, 3, (FiniteMatrix.identity(2, 3),) * 2))
 
 
 def random_stacked_fls(rng: random.Random, q: int) -> FiniteLinearSource:
@@ -174,17 +175,19 @@ def test_row_space_expansion_matches_hidden_walk(q, seed):
     assert all(type(p) is Fraction for p in got.pmf.values())
 
 
-def test_expansion_cap_counts_support_points():
+def test_expansion_cap_counts_support_points(monkeypatch):
     # dim 6 over GF(3), but the stacked matrix has rank 2: 9 support points
     e1 = FiniteMatrix.from_cols(3, [[1, 0, 0, 0, 0, 0]])
     e2 = FiniteMatrix.from_cols(3, [[0, 1, 0, 0, 0, 0]])
     f = FiniteLinearSource(3, 6, (e1, e2, hstack(e1, e2)))
     assert rank(hstack(*f.matrices)) == 2
-    d = expand_finite_linear(f, limit=9)  # 3**6 > 9 >= 3**2
+    monkeypatch.setenv("ZEROTALK_EXPANSION_LIMIT", "9")
+    d = expand_finite_linear(f)  # 3**6 > 9 >= 3**2
     assert len(d.support()) == 9
     assert d.pmf == hidden_walk_expansion(f).pmf
+    monkeypatch.setenv("ZEROTALK_EXPANSION_LIMIT", "8")
     with pytest.raises(ExpansionTooLarge):
-        expand_finite_linear(f, limit=8)
+        expand_finite_linear(f)
 
 
 def test_expansion_limit_env_override(shared_bit_source, monkeypatch):
@@ -197,16 +200,50 @@ def test_expansion_limit_env_override(shared_bit_source, monkeypatch):
         expansion_limit()
 
 
-def test_explicit_expansion_limit_overrides_env(monkeypatch):
-    monkeypatch.setenv("ZEROTALK_EXPANSION_LIMIT", "not-a-number")
-    assert expansion_limit(7) == 7
-
-
-def test_to_discrete_passthrough_checks_support_cap():
+def test_to_discrete_passthrough_checks_support_cap(monkeypatch):
     d = DiscreteSource((2, 2), {(0, 0): 0.5, (1, 1): 0.5})
     assert to_discrete(d) is d
+    monkeypatch.setenv("ZEROTALK_EXPANSION_LIMIT", "1")
     with pytest.raises(ExpansionTooLarge):
-        to_discrete(d, limit=1)
+        to_discrete(d)
+
+
+BUDGETED_STAGES = {
+    "hypergraphical expansion": (
+        lambda: expand_hypergraphical(
+            HypergraphicalSource(3, (Edge.uniform("a", {1, 2}, 3), Edge.uniform("b", {2, 3}, 3)))
+        ),
+        "9 edge assignments",
+    ),
+    "linear expansion": (
+        lambda: expand_finite_linear(FiniteLinearSource(2, 4, (FiniteMatrix.identity(2, 4),) * 2)),
+        "16 support points",
+    ),
+    "discrete support": (
+        lambda: to_discrete(DiscreteSource((3, 3), {(i, j): Fraction(1, 9) for i in range(3) for j in range(3)})),
+        "9 points",
+    ),
+    "hypergraphical model": (lambda: HypergraphicalSource(9, ()), "9 users"),
+    "edge 'c'": (lambda: Edge.uniform("c", {1}, 9), "9 uniform values"),
+}
+
+
+@pytest.mark.parametrize("stage", BUDGETED_STAGES)
+def test_budget_error_names_stage_count_and_cap(stage, monkeypatch):
+    build, counted = BUDGETED_STAGES[stage]
+    monkeypatch.setenv("ZEROTALK_EXPANSION_LIMIT", "8")
+    with pytest.raises(ExpansionTooLarge) as info:
+        build()
+    assert str(info.value) == f"{stage}: {counted} exceed the limit of 8"
+
+
+def test_user_budget_is_checked_before_the_user_set_is_built(monkeypatch):
+    def no_users(self):
+        raise AssertionError("the user set was built before the budget check")
+
+    monkeypatch.setattr(HypergraphicalSource, "users", no_users)
+    with pytest.raises(ExpansionTooLarge, match="1000000000 users"):
+        HypergraphicalSource(10**9, (Edge.uniform("e", {1, 2}, 2),))
 
 
 # --- entropy profiles ---
