@@ -1,7 +1,10 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto process exit codes, so new errors should subclass
-one of the four families below rather than raising bare exceptions.
+The CLI maps each family onto an exit code: ParseError 2, UnsupportedModel
+4, ExpansionTooLarge and TooManyUsers 5, any other ZerotalkError 3.  New
+errors should subclass the family whose code they need.  None stands for an
+internal bug: identities that hold by construction are checked by
+``verify`` and the tests, not at run time.
 """
 
 
@@ -44,6 +47,3 @@ class SubspaceNotContained(ZerotalkError):
 class WitnessInvalid(ZerotalkError):
     """A common-function witness is inconsistent with the source it claims to fit."""
 
-
-class InternalRankError(ZerotalkError):
-    """A rank or entropy identity that must hold by construction failed; a bug."""

@@ -3,9 +3,9 @@
 Matrices are immutable, stored row-major with plain Python integers reduced
 mod q, so all arithmetic is exact regardless of field size (q is capped at
 2**31 only to keep single products cheap).  Subspaces are handled through
-their spanning column sets; every routine that returns a basis canonicalizes
-it by row-reducing the transpose, so span-equal inputs produce identical
-output matrices and golden tests stay stable.
+their spanning column sets; every routine that returns a basis returns the
+canonical one, the RREF basis of the span read as columns, so span-equal
+inputs produce identical output matrices and golden tests stay stable.
 
 Intended for the small dimensions that arise in source models (tens, not
 thousands); no attempt is made at sparse or blocked elimination.
@@ -134,14 +134,6 @@ def matmul(a: FiniteMatrix, b: FiniteMatrix) -> FiniteMatrix:
         for j in range(b.cols):
             out.append(sum(ra[k] * b.at(k, j) for k in range(a.cols)) % q)
     return FiniteMatrix(q, a.rows, b.cols, tuple(out))
-
-
-def mat_vec(a: FiniteMatrix, x: Sequence[int]) -> tuple[int, ...]:
-    """Product a @ x for a column vector given as a flat sequence."""
-    if len(x) != a.cols:
-        raise ValueError(f"vector length {len(x)} does not match {a.cols} columns")
-    q = a.q
-    return tuple(sum(a.at(i, k) * (x[k] % q) for k in range(a.cols)) % q for i in range(a.rows))
 
 
 def vec_mat(x: Sequence[int], a: FiniteMatrix) -> tuple[int, ...]:
@@ -314,32 +306,14 @@ def column_space_basis(m: FiniteMatrix) -> FiniteMatrix:
     return FiniteMatrix.from_cols(m.q, [reduced.row(i) for i in range(len(pivots))], rows=m.rows)
 
 
-def null_space(m: FiniteMatrix) -> FiniteMatrix:
-    """Canonical basis of the right null space {x : m @ x = 0}, as columns.
-
-    The column count always equals cols(m) - rank(m).
-    """
-    q = m.q
-    reduced, pivots = rref(m)
-    pivot_set = set(pivots)
-    basis: list[list[int]] = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        vec = [0] * m.cols
-        vec[free] = 1
-        for r, p in enumerate(pivots):
-            vec[p] = (-reduced.at(r, free)) % q
-        basis.append(vec)
-    return column_space_basis(FiniteMatrix.from_cols(q, basis, rows=m.cols))
-
-
 def column_space_intersection(a: FiniteMatrix, b: FiniteMatrix) -> FiniteMatrix:
     """Canonical basis of the intersection of two column spaces.
 
-    Works through the kernel of the side-by-side block [a | b]: each kernel
-    basis vector splits as (u, v) with a@u = -b@v, so a@u lies in both
-    spans, and those products generate the whole intersection.
+    Zassenhaus's algorithm, one RREF: row-reduce the block whose rows are
+    [a_j | a_j] for each column a_j of a and [b_j | 0] for each column b_j
+    of b.  The rows whose pivot falls in the right half are [0 | w], and
+    their right halves w are the RREF basis of span(a) & span(b), the same
+    canonical form column_space_basis returns.
 
     Args:
         a, b: matrices with the same row count over the same field.
@@ -352,12 +326,11 @@ def column_space_intersection(a: FiniteMatrix, b: FiniteMatrix) -> FiniteMatrix:
         raise ValueError(f"field mismatch: GF({int(a.q)}) vs GF({int(b.q)})")
     if a.rows != b.rows:
         raise ValueError(f"row-count mismatch: {a.rows} vs {b.rows}")
-    kernel = null_space(hstack(a, b))
-    products = []
-    for j in range(kernel.cols):
-        u = kernel.col(j)[: a.cols]
-        products.append(mat_vec(a, u))
-    return column_space_basis(FiniteMatrix.from_cols(a.q, products, rows=a.rows))
+    n = a.rows
+    block = [a.col(j) * 2 for j in range(a.cols)] + [b.col(j) + (0,) * n for j in range(b.cols)]
+    reduced, pivots = rref(FiniteMatrix.from_rows(a.q, block, cols=2 * n))
+    meet = [reduced.row(i)[n:] for i, p in enumerate(pivots) if p >= n]
+    return FiniteMatrix.from_cols(a.q, meet, rows=n)
 
 
 def intersect_all(mats: Sequence[FiniteMatrix]) -> FiniteMatrix:

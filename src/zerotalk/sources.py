@@ -32,7 +32,7 @@ from itertools import chain, combinations, product
 from typing import ClassVar, Union
 
 from . import gf
-from .errors import ExpansionTooLarge, InternalRankError, ModelError, NotTwoUsers
+from .errors import ExpansionTooLarge, ModelError, NotTwoUsers
 
 Probability = Union[Fraction, float]
 
@@ -412,34 +412,22 @@ def entropy_profile(s: AnySource) -> EntropyProfile:
 def fls_to_hypergraphical(f: FiniteLinearSource) -> HypergraphicalSource:
     """Rewrite a two-user finite linear source as a hypergraphical one.
 
-    Splits the two observation spans into a shared part (the intersection
-    of the column spaces) and per-user remainders, each carried by one
-    uniform edge.  The three bases are jointly independent, which is what
-    makes the edge variables independent; that joint full rank is asserted,
-    as is equality of the entropy profiles of input and output.
+    The shared part of the two observations is the intersection of the
+    column spaces, of dimension k = r1 + r2 - r12 (ri = rank M_i,
+    r12 = rank [M_1 | M_2]); user i's remainder has dimension ri - k.  Each
+    part is carried by one uniform edge, "shared", "own1" and "own2", of
+    q**k, q**(r1 - k) and q**(r2 - k) values; empty parts get no edge.  The
+    three ranks fix the entropy profile of both models, so the profiles
+    agree (``verify`` checks this as conversion_preserves_profile).
 
     Raises:
         NotTwoUsers: for sources with more or fewer than two users.
-        InternalRankError: if one of the construction's guaranteed
-            identities fails (a bug, not a data problem).
     """
     if f.user_count != 2:
         raise NotTwoUsers(f"conversion needs exactly 2 users, got {f.user_count}")
-    first = gf.reduce_to_full_column_rank(f.matrices[0])
-    second = gf.reduce_to_full_column_rank(f.matrices[1])
-    shared = gf.column_space_intersection(first, second)
-    own1 = gf.extend_basis(shared, first)
-    own2 = gf.extend_basis(shared, second)
-    combined = gf.hstack(shared, own1, own2)
-    if gf.rank(combined) != combined.cols:
-        raise InternalRankError("joint basis of shared and remainder parts is rank deficient")
+    r1, r2 = (gf.rank(m) for m in f.matrices)
+    shared = r1 + r2 - gf.rank(gf.hstack(*f.matrices))
     q = int(f.q)
-    edges = [
-        Edge.uniform(name, subset, q**mat.cols)
-        for name, subset, mat in (("shared", {1, 2}, shared), ("own1", {1}, own1), ("own2", {2}, own2))
-        if mat.cols > 0
-    ]
-    result = HypergraphicalSource(2, tuple(edges))
-    if not entropy_profile(f).matches(entropy_profile(result)):
-        raise InternalRankError("conversion changed the entropy profile")
-    return result
+    parts = (("shared", {1, 2}, shared), ("own1", {1}, r1 - shared), ("own2", {2}, r2 - shared))
+    edges = [Edge.uniform(name, subset, q**dim) for name, subset, dim in parts if dim > 0]
+    return HypergraphicalSource(2, tuple(edges))

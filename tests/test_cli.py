@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import shlex
+import sys
 import time
 from fractions import Fraction
 
@@ -264,6 +265,55 @@ def test_verify_argument_validation(capsys):
     assert run_cli(capsys, "verify", SHARED_BIT, "--random", "3")[0] == EXIT_PARSE
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_verify_random_needs_at_least_one_model(capsys, n):
+    code, out, err = run_cli(capsys, "verify", "--random", n)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert "--random needs N >= 1" in err
+
+
+@pytest.mark.parametrize("rate", ["nan", "inf", "-1"])
+def test_bound_rejects_bad_rates(capsys, rate):
+    code, out, err = run_cli(capsys, "bound", SHARED_BIT, "--rate", rate, "--json")
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert "--rate must be a finite nonnegative number" in err
+
+
+def test_verify_reports_conversion_mismatch(capsys, monkeypatch):
+    import zerotalk.cli as cli_module
+    from zerotalk.sources import fls_to_hypergraphical
+
+    def drop_own2(f):
+        h = fls_to_hypergraphical(f)
+        return HypergraphicalSource(2, tuple(e for e in h.edges if e.name != "own2"))
+
+    monkeypatch.setattr(cli_module, "fls_to_hypergraphical", drop_own2)
+    code, out, _ = run_cli(capsys, "verify", OVERLAP_PAIR)
+    assert code == EXIT_MISMATCH
+    assert "conversion_preserves_profile: mismatch (profile drift)" in out
+
+
+def test_verify_lamination_at_zero_is_checked_against_oracle(capsys, monkeypatch):
+    # one bit too many in the edge engine reaches the bound's intercept but
+    # not the oracle, so lamination_at_zero must catch it
+    import zerotalk.bounds as bounds_module
+    import zerotalk.mcf as mcf_module
+
+    real = mcf_module.gk_hypergraphical
+
+    def one_bit_over(h):
+        w = real(h)
+        return type(w)(w.payload, w.entropy_bits + 1.0)
+
+    monkeypatch.setattr(mcf_module, "gk_hypergraphical", one_bit_over)
+    monkeypatch.setattr(bounds_module, "gk_hypergraphical", one_bit_over)
+    code, out, _ = run_cli(capsys, "verify", OVERLAP_PAIR)
+    assert code == EXIT_MISMATCH
+    assert "lamination_at_zero: mismatch (2.000000 vs 1.000000)" in out
+
+
 def test_verify_reports_mismatch(capsys, monkeypatch):
     import zerotalk.cli as cli_module
 
@@ -288,15 +338,16 @@ def test_verify_over_expansion_limit_exits_5(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_builds_each_entropy_profile_once(capsys, monkeypatch):
-    import zerotalk.cli as cli_module
-
     calls = []
 
     def counting_profile(s):
         calls.append(type(s).__name__)
         return entropy_profile(s)
 
-    monkeypatch.setattr(cli_module, "entropy_profile", counting_profile)
+    # count builds made anywhere in the package, not only in the CLI
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "zerotalk" and hasattr(module, "entropy_profile"):
+            monkeypatch.setattr(module, "entropy_profile", counting_profile)
     assert run_cli(capsys, "verify", OVERLAP_PAIR)[0] == 0
     # the linear model, its expansion, and the converted edge model
     assert calls == ["FiniteLinearSource", "DiscreteSource", "HypergraphicalSource"]

@@ -25,9 +25,7 @@ from zerotalk.gf import (
     extend_basis,
     hstack,
     intersect_all,
-    mat_vec,
     matmul,
-    null_space,
     rank,
     reduce_to_full_column_rank,
     row_space,
@@ -181,39 +179,19 @@ def test_row_space_basis_is_the_nonzero_rref_rows():
     assert [basis.row(i) for i in range(2)] == [reduced.row(i) for i in range(2)]
 
 
-# --- null space ---
-
-
-def test_null_space_of_two_user_block():
-    # [a | b] for the 3x2 / 3x2 pair whose spans overlap in one dimension:
-    # kernel is one-dimensional with matching halves (1,1 | 1,1)
-    a = FiniteMatrix.from_rows(2, [[1, 0], [0, 1], [0, 0]])
-    b = FiniteMatrix.from_rows(2, [[0, 1], [0, 1], [1, 1]])
-    kern = null_space(hstack(a, b))
-    assert (kern.rows, kern.cols) == (4, 1)
-    assert kern.col(0) == (1, 1, 1, 1)
-
-
-def test_null_space_identity_is_empty():
-    kern = null_space(FiniteMatrix.identity(3, 3))
-    assert kern.cols == 0
-    assert kern.rows == 3
-
-
-def test_null_space_random_basis_annihilates():
-    rng = random.Random(7)
-    for _ in range(20):
-        m = random_matrix(rng, 7, 3, 5)
-        kern = null_space(m)
-        assert kern.cols == m.cols - rank(m)
-        for j in range(kern.cols):
-            assert mat_vec(m, kern.col(j)) == (0, 0, 0)
+# --- rank-nullity ---
 
 
 @settings(max_examples=60, deadline=None)
 @given(matrix_strategy)
 def test_rank_nullity(m):
-    assert rank(m) + null_space(m).cols == m.cols
+    # the kernel {x : m @ x = 0}, counted by brute force over GF(q)^cols
+    q = int(m.q)
+    kernel = sum(
+        all(sum(m.at(i, k) * x[k] for k in range(m.cols)) % q == 0 for i in range(m.rows))
+        for x in product(range(q), repeat=m.cols)
+    )
+    assert kernel == q ** (m.cols - rank(m))
 
 
 # --- column space intersection ---
@@ -283,6 +261,47 @@ def test_dimension_formula(q, rows, ca, cb, seed):
     b = random_matrix(rng, q, rows, cb)
     meet = column_space_intersection(a, b)
     assert meet.cols == rank(a) + rank(b) - rank(hstack(a, b))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    q=st.sampled_from([2, 3, 5]),
+    rows=st.integers(0, 4),
+    ca=st.integers(0, 4),
+    cb=st.integers(0, 4),
+    seed=st.integers(0, 10**6),
+)
+def test_intersection_is_canonical_basis_of_brute_force_meet(q, rows, ca, cb, seed):
+    rng = random.Random(seed)
+    a = random_matrix(rng, q, rows, ca)
+    b = random_matrix(rng, q, rows, cb)
+    meet = column_space_intersection(a, b)
+
+    def span(m):
+        return set(row_space(m.transpose()))
+
+    assert meet.rows == rows
+    assert span(meet) == span(a) & span(b)
+    assert meet == column_space_basis(meet)
+
+
+def test_intersection_is_one_rref(monkeypatch):
+    import zerotalk.gf as gf_module
+
+    shapes = []
+    real_rref = gf_module.rref
+
+    def counting_rref(m):
+        shapes.append((m.rows, m.cols))
+        return real_rref(m)
+
+    monkeypatch.setattr(gf_module, "rref", counting_rref)
+    a = FiniteMatrix.from_rows(2, [[1, 0, 1], [0, 1, 1], [0, 0, 0]])
+    b = FiniteMatrix.from_rows(2, [[0, 1], [0, 1], [1, 1]])
+    meet = column_space_intersection(a, b)
+    assert meet.col(0) == (1, 1, 0)
+    # one (a.cols + b.cols) x 2n block
+    assert shapes == [(5, 6)]
 
 
 def test_intersect_all_is_order_invariant():
@@ -421,7 +440,6 @@ def test_operations_are_deterministic():
     a = random_matrix(rng, 3, 4, 3)
     b = random_matrix(rng, 3, 4, 2)
     assert rref(a) == rref(a)
-    assert null_space(a) == null_space(a)
     assert column_space_intersection(a, b) == column_space_intersection(a, b)
 
 
