@@ -156,27 +156,69 @@ MAX_EXHAUSTIVE_USERS = 8
 
 
 def best_partition(h: HypergraphicalSource) -> LaminationBound:
-    """Exhaustively find the partition with the smallest spread coefficient.
+    """Find the partition with the smallest spread coefficient, by branch and bound.
 
     Ties break toward fewer blocks, then lexicographically by blocks, so the
-    result is deterministic.  Refuses sources with more users than the cap
-    (the partition count is a Bell number).
+    result is deterministic.  The search walks restricted growth strings
+    depth first: user k joins one of the blocks opened so far or opens the
+    next one.  For each non-global edge it keeps how many of the edge's
+    users sit in each block, and so how many blocks the edge touches.
+    Touches never shrink as users are added and a completion has at most
+    (blocks so far + users left) blocks, so a prefix whose
+    (max touches - 1)/(blocks so far + users left - 1) is strictly above
+    the best coefficient found, or which cannot reach two blocks, is cut.
+    A prefix that only ties the best is searched, so the tie-break sees
+    every partition of the smallest coefficient.  Refuses sources with more
+    users than the cap (the worst case still walks a Bell number of
+    partitions).
     """
-    if h.user_count > MAX_EXHAUSTIVE_USERS:
-        raise TooManyUsers(
-            f"{h.user_count} users exceeds exhaustive-search cap {MAX_EXHAUSTIVE_USERS}"
-        )
-    best: Optional[Partition] = None
-    best_key = None
-    for p in all_partitions(h.user_count):
-        if len(p) < 2:
-            continue
-        key = (alpha(h, p), len(p), p.blocks)
-        if best_key is None or key < best_key:
-            best, best_key = p, key
+    m = h.user_count
+    if m > MAX_EXHAUSTIVE_USERS:
+        raise TooManyUsers(f"{m} users exceeds exhaustive-search cap {MAX_EXHAUSTIVE_USERS}")
+    everyone = h.users()
+    edges = [e.subset for e in h.edges if e.subset != everyone]
+    edges_of = [[k for k, subset in enumerate(edges) if u in subset] for u in range(1, m + 1)]
+    counts = [[0] * m for _ in edges]  # counts[k][b]: users of edge k in block b
+    touches = [0] * len(edges)
+    labels = [0] * m
+    best = None  # (coefficient numerator, denominator, block count, blocks)
+
+    def search(user: int, opened: int, worst: int) -> None:
+        nonlocal best
+        most = opened + m - user  # blocks of the fullest completion
+        if most < 2:
+            return
+        if best is not None and (worst - 1) * best[1] > best[0] * (most - 1):
+            return
+        if user == m:  # not cut, so the coefficient is at most the best
+            blocks = tuple(
+                tuple(u + 1 for u in range(m) if labels[u] == b) for b in range(opened)
+            )
+            if (best is None or (worst - 1) * best[1] < best[0] * (opened - 1)
+                    or (opened, blocks) < best[2:]):
+                best = (worst - 1, opened - 1, opened, blocks)
+            return
+        mine = edges_of[user]
+        for b in range(opened + 1):
+            grown = worst
+            for k in mine:
+                row = counts[k]
+                if not row[b]:
+                    touches[k] += 1
+                    grown = max(grown, touches[k])
+                row[b] += 1
+            labels[user] = b
+            search(user + 1, max(opened, b + 1), grown)
+            for k in mine:
+                row = counts[k]
+                row[b] -= 1
+                if not row[b]:
+                    touches[k] -= 1
+
+    search(0, 0, 1)
     if best is None:  # single user: no two-block partition exists
         raise PartitionInvalid("no partition with two or more blocks")
-    return lamination_bound(h, best)
+    return lamination_bound(h, Partition(m, best[3]))
 
 
 def _validate_ordering(user_count: int, ordering: Sequence[int]) -> tuple:

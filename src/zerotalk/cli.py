@@ -30,6 +30,7 @@ the operation, 5 resource limit hit (see ZEROTALK_EXPANSION_LIMIT).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import itertools
 import json
@@ -317,6 +318,7 @@ def parse_partition_text(text: str, users: int) -> Partition:
 def cmd_bound(args) -> int:
     if not math.isfinite(args.rate) or args.rate < 0:
         raise ParseError(f"--rate must be a finite nonnegative number, got {args.rate!r}")
+    rate = args.rate + 0.0  # -0.0 reads as 0.0
     s = load_model(args.model)
     converted = False
     if isinstance(s, FiniteLinearSource):
@@ -331,7 +333,7 @@ def cmd_bound(args) -> int:
         b = best_partition(s)
     else:
         b = lamination_bound(s, parse_partition_text(args.partition, s.user_count))
-    value = b.bound_at(args.rate)
+    value = b.bound_at(rate)
     report = {
         "command": "bound",
         "model": "hypergraphical",
@@ -340,7 +342,7 @@ def cmd_bound(args) -> int:
         "coefficient": b.coefficient,
         "vacuous": b.vacuous,
         "intercept_bits": b.intercept_bits,
-        "rate_bits": float(args.rate),
+        "rate_bits": rate,
         "bound_bits": None if b.vacuous else value,
     }
     lines = [
@@ -351,7 +353,7 @@ def cmd_bound(args) -> int:
         lines.append("bound: vacuous (coefficient is 1)")
     else:
         lines.append(
-            f"bound at rate {_bits(args.rate)}: {_bits(value)} bits "
+            f"bound at rate {_bits(rate)}: {_bits(value)} bits "
             f"(intercept {_bits(b.intercept_bits)})"
         )
     _emit(report, lines, args.json)
@@ -578,7 +580,9 @@ def cmd_simulate(args) -> int:
 # --- entry point ---
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="zerotalk",
         description="Secrecy capacity at zero discussion rate for "

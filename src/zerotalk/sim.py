@@ -9,7 +9,9 @@ entropy with a concentration-style tolerance.
 The simulation is column-wise: the sampler draws every coordinate for all n
 rounds at once (one column per edge, hidden coordinate or discrete draw), and
 each user's decoder turns its own observation columns into its n key labels
-in one call.
+in one call.  The n values of every column drawn are checked against
+``VALUES_PER_POINT`` times ``ZEROTALK_EXPANSION_LIMIT`` before anything is
+drawn.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .sources import (
     DiscreteSource,
     FiniteLinearSource,
     HypergraphicalSource,
+    check_budget,
     shannon_bits,
 )
 
@@ -89,6 +92,23 @@ def _uniform_column(rng: random.Random, q: int, n: int):
     return col
 
 
+# A simulated value is one small int in a column; a run peaks at about
+# 30-80 bytes per value, counting the decoded key streams.  A realization of
+# an expansion is a tuple and a probability, so the simulation limit is 100
+# values per point of the expansion limit: 10**8 values (several GB) by default.
+VALUES_PER_POINT = 100
+
+
+def _columns_drawn(s: Source) -> int:
+    """Columns of n values the sampler draws: one per edge (the key stream
+    counts as one when there is none), hidden coordinate or discrete user."""
+    if isinstance(s, HypergraphicalSource):
+        return max(len(s.edges), 1)
+    if isinstance(s, FiniteLinearSource):
+        return s.dim
+    return s.user_count
+
+
 def _observation_columns(s: Source, rng: random.Random, n: int) -> list:
     """n rounds of s: per user, the tuple of its observation columns."""
     if isinstance(s, HypergraphicalSource):
@@ -133,6 +153,7 @@ def run(
     if n < 1:
         raise ModelError("need at least one round")
     ext = build_extractor(s, witness)
+    check_budget("simulation", n * _columns_drawn(ext.source), "values", VALUES_PER_POINT)
     observations = _observation_columns(ext.source, random.Random(seed), n)
     keys = [decode(obs, n) for decode, obs in zip(ext.decoders, observations)]
     first = keys[0]

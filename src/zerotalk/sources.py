@@ -18,8 +18,9 @@ cap counts the points an expansion enumerates, checked before it starts:
 edge assignments for a hypergraphical source, and the q**rank support points
 of a finite linear source, whose expansion walks the row space of the
 stacked observation matrix rather than all q**dim hidden vectors.  The same
-cap refuses a hypergraphical user count or a uniform edge size before
-anything of that size is built; ``check_budget`` is the one check.
+cap refuses a hypergraphical user count, a uniform edge size or the
+elemental inequalities of an entropy profile before anything of that size
+is built; ``check_budget`` is the one check.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, product
+from itertools import product
 from typing import ClassVar, Union
 
 from . import gf
@@ -55,15 +56,22 @@ def expansion_limit() -> int:
     return value
 
 
-def check_budget(stage: str, count: int, what: str) -> None:
+def check_budget(stage: str, count: int, what: str, per_point: int = 1) -> None:
     """Refuse to build ``count`` items past the expansion limit, before building any.
+
+    ``per_point`` items count as one point of the limit, for items much
+    smaller than a realization.
 
     Raises:
         ExpansionTooLarge: naming the stage, the count and the cap.
     """
-    cap = expansion_limit()
+    cap = per_point * expansion_limit()
     if count > cap:
-        raise ExpansionTooLarge(f"{stage}: {count} {what} exceed the limit of {cap}")
+        try:
+            shown = str(count)
+        except ValueError:  # past the interpreter's limit on int-to-str digits
+            shown = f"more than 2**{count.bit_length() - 1}"
+        raise ExpansionTooLarge(f"{stage}: {shown} {what} exceed the limit of {cap}")
 
 
 def _check_pmf(probs: tuple[Probability, ...], what: str) -> None:
@@ -252,58 +260,80 @@ class DiscreteSource:
             out[proj] = out.get(proj, 0) + p
         return out
 
-
 AnySource = Union[DiscreteSource, HypergraphicalSource, FiniteLinearSource]
 
 
 class EntropyProfile:
-    """All subset entropies H(Z_S) in bits, S ranging over nonempty user sets.
+    """All subset entropies H(Z_S) in bits, as a flat list over user bitmasks.
 
-    Serves as a bijection-invariant fingerprint of a source: two models with
-    equal profiles carry the same correlation structure even if their symbol
-    labelings differ.  Monotonicity and submodularity are enforced at
-    construction.
+    ``h[mask]`` is the entropy of the users whose bits are set in ``mask``;
+    bit i-1 stands for user i, and ``h[0]`` is the empty set's 0.0.  Serves
+    as a bijection-invariant fingerprint of a source: two models with equal
+    profiles carry the same correlation structure even if their symbol
+    labelings differ.
+
+    Construction checks Yeung's elemental inequalities, each at
+    ENTROPY_TOLERANCE: H(V) >= H(V - {i}) for every user i, and
+    I(i; j | K) >= 0 for every i < j and K inside V - {i, j} (R. W. Yeung,
+    "A framework for linear information inequalities", IEEE T-IT 43(6),
+    1997).  Together they imply every monotonicity and submodularity
+    instance, so these m + C(m,2)*2**(m-2) comparisons, not the pairwise
+    ones they imply, are the contract: with a tolerance, a profile within
+    rounding of the boundary could pass one form and fail the other.
     """
 
-    def __init__(self, user_count: int, bits: dict[frozenset[int], float]):
+    def __init__(self, user_count: int, h):
         self.user_count = user_count
-        self.bits = {frozenset(s): float(h) for s, h in bits.items()}
-        expected = 2**user_count - 1
-        if len(self.bits) != expected:
-            raise ModelError(f"profile needs {expected} subsets, got {len(self.bits)}")
+        self.h = [float(x) for x in h]
+        expected = 2**user_count
+        if len(self.h) != expected:
+            raise ModelError(f"profile needs {expected} subset entropies, got {len(self.h)}")
+        if self.h[0] != 0.0:
+            raise ModelError(f"profile gives the empty set entropy {self.h[0]!r}, not 0")
         self._validate()
 
     def _validate(self) -> None:
         tol = ENTROPY_TOLERANCE
-        subsets = list(self.bits)
-        get = self.of
-        for s in subsets:
-            for u in range(1, self.user_count + 1):
-                if u not in s and get(s) > get(s | {u}) + tol:
-                    raise ModelError(f"profile not monotone at {sorted(s)} + user {u}")
-        for s in subsets:
-            for t in subsets:
-                if get(s) + get(t) < get(s | t) + get(s & t) - tol:
-                    raise ModelError(f"profile not submodular at {sorted(s)}, {sorted(t)}")
+        h = self.h
+        m = self.user_count
+        full = len(h) - 1
+        for i in range(m):
+            rest = full ^ (1 << i)
+            if h[rest] > h[full] + tol:
+                raise ModelError(f"profile not monotone at {_users_of(rest)} + user {i + 1}")
+        for i in range(m):
+            bi = 1 << i
+            for j in range(i + 1, m):
+                bj = 1 << j
+                rest = full ^ bi ^ bj
+                k = rest
+                while True:  # every K inside rest, by the submask walk
+                    if h[k | bi] + h[k | bj] < h[k | bi | bj] + h[k] - tol:
+                        raise ModelError(
+                            f"profile not submodular at {_users_of(k | bi)}, {_users_of(k | bj)}"
+                        )
+                    if not k:
+                        break
+                    k = (k - 1) & rest
 
     def of(self, subset) -> float:
-        s = frozenset(subset)
-        if not s:
-            return 0.0
-        return self.bits[s]
+        mask = 0
+        for u in subset:
+            mask |= 1 << (u - 1)
+        return self.h[mask]
 
     def total(self) -> float:
-        return self.of(range(1, self.user_count + 1))
+        return self.h[-1]
 
     def matches(self, other: "EntropyProfile") -> bool:
         if self.user_count != other.user_count:
             return False
-        return all(abs(self.bits[s] - other.bits[s]) <= ENTROPY_TOLERANCE for s in self.bits)
+        return all(abs(a - b) <= ENTROPY_TOLERANCE for a, b in zip(self.h, other.h))
 
 
-def _nonempty_subsets(user_count: int):
-    users = range(1, user_count + 1)
-    return chain.from_iterable(combinations(users, k) for k in range(1, user_count + 1))
+def _users_of(mask: int) -> list[int]:
+    """The users, ascending, whose bits are set in a profile mask."""
+    return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def expand_hypergraphical(h: HypergraphicalSource) -> DiscreteSource:
@@ -385,28 +415,31 @@ def entropy_profile(s: AnySource) -> EntropyProfile:
 
     Hypergraphical and linear sources use their closed forms (edge-entropy
     sums and rank times log2 q); discrete sources marginalize the pmf.
+
+    Raises:
+        ExpansionTooLarge: if the m + C(m,2)*2**(m-2) elemental inequalities
+            of an m-user profile exceed the enumeration limit (checked
+            before any subset entropy is computed).
     """
+    if not isinstance(s, (HypergraphicalSource, FiniteLinearSource, DiscreteSource)):
+        raise ModelError(f"not a source model: {type(s).__name__}")
+    m = s.user_count
+    check_budget("entropy profile", m + math.comb(m, 2) * 2 ** (m - 2), "elemental inequalities")
+    masks = range(2**m)
     if isinstance(s, HypergraphicalSource):
-        bits = {
-            frozenset(sub): math.fsum(e.entropy_bits() for e in s.edges if e.subset & frozenset(sub))
-            for sub in _nonempty_subsets(s.user_count)
-        }
-        return EntropyProfile(s.user_count, bits)
+        edges = [(sum(1 << (u - 1) for u in e.subset), e.entropy_bits()) for e in s.edges]
+        h = [math.fsum(bits for edge, bits in edges if edge & mask) for mask in masks]
+        return EntropyProfile(m, h)
     if isinstance(s, FiniteLinearSource):
         log_q = math.log2(int(s.q))
-        bits = {
-            frozenset(sub): gf.rank(gf.hstack(*(s.matrices[i - 1] for i in sub))) * log_q
-            for sub in _nonempty_subsets(s.user_count)
-        }
-        return EntropyProfile(s.user_count, bits)
-    if isinstance(s, DiscreteSource):
-        to_discrete(s)  # enforce the support cap
-        bits = {
-            frozenset(sub): shannon_bits(s.marginal(sub).values())
-            for sub in _nonempty_subsets(s.user_count)
-        }
-        return EntropyProfile(s.user_count, bits)
-    raise ModelError(f"not a source model: {type(s).__name__}")
+        h = [0.0] + [
+            gf.rank(gf.hstack(*(s.matrices[i - 1] for i in _users_of(mask)))) * log_q
+            for mask in masks[1:]
+        ]
+        return EntropyProfile(m, h)
+    to_discrete(s)  # enforce the support cap
+    h = [0.0] + [shannon_bits(s.marginal(_users_of(mask)).values()) for mask in masks[1:]]
+    return EntropyProfile(m, h)
 
 
 def fls_to_hypergraphical(f: FiniteLinearSource) -> HypergraphicalSource:

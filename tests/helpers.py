@@ -7,10 +7,12 @@ import random
 from fractions import Fraction
 from itertools import product
 
+from zerotalk.bounds import LaminationBound, all_partitions, alpha, lamination_bound
 from zerotalk.errors import ModelError, SubspaceNotContained
 from zerotalk.gf import FiniteMatrix, columns_subset, hstack, rank, solve, vec_mat
 from zerotalk.mcf import EdgeSubsetWitness, LabelingWitness, SubspaceWitness
 from zerotalk.sources import (
+    ENTROPY_TOLERANCE,
     DiscreteSource,
     Edge,
     FiniteLinearSource,
@@ -220,3 +222,31 @@ def round_key_streams(s, w, n: int, seed: int) -> tuple:
         for i, decode in enumerate(decoders):
             keys[i].append(decode(world[i]))
     return tuple(tuple(stream) for stream in keys)
+
+
+# --- reference checks kept from the exhaustive partition scan and the pairwise profile check ---
+
+
+def exhaustive_best_partition(h: HypergraphicalSource) -> LaminationBound:
+    """best_partition by scoring every partition of two or more blocks with
+    alpha: the smallest (coefficient, block count, blocks) wins."""
+    best, best_key = None, None
+    for p in all_partitions(h.user_count):
+        if len(p) < 2:
+            continue
+        key = (alpha(h, p), len(p), p.blocks)
+        if best_key is None or key < best_key:
+            best, best_key = p, key
+    return lamination_bound(h, best)
+
+
+def pairwise_profile_ok(user_count: int, h: list) -> bool:
+    """Monotone at every subset and user, submodular at every pair of subsets,
+    each within ENTROPY_TOLERANCE; h[mask] as in EntropyProfile."""
+    tol = ENTROPY_TOLERANCE
+    masks = range(1, 2**user_count)
+    for s in masks:
+        for u in range(user_count):
+            if not s >> u & 1 and h[s] > h[s | 1 << u] + tol:
+                return False
+    return all(h[s] + h[t] >= h[s | t] + h[s & t] - tol for s in masks for t in masks)

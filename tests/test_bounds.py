@@ -24,7 +24,7 @@ from zerotalk.bounds import (
 from zerotalk.errors import PartitionInvalid, TooManyUsers, UnsupportedModel
 from zerotalk.mcf import jgk
 from zerotalk.sources import Edge, HypergraphicalSource, to_discrete
-from helpers import random_fls, random_hypergraphical
+from helpers import exhaustive_best_partition, random_fls, random_hypergraphical
 
 
 def alpha_reference(h, blocks):
@@ -230,6 +230,45 @@ def test_best_partition_matches_exhaustive_reference(seed):
         if len(blocks) >= 2
     ]
     assert b.coefficient == min(candidates)
+
+
+def sweep_model(rng: random.Random, users: int, kind: str) -> HypergraphicalSource:
+    everyone = range(1, users + 1)
+    if kind == "no-edges":
+        subsets = []
+    elif kind == "global-only":
+        subsets = [everyone] * rng.randrange(1, 3)
+    elif kind == "single-user":
+        subsets = [[rng.randrange(1, users + 1)] for _ in range(rng.randrange(1, 4))]
+        subsets += [rng.sample(everyone, rng.randrange(1, users + 1)) for _ in range(2)]
+    else:
+        subsets = [rng.sample(everyone, rng.randrange(1, users + 1))
+                   for _ in range(rng.randrange(1, 6))]
+        if kind == "duplicates":
+            subsets += [rng.choice(subsets) for _ in range(2)]
+    edges = [Edge.uniform(f"e{i}", subset, rng.choice([2, 3])) for i, subset in enumerate(subsets)]
+    return HypergraphicalSource(users, tuple(edges))
+
+
+@pytest.mark.parametrize("kind", ["random", "no-edges", "global-only", "single-user", "duplicates"])
+@pytest.mark.parametrize("users", range(2, 9))
+def test_best_partition_matches_exhaustive_search(users, kind):
+    rng = random.Random(f"sweep:{users}:{kind}")
+    for _ in range(3 if users < 8 else 1):
+        h = sweep_model(rng, users, kind)
+        assert best_partition(h) == exhaustive_best_partition(h), h
+
+
+def test_best_partition_scores_only_the_winner(monkeypatch):
+    import zerotalk.bounds as bounds_module
+
+    calls = []
+    real = bounds_module.alpha
+    monkeypatch.setattr(bounds_module, "alpha", lambda h, p: calls.append(p) or real(h, p))
+    monkeypatch.setattr(bounds_module, "all_partitions", None)
+    h = HypergraphicalSource(5, (Edge.uniform("e", {1, 2}, 2), Edge.uniform("f", {3, 4, 5}, 2)))
+    b = best_partition(h)
+    assert calls == [b.partition] == [Partition(5, [[1, 2], [3, 4, 5]])]
 
 
 def test_best_partition_user_cap(monkeypatch):

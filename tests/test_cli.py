@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import shlex
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -13,10 +15,12 @@ import pytest
 
 from zerotalk.cli import (
     EXIT_MISMATCH,
+    EXIT_OK,
     EXIT_MODEL,
     EXIT_PARSE,
     EXIT_RESOURCE,
     EXIT_UNSUPPORTED,
+    build_parser,
     load_model,
     main,
     parse_model,
@@ -281,6 +285,12 @@ def test_bound_rejects_bad_rates(capsys, rate):
     assert "--rate must be a finite nonnegative number" in err
 
 
+def test_bound_negative_zero_rate_prints_zero(capsys):
+    code, out, _ = run_cli(capsys, "bound", SHARED_BIT, "--rate", "-0.0")
+    assert code == 0
+    assert out.splitlines()[-1] == "bound at rate 0.000000: 1.000000 bits (intercept 1.000000)"
+
+
 def test_verify_reports_conversion_mismatch(capsys, monkeypatch):
     import zerotalk.cli as cli_module
     from zerotalk.sources import fls_to_hypergraphical
@@ -353,6 +363,47 @@ def test_verify_builds_each_entropy_profile_once(capsys, monkeypatch):
     assert calls == ["FiniteLinearSource", "DiscreteSource", "HypergraphicalSource"]
 
 
+def test_verify_profile_budget_exits_5_before_building(tmp_path, capsys, monkeypatch):
+    import zerotalk.sources as sources_module
+
+    def refuse(*args):
+        raise AssertionError("a profile was built past its budget")
+
+    model = tmp_path / "six.json"
+    model.write_text(json.dumps({"model": "hypergraphical", "users": 6,
+                                 "edges": [{"name": "g", "subset": [1, 2, 3, 4, 5, 6], "uniform": 2}]}))
+    monkeypatch.setattr(sources_module, "EntropyProfile", refuse)
+    monkeypatch.setenv("ZEROTALK_EXPANSION_LIMIT", "100")
+    code, out, err = run_cli(capsys, "verify", str(model))
+    assert code == EXIT_RESOURCE
+    assert out == ""
+    assert err == "error: entropy profile: 246 elemental inequalities exceed the limit of 100\n"
+
+
+@pytest.mark.parametrize(
+    "doc, code",
+    [
+        # 12 users: the profile is built, then the best-partition cap exits 5
+        ({"model": "hypergraphical", "users": 12,
+          "edges": [{"name": "g", "subset": list(range(1, 13)), "uniform": 2}]}, EXIT_RESOURCE),
+        # 13 users, each seeing the one hidden GF(2) coordinate
+        ({"model": "finite_linear", "q": 2, "dim": 1,
+          "matrices": {str(u): [[1]] for u in range(1, 14)}}, EXIT_OK),
+    ],
+    ids=["hypergraphical-12", "gf2-13"],
+)
+def test_verify_on_wide_models_finishes(tmp_path, doc, code):
+    # a cold run takes well under a second; the pairwise profile check and
+    # the Bell(m) partition walk took more than the 60 s timeout
+    model = tmp_path / "wide.json"
+    model.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    env.pop("ZEROTALK_EXPANSION_LIMIT", None)
+    proc = subprocess.run([sys.executable, "-m", "zerotalk", "verify", str(model)],
+                          capture_output=True, env=env, timeout=60)
+    assert proc.returncode == code, proc.stderr
+
+
 @pytest.mark.parametrize(
     "doc, stage",
     [
@@ -406,6 +457,19 @@ def test_simulate_rejects_nonpositive_rounds(capsys, n):
     assert "need at least one round" in err
 
 
+def test_simulate_budget_exits_5_before_drawing(capsys, monkeypatch):
+    import zerotalk.sim as sim_module
+
+    def refuse(*args):
+        raise AssertionError("rounds were drawn past the budget")
+
+    monkeypatch.setattr(sim_module, "_observation_columns", refuse)
+    code, out, err = run_cli(capsys, "simulate", SHARED_BIT, "--n", "100000000")
+    assert code == EXIT_RESOURCE
+    assert out == ""
+    assert err == "error: simulation: 300000000 values exceed the limit of 100000000\n"
+
+
 def test_simulate_human_output(capsys):
     code, out, _ = run_cli(capsys, "simulate", TWO_COINS, "--n", "100", "--seed", "1")
     assert code == 0
@@ -455,6 +519,22 @@ def test_output_is_deterministic(capsys, argv):
     first = run_cli(capsys, *argv)
     second = run_cli(capsys, *argv)
     assert first == second
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    assert build_parser() is build_parser()
+    helps = []
+    for _ in range(2):
+        with pytest.raises(SystemExit):
+            main(["bound", "--help"])
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1]
+    assert "--search" in helps[0]
+    # a usage error leaves the shared parser as it was
+    with pytest.raises(SystemExit):
+        main(["bound", SHARED_BIT, "--search", "--partition", "1/2,3"])
+    capsys.readouterr()
+    assert run_cli(capsys, "bound", SHARED_BIT, "--search")[0] == 0
 
 
 # --- README examples ---

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from zerotalk.errors import ModelError, WitnessInvalid
+from zerotalk.errors import ExpansionTooLarge, ModelError, WitnessInvalid
 from zerotalk.gf import FiniteMatrix, vec_mat
 from zerotalk.mcf import (
     EdgeSubsetWitness,
@@ -104,6 +104,51 @@ def test_agreement_on_random_models(seed):
 def test_rejects_nonpositive_rounds(shared_bit_source):
     with pytest.raises(ModelError):
         run(shared_bit_source, n=0, seed=1)
+
+
+@pytest.mark.parametrize(
+    "source, columns",
+    [("shared_bit_source", 3), ("overlap_pair_source", 3), ("two_coins", 2), ("no_edges", 1)],
+)
+def test_round_budget_is_checked_before_drawing(request, monkeypatch, source, columns):
+    import zerotalk.sim as sim_module
+
+    if source == "two_coins":
+        s = load_model(str(TWO_COINS))
+    elif source == "no_edges":
+        s = HypergraphicalSource(2, ())
+    else:
+        s = request.getfixturevalue(source)
+
+    # the limit of 10 points admits 1000 values
+    monkeypatch.setenv("ZEROTALK_EXPANSION_LIMIT", "10")
+    assert run(s, n=1000 // columns, seed=1).agreement
+
+    def refuse(*args):
+        raise AssertionError("rounds were drawn past the budget")
+
+    monkeypatch.setattr(sim_module, "_observation_columns", refuse)
+    over = 1000 // columns + 1
+    with pytest.raises(ExpansionTooLarge) as info:
+        run(s, n=over, seed=1)
+    assert str(info.value) == f"simulation: {over * columns} values exceed the limit of 1000"
+
+
+class Drawn(Exception):
+    pass
+
+
+@pytest.mark.parametrize("source", ["shared_bit_source", "overlap_pair_source"])
+def test_default_round_budget_admits_a_million_rounds(request, monkeypatch, source):
+    import zerotalk.sim as sim_module
+
+    def drawn(*args):
+        raise Drawn
+
+    monkeypatch.setattr(sim_module, "_observation_columns", drawn)
+    monkeypatch.delenv("ZEROTALK_EXPANSION_LIMIT", raising=False)
+    with pytest.raises(Drawn):
+        run(request.getfixturevalue(source), n=10**6, seed=1)
 
 
 # --- extractor structure ---

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,12 @@ from zerotalk.sources import (
     to_discrete,
 )
 
-from helpers import hidden_walk_expansion
+from helpers import (
+    hidden_walk_expansion,
+    pairwise_profile_ok,
+    random_discrete,
+    random_hypergraphical,
+)
 
 
 def random_fls(rng: random.Random, users=None, q=None, dim=None, max_cols=3) -> FiniteLinearSource:
@@ -225,6 +232,9 @@ BUDGETED_STAGES = {
     ),
     "hypergraphical model": (lambda: HypergraphicalSource(9, ()), "9 users"),
     "edge 'c'": (lambda: Edge.uniform("c", {1}, 9), "9 uniform values"),
+    "entropy profile": (
+        lambda: entropy_profile(HypergraphicalSource(3, ())), "9 elemental inequalities"
+    ),
 }
 
 
@@ -235,6 +245,30 @@ def test_budget_error_names_stage_count_and_cap(stage, monkeypatch):
     with pytest.raises(ExpansionTooLarge) as info:
         build()
     assert str(info.value) == f"{stage}: {counted} exceed the limit of 8"
+
+
+def test_profile_budget_is_checked_before_anything_is_built(monkeypatch):
+    import zerotalk.sources as sources_module
+
+    def refuse(*args):
+        raise AssertionError("profile work started before the budget check")
+
+    monkeypatch.setattr(sources_module, "EntropyProfile", refuse)
+    monkeypatch.setattr(Edge, "entropy_bits", refuse)
+    monkeypatch.setattr(DiscreteSource, "marginal", refuse)
+    monkeypatch.setenv("ZEROTALK_EXPANSION_LIMIT", "100")
+    h = HypergraphicalSource(6, (Edge.uniform("e", range(1, 7), 2),))
+    for s in (h, to_discrete(h)):
+        with pytest.raises(ExpansionTooLarge, match="^entropy profile: 246 elemental"):
+            entropy_profile(s)
+
+
+def test_budget_error_prints_counts_past_the_int_digit_limit(monkeypatch):
+    # 2**20000 has more decimal digits than str(int) allows by default
+    monkeypatch.setenv("ZEROTALK_EXPANSION_LIMIT", "8")
+    edges = tuple(Edge.uniform(f"e{i}", {1}, 2) for i in range(20000))
+    with pytest.raises(ExpansionTooLarge, match=r"^hypergraphical expansion: more than 2\*\*20000 "):
+        expand_hypergraphical(HypergraphicalSource(2, edges))
 
 
 def test_user_budget_is_checked_before_the_user_set_is_built(monkeypatch):
@@ -261,7 +295,7 @@ def test_profile_pairwise_xor(pairwise_xor_source):
 def test_profile_deterministic_source_is_zero():
     d = DiscreteSource((1, 1), {(0, 0): Fraction(1)})
     prof = entropy_profile(d)
-    assert all(h == 0.0 for h in prof.bits.values())
+    assert prof.h == [0.0] * 4
 
 
 def test_profile_formulas_agree_with_expansion(shared_bit_source):
@@ -306,18 +340,69 @@ def test_profile_is_monotone_and_submodular_by_construction(h):
 
 
 def test_profile_rejects_non_monotone():
-    with pytest.raises(ModelError):
-        EntropyProfile(2, {frozenset({1}): 2.0, frozenset({2}): 0.0, frozenset({1, 2}): 1.0})
+    # h[mask] with bit i-1 for user i: H({1}) = 2, H({2}) = 0, H({1, 2}) = 1
+    with pytest.raises(ModelError, match=r"not monotone at \[1\] \+ user 2"):
+        EntropyProfile(2, [0.0, 2.0, 0.0, 1.0])
 
 
 def test_profile_rejects_non_submodular():
-    bits = {
-        frozenset({1}): 1.0,
-        frozenset({2}): 1.0,
-        frozenset({1, 2}): 3.0,
-    }
-    with pytest.raises(ModelError):
-        EntropyProfile(2, bits)
+    with pytest.raises(ModelError, match=r"not submodular at \[1\], \[2\]"):
+        EntropyProfile(2, [0.0, 1.0, 1.0, 3.0])
+
+
+def subsets_of(users: int):
+    return [sub for k in range(1, users + 1) for sub in combinations(range(1, users + 1), k)]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_profile_values_are_the_subset_formulas_bit_for_bit(seed):
+    rng = random.Random(1500 + seed)
+    h = random_hypergraphical(rng, rng.randrange(2, 8), rng.randrange(0, 6))
+    prof = entropy_profile(h)
+    for sub in subsets_of(h.user_count):
+        meets = [e.entropy_bits() for e in h.edges if e.subset & set(sub)]
+        assert prof.of(sub) == math.fsum(meets)
+    f = random_fls(rng, users=rng.randrange(2, 5))
+    prof = entropy_profile(f)
+    for sub in subsets_of(f.user_count):
+        stacked = hstack(*(f.matrices[i - 1] for i in sub))
+        assert prof.of(sub) == rank(stacked) * math.log2(int(f.q))
+    d = random_discrete(rng, rng.randrange(2, 5))
+    prof = entropy_profile(d)
+    for sub in subsets_of(d.user_count):
+        assert prof.of(sub) == shannon_bits(d.marginal(sub).values())
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_elemental_check_accepts_what_the_pairwise_check_accepts(seed):
+    rng = random.Random(1600 + seed)
+    m = rng.randrange(2, 6)
+    s = random_discrete(rng, m) if seed % 2 else random_hypergraphical(rng, m, rng.randrange(0, 5))
+    h = entropy_profile(s).h
+    assert pairwise_profile_ok(m, h)
+
+    def elemental_ok(values):
+        try:
+            EntropyProfile(m, values)
+        except ModelError:
+            return False
+        return True
+
+    for _ in range(30):
+        bent = list(h)
+        bent[rng.randrange(1, len(h))] += rng.choice([-1, 1]) * rng.uniform(0.05, 1.0)
+        assert elemental_ok(bent) == pairwise_profile_ok(m, bent)
+    # H(V) pushed below H(V - {1}): both checks refuse it
+    bent = list(h)
+    bent[-1] = h[-2] - 0.5
+    assert not elemental_ok(bent) and not pairwise_profile_ok(m, bent)
+
+
+def test_profile_rejects_wrong_length_and_nonzero_empty_set():
+    with pytest.raises(ModelError, match="needs 4 subset entropies, got 3"):
+        EntropyProfile(2, [0.0, 1.0, 1.0])
+    with pytest.raises(ModelError, match="empty set"):
+        EntropyProfile(2, [0.5, 1.0, 1.0, 1.0])
 
 
 # --- two-user conversion ---
