@@ -27,7 +27,6 @@ from .errors import (
     ParseError,
     PartitionInvalid,
     SubspaceNotContained,
-    TooManyUsers,
     UnsupportedModel,
     WitnessInvalid,
     ZerotalkError,
@@ -84,7 +83,6 @@ __all__ = [
     "SimulationRun",
     "SubspaceNotContained",
     "SubspaceWitness",
-    "TooManyUsers",
     "UnsupportedModel",
     "WitnessInvalid",
     "ZerotalkError",

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
 
-from .errors import PartitionInvalid, TooManyUsers, UnsupportedModel
+from .errors import PartitionInvalid, UnsupportedModel
 from .gf import FiniteMatrix, column_space_intersection
 from .mcf import gk_finite_linear, gk_hypergraphical
-from .sources import FiniteLinearSource, HypergraphicalSource
+from .sources import FiniteLinearSource, HypergraphicalSource, check_budget, expansion_limit
 
 
 @dataclass(frozen=True)
@@ -152,72 +152,82 @@ def lamination_bound(h: HypergraphicalSource, p: Partition) -> LaminationBound:
     return LaminationBound(p, alpha(h, p), gk_hypergraphical(h).entropy_bits)
 
 
-MAX_EXHAUSTIVE_USERS = 8
-
-
 def best_partition(h: HypergraphicalSource) -> LaminationBound:
     """Find the partition with the smallest spread coefficient, by branch and bound.
 
     Ties break toward fewer blocks, then lexicographically by blocks, so the
     result is deterministic.  The search walks restricted growth strings
     depth first: user k joins one of the blocks opened so far or opens the
-    next one.  For each non-global edge it keeps how many of the edge's
+    next one.  For each edge of 2..m-1 users it keeps how many of the edge's
     users sit in each block, and so how many blocks the edge touches.
-    Touches never shrink as users are added and a completion has at most
-    (blocks so far + users left) blocks, so a prefix whose
-    (max touches - 1)/(blocks so far + users left - 1) is strictly above
-    the best coefficient found, or which cannot reach two blocks, is cut.
-    A prefix that only ties the best is searched, so the tie-break sees
-    every partition of the smallest coefficient.  Refuses sources with more
-    users than the cap (the worst case still walks a Bell number of
-    partitions).
+    Touches never shrink and a completion has at most (blocks so far + users
+    left) blocks, so no completion's coefficient is below
+    (max touches - 1)/(blocks so far + users left - 1).  A prefix is cut when
+    that bound is above the best coefficient, or equals it with more blocks
+    opened than the best has, or when it cannot reach two blocks.  The worst
+    case is still a Bell number of partitions, so the search counts steps (a
+    user placed, an edge count updated, a user read out of a leaf) against
+    ZEROTALK_EXPANSION_LIMIT and raises ExpansionTooLarge past it.
     """
     m = h.user_count
-    if m > MAX_EXHAUSTIVE_USERS:
-        raise TooManyUsers(f"{m} users exceeds exhaustive-search cap {MAX_EXHAUSTIVE_USERS}")
-    everyone = h.users()
-    edges = [e.subset for e in h.edges if e.subset != everyone]
-    edges_of = [[k for k, subset in enumerate(edges) if u in subset] for u in range(1, m + 1)]
-    counts = [[0] * m for _ in edges]  # counts[k][b]: users of edge k in block b
+    # an edge of one user touches one block, and a repeated edge never raises the max
+    edges = list({e.subset for e in h.edges if 1 < len(e.subset) < m})
+    edges_of = [[] for _ in range(m)]  # edges_of[u]: the edges of user u + 1
+    for k, subset in enumerate(edges):
+        for u in subset:
+            edges_of[u - 1].append(k)
+    counts = [{} for _ in edges]  # counts[k][b]: users of edge k in block b
     touches = [0] * len(edges)
-    labels = [0] * m
+    labels = [-1] * m  # block of each placed user; -1 before its first try
+    opened = [0] * m  # opened[u]: blocks used by the users before u
+    worst = [1] * m  # worst[u]: most blocks an edge touches, users before u
+    cap, steps = expansion_limit(), 0
     best = None  # (coefficient numerator, denominator, block count, blocks)
-
-    def search(user: int, opened: int, worst: int) -> None:
-        nonlocal best
-        most = opened + m - user  # blocks of the fullest completion
-        if most < 2:
-            return
-        if best is not None and (worst - 1) * best[1] > best[0] * (most - 1):
-            return
-        if user == m:  # not cut, so the coefficient is at most the best
-            blocks = tuple(
-                tuple(u + 1 for u in range(m) if labels[u] == b) for b in range(opened)
-            )
-            if (best is None or (worst - 1) * best[1] < best[0] * (opened - 1)
-                    or (opened, blocks) < best[2:]):
-                best = (worst - 1, opened - 1, opened, blocks)
-            return
-        mine = edges_of[user]
-        for b in range(opened + 1):
-            grown = worst
-            for k in mine:
-                row = counts[k]
-                if not row[b]:
-                    touches[k] += 1
-                    grown = max(grown, touches[k])
-                row[b] += 1
-            labels[user] = b
-            search(user + 1, max(opened, b + 1), grown)
+    user = 0
+    while user >= 0:
+        if steps > cap:
+            check_budget("partition search", steps, "search steps")
+        mine, b = edges_of[user], labels[user]
+        if b >= 0:  # take back the last block tried
             for k in mine:
                 row = counts[k]
                 row[b] -= 1
                 if not row[b]:
                     touches[k] -= 1
-
-    search(0, 0, 1)
-    if best is None:  # single user: no two-block partition exists
-        raise PartitionInvalid("no partition with two or more blocks")
+        b += 1
+        if b > opened[user]:  # every block tried: back up
+            labels[user] = -1
+            user -= 1
+            continue
+        labels[user] = b
+        grown = worst[user]
+        for k in mine:
+            row = counts[k]
+            c = row.get(b, 0)
+            if not c:
+                touches[k] += 1
+                grown = max(grown, touches[k])
+            row[b] = c + 1
+        steps += 1 + len(mine)
+        blocks = max(opened[user], b + 1)
+        most = blocks + m - 1 - user  # blocks of the fullest completion
+        if most < 2:
+            continue
+        if best is not None:
+            over, under = (grown - 1) * best[1], best[0] * (most - 1)
+            if over > under or over == under and blocks > best[2]:
+                continue
+        if user + 1 < m:
+            user += 1
+            opened[user], worst[user] = blocks, grown
+            continue
+        # a leaf that was not cut ties or beats the best: read out its blocks
+        steps += m
+        parts = [[] for _ in range(blocks)]
+        for u, c in enumerate(labels, start=1):
+            parts[c].append(u)
+        if best is None or over < under or (blocks, parts) < best[2:]:
+            best = (grown - 1, blocks - 1, blocks, parts)
     return lamination_bound(h, Partition(m, best[3]))
 
 

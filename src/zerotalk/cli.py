@@ -52,7 +52,6 @@ from .errors import (
     ExpansionTooLarge,
     ModelError,
     ParseError,
-    TooManyUsers,
     UnsupportedModel,
     ZerotalkError,
 )
@@ -140,16 +139,14 @@ def _parse_finite_linear(doc: dict) -> FiniteLinearSource:
     dim = _require(doc, "dim", int, "finite_linear model")
     raw = _require(doc, "matrices", dict, "finite_linear model")
     try:
-        ids = sorted(int(k) for k in raw)
+        keys = sorted(raw, key=int)
     except ValueError as exc:
         raise ParseError("finite_linear model: matrix keys must be user ids") from exc
-    if ids != list(range(1, len(ids) + 1)):
-        raise ParseError(
-            f"finite_linear model: user ids must be 1..{len(ids)}, got {ids}"
-        )
+    if keys != [str(u) for u in range(1, len(keys) + 1)]:  # "01", " 1" and "+1" are not ids
+        raise ParseError(f"finite_linear model: matrix keys must be the user ids 1..{len(keys)}, got {keys}")
     matrices = []
-    for uid in ids:
-        rows = raw[str(uid)]
+    for uid, key in enumerate(keys, start=1):
+        rows = raw[key]
         where = f"matrix for user {uid}"
         if not isinstance(rows, list):
             raise ParseError(f"{where}: must be a list of rows")
@@ -219,6 +216,8 @@ def load_model(path: str):
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, nested too deep, an int too long
+        raise ParseError(f"cannot parse {path}: {exc}") from exc
     return parse_model(doc)
 
 
@@ -653,7 +652,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (ExpansionTooLarge, TooManyUsers) as exc:
+    except ExpansionTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except UnsupportedModel as exc:

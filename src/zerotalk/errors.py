@@ -1,9 +1,11 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps each family onto an exit code: ParseError 2, UnsupportedModel
-4, ExpansionTooLarge and TooManyUsers 5, any other ZerotalkError 3.  New
-errors should subclass the family whose code they need.  None stands for an
-internal bug: identities that hold by construction are checked by
+4, ExpansionTooLarge 5, any other ZerotalkError 3.  ExpansionTooLarge is the
+one resource error: every size, enumeration and search past
+ZEROTALK_EXPANSION_LIMIT raises it, the best-partition search included.
+New errors should subclass the family whose code they need.  None stands
+for an internal bug: identities that hold by construction are checked by
 ``verify`` and the tests, not at run time.
 """
 
@@ -33,11 +35,7 @@ class NotTwoUsers(UnsupportedModel):
 
 
 class ExpansionTooLarge(ZerotalkError):
-    """A size or an enumeration would exceed ZEROTALK_EXPANSION_LIMIT."""
-
-
-class TooManyUsers(ZerotalkError):
-    """Exhaustive partition search was asked for more users than the cap allows."""
+    """A size, an enumeration or a search would exceed ZEROTALK_EXPANSION_LIMIT."""
 
 
 class SubspaceNotContained(ZerotalkError):

@@ -174,12 +174,6 @@ class HypergraphicalSource:
         """Indices (in edge order) of the edges observed by the given user."""
         return tuple(k for k, e in enumerate(self.edges) if user in e.subset)
 
-    def edge_named(self, name: str) -> Edge:
-        for e in self.edges:
-            if e.name == name:
-                return e
-        raise ModelError(f"no edge named {name!r}")
-
 
 @dataclass(frozen=True)
 class FiniteLinearSource:

@@ -21,7 +21,7 @@ from zerotalk.bounds import (
     lamination_bound,
     singleton_partition,
 )
-from zerotalk.errors import PartitionInvalid, TooManyUsers, UnsupportedModel
+from zerotalk.errors import ExpansionTooLarge, PartitionInvalid, UnsupportedModel
 from zerotalk.mcf import jgk
 from zerotalk.sources import Edge, HypergraphicalSource, to_discrete
 from helpers import exhaustive_best_partition, random_fls, random_hypergraphical
@@ -271,14 +271,22 @@ def test_best_partition_scores_only_the_winner(monkeypatch):
     assert calls == [b.partition] == [Partition(5, [[1, 2], [3, 4, 5]])]
 
 
-def test_best_partition_user_cap(monkeypatch):
-    import zerotalk.bounds as bounds_module
-
-    h = HypergraphicalSource(9, (Edge.uniform("e", set(range(1, 10)), 2),))
-    with pytest.raises(TooManyUsers):
-        best_partition(h)
-    monkeypatch.setattr(bounds_module, "MAX_EXHAUSTIVE_USERS", 9)
-    assert best_partition(h).coefficient == Fraction(0)
+def test_best_partition_step_budget(monkeypatch):
+    # no user cap: more than 8 users are searched, and the limit counts steps
+    rng = random.Random(9)
+    h = HypergraphicalSource(9, tuple(
+        Edge.uniform(f"e{i}", rng.sample(range(1, 10), rng.randint(2, 8)), 2) for i in range(5)))
+    assert best_partition(h) == exhaustive_best_partition(h)
+    # every partition ties at 0; the tie cut keeps the walk to two blocks
+    g = HypergraphicalSource(12, (Edge.uniform("g", range(1, 13), 2),))
+    assert best_partition(g).partition == Partition(12, [[1], range(2, 13)])
+    # 3000 levels deep, past the interpreter's recursion limit
+    wide = HypergraphicalSource(3000, (Edge.uniform("e", range(1, 3000), 2),))
+    assert best_partition(wide).partition == Partition(3000, [range(1, 3000), [3000]])
+    monkeypatch.setenv("ZEROTALK_EXPANSION_LIMIT", "1000")
+    with pytest.raises(ExpansionTooLarge) as info:
+        best_partition(g)
+    assert str(info.value) == "partition search: 1005 search steps exceed the limit of 1000"
 
 
 def test_best_partition_is_never_vacuous():

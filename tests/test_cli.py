@@ -61,8 +61,9 @@ def test_parse_hypergraphical_document():
     }
     s = parse_model(doc)
     assert isinstance(s, HypergraphicalSource)
-    assert s.edge_named("u").pmf == (Fraction(1, 3),) * 3
-    assert s.edge_named("p").pmf == (Fraction(1, 4), 0.75)
+    pmfs = {e.name: e.pmf for e in s.edges}
+    assert pmfs["u"] == (Fraction(1, 3),) * 3
+    assert pmfs["p"] == (Fraction(1, 4), 0.75)
 
 
 def test_parse_finite_linear_document():
@@ -120,6 +121,31 @@ def test_parse_discrete_document():
 def test_parse_rejects_malformed_documents(doc):
     with pytest.raises(ParseError):
         parse_model(doc)
+
+
+@pytest.mark.parametrize("key", ["01", " 1", "+1"])
+def test_parse_rejects_non_canonical_matrix_keys(key):
+    # int() reads each of these as 1, but the matrix is not under "1"
+    doc = {"model": "finite_linear", "q": 2, "dim": 1, "matrices": {key: [[1]], "2": [[1]]}}
+    with pytest.raises(ParseError, match=r"matrix keys must be the user ids 1\.\.2"):
+        parse_model(doc)
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'{"model": "hypergraphical", "users": 2, "edges": [{"name": "\xe9", "subset": [1, 2], "uniform": 2}]}',
+        b"[" * 100_000 + b"]" * 100_000,
+        b'{"model": "hypergraphical", "users": ' + b"9" * 5000 + b', "edges": []}',
+    ],
+    ids=["not-utf8", "nested-too-deep", "int-too-long"],
+)
+def test_unparsable_model_file_exits_2(tmp_path, capsys, content):
+    model = tmp_path / "bad.json"
+    model.write_bytes(content)
+    code, out, err = run_cli(capsys, "jgk", str(model))
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err.startswith(f"error: cannot parse {model}: ")
 
 
 def test_parsed_model_names_its_family():
@@ -195,6 +221,22 @@ def test_bound_search(capsys):
     code, out, _ = run_cli(capsys, "bound", SHARED_BIT, "--search", "--json")
     assert code == 0
     assert json.loads(out)["coefficient"] == "1/2"
+
+
+@pytest.mark.parametrize("users", [16, 20])
+def test_bound_search_on_one_global_edge(tmp_path, capsys, monkeypatch, users):
+    # every partition ties at coefficient 0; the search is capped by its steps, not by users
+    monkeypatch.delenv("ZEROTALK_EXPANSION_LIMIT", raising=False)
+    model = tmp_path / "global.json"
+    model.write_text(json.dumps({"model": "hypergraphical", "users": users,
+                                 "edges": [{"name": "g", "subset": list(range(1, users + 1)), "uniform": 2}]}))
+    code, out, err = run_cli(capsys, "bound", str(model), "--search")
+    if users == 16:
+        assert (code, err) == (EXIT_OK, "")
+        assert out.startswith("partition: 1/2,3,4,5,6,7,8,9,10,11,12,13,14,15,16\nspread coefficient: 0\n")
+    else:
+        assert (code, out) == (EXIT_RESOURCE, "")
+        assert err == "error: partition search: 1000002 search steps exceed the limit of 1000000\n"
 
 
 def test_bound_partition_errors(capsys):
@@ -383,9 +425,9 @@ def test_verify_profile_budget_exits_5_before_building(tmp_path, capsys, monkeyp
 @pytest.mark.parametrize(
     "doc, code",
     [
-        # 12 users: the profile is built, then the best-partition cap exits 5
+        # 12 users: the profile is built and the best-partition search finishes
         ({"model": "hypergraphical", "users": 12,
-          "edges": [{"name": "g", "subset": list(range(1, 13)), "uniform": 2}]}, EXIT_RESOURCE),
+          "edges": [{"name": "g", "subset": list(range(1, 13)), "uniform": 2}]}, EXIT_OK),
         # 13 users, each seeing the one hidden GF(2) coordinate
         ({"model": "finite_linear", "q": 2, "dim": 1,
           "matrices": {str(u): [[1]] for u in range(1, 14)}}, EXIT_OK),
