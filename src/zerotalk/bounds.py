@@ -112,11 +112,12 @@ def alpha(h: HypergraphicalSource, p: Partition) -> Fraction:
     if len(p) < 2:
         raise PartitionInvalid("spread coefficient needs at least two blocks")
     everyone = h.users()
+    block_of = {u: i for i, block in enumerate(p.blocks) for u in block}
     worst = 0
     for e in h.edges:
         if e.subset == everyone:
             continue
-        touched = len({p.block_of(u) for u in e.subset})
+        touched = len({block_of[u] for u in e.subset})
         worst = max(worst, touched)
     if worst == 0:
         return Fraction(0)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import ClassVar, Union
 
 from .errors import ModelError, SubspaceNotContained, WitnessInvalid
@@ -48,13 +47,13 @@ def _surprisal_variance(probs) -> float:
     return math.fsum(p * (s - mean) ** 2 for p, s in zip(ps, surprises))
 
 
-def _label_masses(pmf: dict, labeling: dict) -> dict:
-    """Mass of each label, in first-seen order; exact masses stay exact."""
+def _label_masses(weights: dict, labeling: dict) -> dict:
+    """Weight of each label, in first-seen order, over the weights' total."""
     masses: dict = {}
     try:
-        for realization, p in pmf.items():
+        for realization, w in weights.items():
             label = labeling[realization]
-            masses[label] = masses.get(label, 0) + p
+            masses[label] = masses.get(label, 0) + w
     except KeyError:
         raise WitnessInvalid(f"labeling does not cover support realization {realization}") from None
     return masses
@@ -164,7 +163,7 @@ class SubspaceWitness(CommonFunctionWitness):
         for point in row_space(joint):
             label = point[first:]
             counts[label] = counts.get(label, 0) + 1
-        return shannon_bits(Fraction(c, total) for c in counts.values())
+        return shannon_bits(counts.values(), total)
 
     def key_map(self, s: Source) -> tuple:
         basis = self._basis(s)
@@ -196,15 +195,16 @@ class LabelingWitness(CommonFunctionWitness):
     kind = "support-labeling"
 
     def brute_force_bits(self, s: Source) -> float:
-        return shannon_bits(_label_masses(to_discrete(s).pmf, self.payload).values())
+        d = to_discrete(s)
+        return shannon_bits(_label_masses(d.weights, self.payload).values(), d.total)
 
     def key_map(self, s: Source) -> tuple:
         d = to_discrete(s)
-        masses = _label_masses(d.pmf, self.payload)
+        masses = _label_masses(d.weights, self.payload)
         decoders = []
         for coord in range(d.user_count):
             fiber: dict = {}
-            for realization in d.pmf:
+            for realization in d.weights:
                 v = realization[coord]
                 label = self.payload[realization]
                 if fiber.setdefault(v, label) != label:
@@ -217,7 +217,8 @@ class LabelingWitness(CommonFunctionWitness):
                 return list(map(lookup, obs[0]))
 
             decoders.append(decode)
-        return d, decoders, _surprisal_variance(masses.values()), len(masses)
+        variance = _surprisal_variance(m / d.total for m in masses.values())
+        return d, decoders, variance, len(masses)
 
     def summary(self) -> dict:
         return {"kind": self.kind, "labels": len(set(self.payload.values()))}
@@ -309,7 +310,7 @@ def gk_oracle(s: Source) -> LabelingWitness:
         if root not in roots:
             roots[root] = len(roots)
         labeling[realization] = roots[root]
-    bits = shannon_bits(_label_masses(d.pmf, labeling).values())
+    bits = shannon_bits(_label_masses(d.weights, labeling).values(), d.total)
     return LabelingWitness(labeling, bits)
 
 

@@ -33,6 +33,7 @@ from .sources import (
     FiniteLinearSource,
     HypergraphicalSource,
     check_budget,
+    pmf_weights,
     shannon_bits,
 )
 
@@ -66,11 +67,11 @@ def build_extractor(
     return KeyExtractor(source, w, tuple(decoders), w.entropy_bits, var, count)
 
 
-def _cdf(probs) -> list:
-    """Float cumulative weights for random.choices, ending at exactly 1."""
+def _cdf(weights, total: int) -> list:
+    """Float cumulative masses w / total for random.choices, ending at exactly 1."""
     acc, cum = 0.0, []
-    for p in probs:
-        acc += float(p)
+    for w in weights:
+        acc += float(w / total)
         cum.append(acc)
     cum[-1] = 1.0
     return cum
@@ -112,14 +113,17 @@ def _columns_drawn(s: Source) -> int:
 def _observation_columns(s: Source, rng: random.Random, n: int) -> list:
     """n rounds of s: per user, the tuple of its observation columns."""
     if isinstance(s, HypergraphicalSource):
-        cols = [rng.choices(range(e.alphabet_size), cum_weights=_cdf(e.pmf), k=n) for e in s.edges]
+        cols = [
+            rng.choices(range(e.alphabet_size), cum_weights=_cdf(*pmf_weights(e.pmf)), k=n)
+            for e in s.edges
+        ]
         return [tuple(cols[k] for k in s.incident(u)) for u in range(1, s.user_count + 1)]
     if isinstance(s, FiniteLinearSource):
         hidden = [_uniform_column(rng, int(s.q), n) for _ in range(s.dim)]
         return [tuple(cols_mat(hidden, mat, n)) for mat in s.matrices]
     if isinstance(s, DiscreteSource):
         support = s.support()
-        draws = rng.choices(support, cum_weights=_cdf(s.pmf[r] for r in support), k=n)
+        draws = rng.choices(support, cum_weights=_cdf(s.weights.values(), s.total), k=n)
         return [(list(col),) for col in zip(*draws)]
     raise ModelError(f"unrecognized source type: {type(s).__name__}")
 

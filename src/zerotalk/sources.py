@@ -10,8 +10,13 @@ correlated randomness:
 * ``DiscreteSource`` — an explicit joint pmf over finite alphabets; the
   universal fallback and the substrate for brute-force checks.
 
-Probabilities may be exact ``Fraction`` values (kept exact through
-expansion) or floats; entropies are always reported as floats in bits.
+Probabilities may be exact ``Fraction`` values or floats; entropies are
+always reported as floats in bits.  A joint pmf whose masses are all exact
+is held as integer weights over one common denominator (``pmf_weights``):
+the expansions, marginals, label masses and samplers add ints and divide
+once per mass, ``w / total``.  Int true division rounds correctly, so that
+float is the float of the exact mass.  A pmf with any float keeps its
+values over a denominator of 1.
 Enumerating a joint support is capped by ``ZEROTALK_EXPANSION_LIMIT``
 (default 10**6) so oversized models fail loudly instead of thrashing.  The
 cap counts the points an expansion enumerates, checked before it starts:
@@ -27,15 +32,18 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import itemgetter
 from typing import ClassVar, Union
 
 from . import gf
 from .errors import ExpansionTooLarge, ModelError, NotTwoUsers
 
 Probability = Union[Fraction, float]
+Weight = Union[int, Fraction, float]  # an int over a common total, or a mass over 1
 
 DEFAULT_EXPANSION_LIMIT = 10**6
 PROBABILITY_TOLERANCE = 1e-9
@@ -74,9 +82,35 @@ def check_budget(stage: str, count: int, what: str, per_point: int = 1) -> None:
         raise ExpansionTooLarge(f"{stage}: {shown} {what} exceed the limit of {cap}")
 
 
-def _check_pmf(probs: tuple[Probability, ...], what: str) -> None:
-    if not probs:
+def pmf_weights(probs) -> tuple[list, int]:
+    """(weights, total) with probs[i] equal to weights[i] / total.
+
+    An all-``Fraction`` pmf becomes integer weights over the lcm of its
+    reduced denominators, the one such form with the least total; a pmf with
+    any float keeps its values over a total of 1.
+    """
+    if all(isinstance(p, Fraction) for p in probs):
+        total = math.lcm(*(p.denominator for p in probs))
+        return [p.numerator * (total // p.denominator) for p in probs], total
+    return list(probs), 1
+
+
+def _check_sum(weights, total: int, what: str) -> None:
+    """Exact weights sum to their total exactly; others to 1 within tolerance."""
+    if not weights:
         raise ModelError(f"{what}: empty distribution")
+    if all(isinstance(w, int) for w in weights):
+        mass = sum(weights)
+        if mass != total:
+            raise ModelError(f"{what}: exact probabilities sum to {Fraction(mass, total)}, not 1")
+    else:
+        mass = math.fsum(float(w) for w in weights)
+        if abs(mass - 1.0) > PROBABILITY_TOLERANCE:
+            raise ModelError(f"{what}: probabilities sum to {mass!r}, not 1")
+
+
+def _check_pmf(probs: tuple[Probability, ...], what: str) -> tuple[list, int]:
+    """Check a pmf and return it as ``pmf_weights`` does."""
     for p in probs:
         if isinstance(p, Fraction):
             if p < 0:
@@ -86,24 +120,21 @@ def _check_pmf(probs: tuple[Probability, ...], what: str) -> None:
                 raise ModelError(f"{what}: bad probability {p!r}")
         else:
             raise ModelError(f"{what}: probability must be Fraction or float, got {type(p).__name__}")
-    if all(isinstance(p, Fraction) for p in probs):
-        total = sum(probs)
-        if total != 1:
-            raise ModelError(f"{what}: exact probabilities sum to {total}, not 1")
-    else:
-        total = math.fsum(float(p) for p in probs)
-        if abs(total - 1.0) > PROBABILITY_TOLERANCE:
-            raise ModelError(f"{what}: probabilities sum to {total!r}, not 1")
+    weights, total = pmf_weights(probs)
+    _check_sum(weights, total, what)
+    return weights, total
 
 
-def shannon_bits(probs) -> float:
-    """Plug-in Shannon entropy in bits; zero-mass entries are skipped."""
-    total = 0.0
+def shannon_bits(probs, total: int = 1) -> float:
+    """Plug-in Shannon entropy in bits of the masses p / total; zero-mass
+    entries are skipped.  For integer weights, p / total is the correctly
+    rounded float of the exact mass."""
+    bits = 0.0
     for p in probs:
-        x = float(p)
+        x = float(p / total)
         if x > 0.0:
-            total -= x * math.log2(x)
-    return total
+            bits -= x * math.log2(x)
+    return bits
 
 
 def _encode(values, sizes) -> int:
@@ -205,34 +236,91 @@ class FiniteLinearSource:
         return frozenset(range(1, self.user_count + 1))
 
 
-@dataclass(frozen=True)
+class _PmfView(Mapping):
+    """Read-only realization -> probability view of a DiscreteSource.
+
+    Exact weights read as ``Fraction(w, total)``, computed on each lookup;
+    other masses read as stored.
+    """
+
+    __slots__ = ("_weights", "_total")
+
+    def __init__(self, weights: dict, total: int):
+        self._weights = weights
+        self._total = total
+
+    def __getitem__(self, key) -> Probability:
+        w = self._weights[key]
+        return Fraction(w, self._total) if isinstance(w, int) else w
+
+    def __iter__(self):
+        return iter(self._weights)
+
+    def __len__(self) -> int:
+        return len(self._weights)
+
+
+def _realizations(sizes: tuple[int, ...], masses: dict) -> dict:
+    """The positive-mass entries of masses, keys checked against the
+    alphabets and sorted lexicographically."""
+    if len(sizes) < 2:
+        raise ModelError(f"need at least 2 users, got {len(sizes)}")
+    if any(a < 1 for a in sizes):
+        raise ModelError("alphabet sizes must be positive")
+    m = len(sizes)
+    cleaned = {}
+    for key in sorted(masses):
+        w = masses[key]
+        key = tuple(key)
+        if len(key) != m:
+            raise ModelError(f"realization {key} has {len(key)} symbols, expected {m}")
+        for i, (sym, size) in enumerate(zip(key, sizes), start=1):
+            if not 0 <= sym < size:
+                raise ModelError(f"realization {key}: symbol {sym} outside alphabet of user {i}")
+        if w != 0:
+            cleaned[key] = w
+    return cleaned
+
+
+@dataclass(frozen=True, init=False)
 class DiscreteSource:
-    """Explicit joint pmf over per-user finite alphabets (0-based symbol indices)."""
+    """Explicit joint pmf over per-user finite alphabets (0-based symbol indices).
+
+    The pmf is held as ``weights`` over one ``total``: realization r has
+    mass weights[r] / total (see ``pmf_weights``), and ``pmf`` is a
+    read-only view of the masses themselves.
+    """
 
     model: ClassVar[str] = "discrete"
     alphabet_sizes: tuple[int, ...]
-    pmf: dict[tuple[int, ...], Probability]
+    weights: dict[tuple[int, ...], Weight]
+    total: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "alphabet_sizes", tuple(self.alphabet_sizes))
-        if len(self.alphabet_sizes) < 2:
-            raise ModelError(f"need at least 2 users, got {len(self.alphabet_sizes)}")
-        if any(a < 1 for a in self.alphabet_sizes):
-            raise ModelError("alphabet sizes must be positive")
-        m = len(self.alphabet_sizes)
-        cleaned: dict[tuple[int, ...], Probability] = {}
-        for key in sorted(self.pmf):
-            p = self.pmf[key]
-            key = tuple(key)
-            if len(key) != m:
-                raise ModelError(f"realization {key} has {len(key)} symbols, expected {m}")
-            for i, (sym, size) in enumerate(zip(key, self.alphabet_sizes), start=1):
-                if not 0 <= sym < size:
-                    raise ModelError(f"realization {key}: symbol {sym} outside alphabet of user {i}")
-            if p != 0:
-                cleaned[key] = p
-        _check_pmf(tuple(cleaned.values()), "joint pmf")
-        object.__setattr__(self, "pmf", cleaned)
+    def __init__(self, alphabet_sizes, pmf: dict[tuple[int, ...], Probability]):
+        sizes = tuple(alphabet_sizes)
+        cleaned = _realizations(sizes, pmf)
+        weights, total = _check_pmf(tuple(cleaned.values()), "joint pmf")
+        self._store(sizes, dict(zip(cleaned, weights)), total)
+
+    @classmethod
+    def _from_weights(cls, alphabet_sizes, weights: dict, total: int) -> "DiscreteSource":
+        """A source from weights already in ``pmf_weights`` form, checked as
+        the constructor checks a pmf."""
+        sizes = tuple(alphabet_sizes)
+        cleaned = _realizations(sizes, weights)
+        _check_sum(tuple(cleaned.values()), total, "joint pmf")
+        d = cls.__new__(cls)
+        d._store(sizes, cleaned, total)
+        return d
+
+    def _store(self, sizes: tuple[int, ...], weights: dict, total: int) -> None:
+        object.__setattr__(self, "alphabet_sizes", sizes)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "total", total)
+
+    @property
+    def pmf(self) -> Mapping[tuple[int, ...], Probability]:
+        return _PmfView(self.weights, self.total)
 
     @property
     def user_count(self) -> int:
@@ -243,15 +331,18 @@ class DiscreteSource:
 
     def support(self) -> tuple[tuple[int, ...], ...]:
         """Positive-probability realizations, lexicographically sorted."""
-        return tuple(self.pmf)
+        return tuple(self.weights)
 
-    def marginal(self, subset) -> dict[tuple[int, ...], Probability]:
-        """Projection of the pmf onto the given users (ascending order)."""
-        coords = sorted(subset)
-        out: dict[tuple[int, ...], Probability] = {}
-        for key, p in self.pmf.items():
-            proj = tuple(key[i - 1] for i in coords)
-            out[proj] = out.get(proj, 0) + p
+    def marginal(self, subset) -> dict[tuple[int, ...], Weight]:
+        """Projection onto the given users (ascending order), as weights over
+        ``self.total``."""
+        idx = [i - 1 for i in sorted(subset)]
+        # itemgetter of one index returns the bare value, not a 1-tuple
+        project = itemgetter(*idx) if len(idx) > 1 else lambda key: tuple(key[i] for i in idx)
+        out: dict[tuple[int, ...], Weight] = {}
+        for key, w in self.weights.items():
+            proj = project(key)
+            out[proj] = out.get(proj, 0) + w
         return out
 
 AnySource = Union[DiscreteSource, HypergraphicalSource, FiniteLinearSource]
@@ -335,7 +426,11 @@ def expand_hypergraphical(h: HypergraphicalSource) -> DiscreteSource:
 
     Each user's symbol encodes the values of its incident edges (in edge
     order, mixed-radix); the joint probability of an assignment is the
-    product over the independent edges.
+    product over the independent edges.  With exact edges it is the product
+    of their integer weights over the product of their totals.  Every edge
+    is seen by some user, so assignments and realizations correspond one to
+    one, and for every prime some weight of each edge is prime to it: the
+    product weights are in the least-total form of ``pmf_weights``.
 
     Raises:
         ExpansionTooLarge: if the product of edge alphabet sizes exceeds
@@ -347,29 +442,30 @@ def expand_hypergraphical(h: HypergraphicalSource) -> DiscreteSource:
     sizes = [e.alphabet_size for e in h.edges]
     alphabets = tuple(math.prod(sizes[k] for k in inc) for inc in incident)
     exact = all(isinstance(p, Fraction) for e in h.edges for p in e.pmf)
-    pmf: dict[tuple[int, ...], Probability] = {}
+    tables = [pmf_weights(e.pmf) if exact else (e.pmf, 1) for e in h.edges]
+    weights: dict[tuple[int, ...], Weight] = {}
     for assignment in product(*(range(s) for s in sizes)):
-        p: Probability = Fraction(1) if exact else 1.0
-        for e, v in zip(h.edges, assignment):
-            p = p * e.pmf[v]
-        if p == 0:
+        w: Weight = 1 if exact else 1.0
+        for (table, _), v in zip(tables, assignment):
+            w = w * table[v]
+        if w == 0:
             continue
         key = tuple(
             _encode([assignment[k] for k in inc], [sizes[k] for k in inc]) for inc in incident
         )
-        pmf[key] = pmf.get(key, 0) + p
-    return DiscreteSource(alphabets, pmf)
+        weights[key] = w
+    return DiscreteSource._from_weights(alphabets, weights, math.prod(t for _, t in tables))
 
 
 def expand_finite_linear(f: FiniteLinearSource) -> DiscreteSource:
     """Enumerate the joint pmf of a finite linear source.
 
     The joint observation is x @ A for the stacked A = [M_1 | ... | M_m], so
-    for uniform x it is uniform on the row space of A: q**r points of mass
-    q**-r each, r being the rank of A.  The walk streams that row space from
-    one RREF of A instead of walking all q**dim hidden vectors; user i's
-    symbol encodes its slice of the point in base q.  The support and the
-    exact masses are those of the q**dim walk.
+    for uniform x it is uniform on the row space of A: q**r points of weight
+    1 over a total of q**r, r being the rank of A.  The walk streams that
+    row space from one RREF of A instead of walking all q**dim hidden
+    vectors; user i's symbol encodes its slice of the point in base q.  The
+    support and the exact masses are those of the q**dim walk.
 
     Raises:
         ExpansionTooLarge: if the q**r support points exceed the
@@ -385,17 +481,17 @@ def expand_finite_linear(f: FiniteLinearSource) -> DiscreteSource:
     for m in f.matrices:
         slices.append((end, end + m.cols, [q] * m.cols))
         end += m.cols
-    weight = Fraction(1, total)
-    pmf: dict[tuple[int, ...], Probability] = {}
-    for point in gf.row_space(basis):
-        pmf[tuple(_encode(point[lo:hi], radix) for lo, hi, radix in slices)] = weight
-    return DiscreteSource(alphabets, pmf)
+    weights = {
+        tuple(_encode(point[lo:hi], radix) for lo, hi, radix in slices): 1
+        for point in gf.row_space(basis)
+    }
+    return DiscreteSource._from_weights(alphabets, weights, total)
 
 
 def to_discrete(s: AnySource) -> DiscreteSource:
     """Expand any source model to its explicit joint pmf."""
     if isinstance(s, DiscreteSource):
-        check_budget("discrete support", len(s.pmf), "points")
+        check_budget("discrete support", len(s.weights), "points")
         return s
     if isinstance(s, HypergraphicalSource):
         return expand_hypergraphical(s)
@@ -432,7 +528,7 @@ def entropy_profile(s: AnySource) -> EntropyProfile:
         ]
         return EntropyProfile(m, h)
     to_discrete(s)  # enforce the support cap
-    h = [0.0] + [shannon_bits(s.marginal(_users_of(mask)).values()) for mask in masks[1:]]
+    h = [0.0] + [shannon_bits(s.marginal(_users_of(mask)).values(), s.total) for mask in masks[1:]]
     return EntropyProfile(m, h)
 
 

@@ -3,13 +3,23 @@
 from __future__ import annotations
 
 import bisect
+import math
 import random
 from fractions import Fraction
 from itertools import product
 
 from zerotalk.bounds import LaminationBound, all_partitions, alpha, lamination_bound
 from zerotalk.errors import ModelError, SubspaceNotContained
-from zerotalk.gf import FiniteMatrix, columns_subset, hstack, rank, solve, vec_mat
+from zerotalk.gf import (
+    FiniteMatrix,
+    columns_subset,
+    hstack,
+    rank,
+    row_space,
+    row_space_basis,
+    solve,
+    vec_mat,
+)
 from zerotalk.mcf import EdgeSubsetWitness, LabelingWitness, SubspaceWitness
 from zerotalk.sources import (
     ENTROPY_TOLERANCE,
@@ -111,10 +121,11 @@ def greedy_extend_basis(base: FiniteMatrix, target: FiniteMatrix) -> FiniteMatri
     return columns_subset(target, picked)
 
 
-def _digits(values, q: int) -> int:
+def _digits(values, sizes) -> int:
+    """Mixed-radix index of a digit sequence, most significant digit first."""
     idx = 0
-    for v in values:
-        idx = idx * q + v
+    for v, s in zip(values, sizes):
+        idx = idx * s + v
     return idx
 
 
@@ -125,7 +136,7 @@ def hidden_walk_expansion(f: FiniteLinearSource) -> DiscreteSource:
     weight = Fraction(1, q**f.dim)
     pmf: dict = {}
     for x in product(range(q), repeat=f.dim):
-        key = tuple(_digits(vec_mat(x, m), q) for m in f.matrices)
+        key = tuple(_digits(vec_mat(x, m), [q] * m.cols) for m in f.matrices)
         pmf[key] = pmf.get(key, 0) + weight
     return DiscreteSource(tuple(q**m.cols for m in f.matrices), pmf)
 
@@ -250,3 +261,77 @@ def pairwise_profile_ok(user_count: int, h: list) -> bool:
             if not s >> u & 1 and h[s] > h[s | 1 << u] + tol:
                 return False
     return all(h[s] + h[t] >= h[s | t] + h[s & t] - tol for s in masks for t in masks)
+
+
+# --- reference Fraction paths kept from before exact masses were integer weights ---
+
+
+def fraction_shannon_bits(probs) -> float:
+    """Plug-in entropy in bits of the masses themselves, Fraction or float."""
+    total = 0.0
+    for p in probs:
+        x = float(p)
+        if x > 0.0:
+            total -= x * math.log2(x)
+    return total
+
+
+def fraction_marginal(pmf, subset) -> dict:
+    """Projection of a realization -> mass mapping onto the given users,
+    adding the masses (exact ones as Fractions) in first-seen order."""
+    coords = sorted(subset)
+    out: dict = {}
+    for key, p in pmf.items():
+        proj = tuple(key[i - 1] for i in coords)
+        out[proj] = out.get(proj, 0) + p
+    return out
+
+
+def fraction_label_masses(pmf, labeling) -> dict:
+    """Mass of each label in first-seen order, exact masses as Fractions."""
+    masses: dict = {}
+    for realization, p in pmf.items():
+        label = labeling[realization]
+        masses[label] = masses.get(label, 0) + p
+    return masses
+
+
+def fraction_cdf(probs) -> list:
+    """Float cumulative masses for random.choices, ending at exactly 1."""
+    acc, cum = 0.0, []
+    for p in probs:
+        acc += float(p)
+        cum.append(acc)
+    cum[-1] = 1.0
+    return cum
+
+
+def fraction_expansion(h: HypergraphicalSource) -> dict:
+    """Joint pmf of a hypergraphical source as products of the edge masses
+    (Fractions when every edge is exact), sorted by realization."""
+    incident = [h.incident(i) for i in range(1, h.user_count + 1)]
+    sizes = [e.alphabet_size for e in h.edges]
+    exact = all(isinstance(p, Fraction) for e in h.edges for p in e.pmf)
+    pmf: dict = {}
+    for assignment in product(*(range(s) for s in sizes)):
+        p = Fraction(1) if exact else 1.0
+        for e, v in zip(h.edges, assignment):
+            p = p * e.pmf[v]
+        if p != 0:
+            key = tuple(
+                _digits([assignment[k] for k in inc], [sizes[k] for k in inc]) for inc in incident
+            )
+            pmf[key] = p
+    return dict(sorted(pmf.items()))
+
+
+def fraction_subspace_bits(f: FiniteLinearSource, basis: FiniteMatrix) -> float:
+    """SubspaceWitness.brute_force_bits with each label's mass a Fraction."""
+    joint = row_space_basis(hstack(*f.matrices, basis))
+    total = int(f.q) ** joint.rows
+    first = joint.cols - basis.cols
+    counts: dict = {}
+    for point in row_space(joint):
+        label = point[first:]
+        counts[label] = counts.get(label, 0) + 1
+    return fraction_shannon_bits(Fraction(c, total) for c in counts.values())

@@ -142,6 +142,40 @@ def test_alpha_matches_reference(seed):
         assert alpha(h, p) == alpha_reference(h, p.blocks)
 
 
+def block_of_alpha(h, p):
+    """alpha with each user's block found by Partition.block_of, a scan over
+    the blocks: the form alpha had before it built one user -> block dict."""
+    touches = [
+        len({p.block_of(u) for u in e.subset}) for e in h.edges if e.subset != h.users()
+    ]
+    worst = max(touches, default=0)
+    return Fraction(worst - 1, len(p) - 1) if worst else Fraction(0)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_alpha_matches_the_block_of_form_on_random_partitions(seed):
+    rng = random.Random(700 + seed)
+    m = rng.randrange(2, 40)
+    h = random_hypergraphical(rng, m, rng.randrange(0, 30))
+    for _ in range(20):
+        labels = [rng.randrange(rng.randrange(2, m + 1)) for _ in range(m)]
+        if len(set(labels)) < 2:
+            continue
+        p = Partition(m, [[u for u in range(1, m + 1) if labels[u - 1] == b] for b in set(labels)])
+        assert alpha(h, p) == block_of_alpha(h, p)
+
+
+def test_alpha_on_4000_users_with_4000_pair_edges():
+    """One dict per call, not one block scan per user and edge: the block_of
+    form took about a second on this model."""
+    m = 4000
+    edges = tuple(Edge.uniform(f"e{u}", {u, u % m + 1}, 2) for u in range(1, m + 1))
+    h = HypergraphicalSource(m, edges)
+    assert alpha(h, singleton_partition(m)) == Fraction(1, m - 1)
+    halves = Partition(m, [range(1, m // 2 + 1), range(m // 2 + 1, m + 1)])
+    assert alpha(h, halves) == Fraction(1)
+
+
 @pytest.mark.parametrize("seed", range(15))
 def test_alpha_singleton_cap(seed):
     rng = random.Random(500 + seed)

@@ -113,8 +113,8 @@ def test_expand_two_private_bits_are_independent():
     h = HypergraphicalSource(2, (Edge.uniform("e1", {1}, 2), Edge.uniform("e2", {2}, 2)))
     d = expand_hypergraphical(h)
     assert len(d.support()) == 4
-    h1 = shannon_bits(d.marginal({1}).values())
-    h2 = shannon_bits(d.marginal({2}).values())
+    h1 = shannon_bits(d.marginal({1}).values(), d.total)
+    h2 = shannon_bits(d.marginal({2}).values(), d.total)
     h12 = shannon_bits(d.pmf.values())
     assert h1 == pytest.approx(1.0, abs=1e-12)
     assert h2 == pytest.approx(1.0, abs=1e-12)
@@ -127,9 +127,9 @@ def test_expand_pairwise_xor(pairwise_xor_source):
     for key in d.support():
         assert key[2] == key[0] ^ key[1]
     for i, j in ((1, 2), (1, 3), (2, 3)):
-        hi = shannon_bits(d.marginal({i}).values())
-        hj = shannon_bits(d.marginal({j}).values())
-        hij = shannon_bits(d.marginal({i, j}).values())
+        hi = shannon_bits(d.marginal({i}).values(), d.total)
+        hj = shannon_bits(d.marginal({j}).values(), d.total)
+        hij = shannon_bits(d.marginal({i, j}).values(), d.total)
         assert hi + hj - hij == pytest.approx(0.0, abs=1e-12)
     assert shannon_bits(d.pmf.values()) == pytest.approx(2.0, abs=1e-12)
 
@@ -144,8 +144,8 @@ def test_expand_zero_column_observations():
 
 def test_expand_overlap_pair_entropies(overlap_pair_source):
     d = expand_finite_linear(overlap_pair_source)
-    assert shannon_bits(d.marginal({1}).values()) == pytest.approx(2.0, abs=1e-12)
-    assert shannon_bits(d.marginal({2}).values()) == pytest.approx(2.0, abs=1e-12)
+    assert shannon_bits(d.marginal({1}).values(), d.total) == pytest.approx(2.0, abs=1e-12)
+    assert shannon_bits(d.marginal({2}).values(), d.total) == pytest.approx(2.0, abs=1e-12)
     assert shannon_bits(d.pmf.values()) == pytest.approx(3.0, abs=1e-12)
 
 
@@ -370,7 +370,7 @@ def test_profile_values_are_the_subset_formulas_bit_for_bit(seed):
     d = random_discrete(rng, rng.randrange(2, 5))
     prof = entropy_profile(d)
     for sub in subsets_of(d.user_count):
-        assert prof.of(sub) == shannon_bits(d.marginal(sub).values())
+        assert prof.of(sub) == shannon_bits(d.marginal(sub).values(), d.total)
 
 
 @pytest.mark.parametrize("seed", range(12))
