@@ -63,12 +63,6 @@ class Partition:
     def __len__(self) -> int:
         return len(self.blocks)
 
-    def block_of(self, user: int) -> int:
-        for i, block in enumerate(self.blocks):
-            if user in block:
-                return i
-        raise PartitionInvalid(f"user {user} not in partition")
-
 
 def singleton_partition(user_count: int) -> Partition:
     return Partition(user_count, [[u] for u in range(1, user_count + 1)])

@@ -1,26 +1,35 @@
 """Exact dense linear algebra over prime fields GF(q).
 
-Matrices are immutable, stored row-major with plain Python integers reduced
-mod q, so all arithmetic is exact regardless of field size (q is capped at
-2**31 only to keep single products cheap).  Subspaces are handled through
-their spanning column sets; every routine that returns a basis returns the
-canonical one, the RREF basis of the span read as columns, so span-equal
-inputs produce identical output matrices and golden tests stay stable.
+A matrix is immutable: a row-major tuple of Python ints reduced into
+[0, q), so all arithmetic is exact regardless of field size (q is capped at
+2**31 only to keep single products cheap).  Entries are validated once, where
+they come from outside: the public constructor, ``from_rows`` and
+``from_cols`` check the field, the shape and that every entry is an int.
+Every matrix this module builds from entries it has already reduced goes
+through ``FiniteMatrix._of``, which checks nothing.
 
-Intended for the small dimensions that arise in source models (tens, not
-thousands); no attempt is made at sparse or blocked elimination.
+Gauss-Jordan elimination over GF(2) packs each row into one int, column 0
+the most significant bit, so clearing a column from a row is one XOR
+(M4RI's bit-packing: Albrecht, Bard and Hart, "Algorithm 898", ACM TOMS
+37(1), 2010); ``row_space_keys`` walks GF(2) row spaces the same way.
+Odd q keeps one list per row.  Subspaces are handled through their spanning
+column sets; every routine that returns a basis returns the canonical one,
+the RREF basis of the span read as columns, so span-equal inputs produce
+identical output matrices and golden tests stay stable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add
+from itertools import accumulate, chain
+from operator import xor
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ModelError, SubspaceNotContained
 
 MAX_FIELD_ORDER = 2**31
+_CHUNK = 1024  # most points row_space_keys holds at once
 
 
 def _is_prime(n: int) -> bool:
@@ -71,7 +80,17 @@ class FiniteMatrix:
                 f"expected {self.rows * self.cols} entries for a "
                 f"{self.rows}x{self.cols} matrix, got {len(self.entries)}"
             )
-        object.__setattr__(self, "entries", tuple(int(e) % self.q for e in self.entries))
+        for e in self.entries:
+            if not isinstance(e, int) or isinstance(e, bool):
+                raise ModelError(f"matrix entries must be integers, got {e!r}")
+        object.__setattr__(self, "entries", tuple(e % self.q for e in self.entries))
+
+    @classmethod
+    def _of(cls, q: FieldOrder, rows: int, cols: int, entries: tuple[int, ...]) -> "FiniteMatrix":
+        """A rows x cols matrix from entries already reduced mod q: no checks."""
+        m = object.__new__(cls)
+        m.__dict__.update(q=q, rows=rows, cols=cols, entries=entries)
+        return m
 
     @classmethod
     def from_rows(cls, q, rows: Sequence[Sequence[int]], cols: int | None = None) -> "FiniteMatrix":
@@ -93,14 +112,6 @@ class FiniteMatrix:
         flat = tuple(cols[j][i] for i in range(rows) for j in range(len(cols)))
         return cls(FieldOrder(q), rows, len(cols), flat)
 
-    @classmethod
-    def identity(cls, q, n: int) -> "FiniteMatrix":
-        return cls(FieldOrder(q), n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-    @classmethod
-    def zeros(cls, q, rows: int, cols: int) -> "FiniteMatrix":
-        return cls(FieldOrder(q), rows, cols, (0,) * (rows * cols))
-
     def at(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
 
@@ -108,13 +119,14 @@ class FiniteMatrix:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def col(self, j: int) -> tuple[int, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return self.entries[j :: self.cols]
 
     def row_list(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> "FiniteMatrix":
-        return FiniteMatrix.from_cols(self.q, self.row_list(), rows=self.cols)
+        cols = chain.from_iterable(self.col(j) for j in range(self.cols))
+        return FiniteMatrix._of(self.q, self.cols, self.rows, tuple(cols))
 
     def __str__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
@@ -201,10 +213,8 @@ def hstack(*mats: FiniteMatrix) -> FiniteMatrix:
     first = mats[0]
     if any(m.rows != first.rows or m.q != first.q for m in mats):
         raise ValueError("hstack requires equal row counts and a common field")
-    cols: list[tuple[int, ...]] = []
-    for m in mats:
-        cols.extend(m.col(j) for j in range(m.cols))
-    return FiniteMatrix.from_cols(first.q, cols, rows=first.rows)
+    rows = chain.from_iterable(m.row(i) for i in range(first.rows) for m in mats)
+    return FiniteMatrix._of(first.q, first.rows, sum(m.cols for m in mats), tuple(rows))
 
 
 def columns_subset(m: FiniteMatrix, indices: Iterable[int]) -> FiniteMatrix:
@@ -212,34 +222,74 @@ def columns_subset(m: FiniteMatrix, indices: Iterable[int]) -> FiniteMatrix:
     return FiniteMatrix.from_cols(m.q, [m.col(j) for j in indices], rows=m.rows)
 
 
+# bytes holding one 0/1 value each <-> the ASCII digits int(..., 2) reads
+_BITS = bytes.maketrans(b"\x00\x01", b"01")
+_UNBITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _pack2(m: FiniteMatrix) -> list[int]:
+    """The rows of a GF(2) matrix as ints, column 0 the most significant bit."""
+    c = m.cols
+    if not c:
+        return [0] * m.rows
+    bits = bytes(m.entries).translate(_BITS)
+    return [int(bits[i : i + c], 2) for i in range(0, len(bits), c)]
+
+
 def rref(m: FiniteMatrix) -> tuple[FiniteMatrix, tuple[int, ...]]:
     """Reduced row echelon form via Gauss-Jordan elimination mod q.
+
+    Over GF(2) the rows are packed into ints (``_pack2``) and a row is
+    cleared by one XOR; the result is unpacked once at the end.
 
     Returns:
         (R, pivot_cols): R is the RREF of m (same shape, row space
         preserved) and pivot_cols lists the pivot column indices in
         increasing order; their count is the rank.
     """
-    q = m.q
-    work = m.row_list()
+    if not m.rows or not m.cols:
+        return m, ()
+    q, n, c = m.q, m.rows, m.cols
     pivots: list[int] = []
     pr = 0
-    for col in range(m.cols):
-        sel = next((r for r in range(pr, m.rows) if work[r][col]), None)
-        if sel is None:
+    if q == 2:
+        rows = _pack2(m)
+        for col in range(c):
+            bit = 1 << (c - 1 - col)
+            for sel in range(pr, n):
+                if rows[sel] & bit:
+                    break
+            else:
+                continue
+            pivot = rows[sel]
+            rows[sel] = rows[pr]
+            rows = [r ^ pivot if r & bit else r for r in rows]
+            rows[pr] = pivot
+            pivots.append(col)
+            pr += 1
+            if pr == n:
+                break
+        bits = "".join(format(r, f"0{c}b") for r in rows).encode().translate(_UNBITS)
+        return FiniteMatrix._of(q, n, c, tuple(bits)), tuple(pivots)
+    work = m.row_list()
+    for col in range(c):
+        for sel in range(pr, n):
+            if work[sel][col]:
+                break
+        else:
             continue
         work[pr], work[sel] = work[sel], work[pr]
         inv = pow(work[pr][col], -1, q)
         work[pr] = [(x * inv) % q for x in work[pr]]
-        for r in range(m.rows):
+        for r in range(n):
             if r != pr and work[r][col]:
                 f = work[r][col]
                 work[r] = [(a - f * b) % q for a, b in zip(work[r], work[pr])]
         pivots.append(col)
         pr += 1
-        if pr == m.rows:
+        if pr == n:
             break
-    return FiniteMatrix.from_rows(q, work, cols=m.cols), tuple(pivots)
+    return FiniteMatrix._of(q, n, c, tuple(chain.from_iterable(work))), tuple(pivots)
 
 
 def row_space_basis(m: FiniteMatrix) -> FiniteMatrix:
@@ -248,47 +298,62 @@ def row_space_basis(m: FiniteMatrix) -> FiniteMatrix:
     Its row count is the rank of m.
     """
     reduced, pivots = rref(m)
-    return FiniteMatrix(m.q, len(pivots), m.cols, reduced.entries[: len(pivots) * m.cols])
+    return FiniteMatrix._of(m.q, len(pivots), m.cols, reduced.entries[: len(pivots) * m.cols])
 
 
-def row_space(basis: FiniteMatrix) -> Iterator[tuple[int, ...]]:
-    """Stream every GF(q) combination of the rows of basis, each exactly once.
+def row_space_keys(basis: FiniteMatrix, widths: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Stream every GF(q) combination of the rows of basis, each exactly once,
+    as a tuple of keys.
 
     With linearly independent rows (as from row_space_basis) these are the
     q**rows distinct points of the row space; zero rows yield the single
-    zero vector.  The walk is an odometer over the coefficients with the
-    first row's turning fastest.  Stepping a coefficient adds its row once,
-    and a wrap from q-1 back to 0 adds the q-th copy, which is zero mod q,
-    so a point costs one vector addition plus amortized carries.  Nothing
-    is materialized.
+    zero vector.  The order is an odometer over the coefficients with the
+    first row's turning fastest.  Each point is cut into consecutive slices
+    of the given widths (at least one, summing to basis.cols), and each
+    slice is read as a base-q integer, most significant digit first.
+
+    The walk runs in chunks of the q**low points (at most _CHUNK) spanned by
+    the first low rows, one chunk per combination of the other rows.  Over
+    GF(2) a point is one int with column 0 as its most significant bit, so
+    a point is one XOR and a key a shift and a mask.  Over odd q, cols_mat
+    computes a chunk a column at a time and the keys are read off those
+    columns.
     """
-    q = int(basis.q)
-    reduce = q.__rmod__
-
-    def plus(u, v):
-        return tuple(map(reduce, map(add, u, v)))
-
-    rows = [basis.row(i) for i in range(basis.rows)]
-    start = (0,) * basis.cols
-    if not rows:
-        yield start
+    if not widths or sum(widths) != basis.cols:
+        raise ValueError(f"widths {list(widths)} do not cover {basis.cols} columns")
+    q, r = int(basis.q), basis.rows
+    low = r
+    while q**low > _CHUNK:
+        low -= 1
+    ends = list(accumulate(widths))
+    if q == 2:
+        cuts = [(basis.cols - end, (1 << w) - 1) for end, w in zip(ends, widths)]
+        rows = _pack2(basis)
+        chunk = [0]
+        for row in rows[:low]:
+            chunk += [p ^ row for p in chunk]
+        # combination h of the other rows differs from h - 1 in the rows of
+        # h's lowest set bit and below: flip their XOR, carry[t]
+        carry = list(accumulate(rows[low:], xor))
+        start = 0
+        for h in range(1 << len(carry)):
+            if h:
+                start ^= carry[(h & -h).bit_length() - 1]
+            for p in chunk:
+                p ^= start
+                yield tuple([(p >> shift) & mask for shift, mask in cuts])
         return
-    first, rest = rows[0], rows[1:]
-    digits = [0] * len(rest)
-    while True:
-        point = start
-        yield point
-        for _ in range(q - 1):
-            point = plus(point, first)
-            yield point
-        for k, row in enumerate(rest):
-            start = plus(start, row)
-            if digits[k] < q - 1:
-                digits[k] += 1
-                break
-            digits[k] = 0
-        else:
-            return
+    size = q**low
+    digits = [[d for d in range(q) for _ in range(q**k)] * q ** (low - 1 - k) for k in range(low)]
+    for h in range(q ** (r - low)):
+        cols = cols_mat(digits + [[h // q**k % q] * size for k in range(r - low)], basis, size)
+        keys = []
+        for end, w in zip(ends, widths):
+            key = [0] * size
+            for col in cols[end - w : end]:
+                key = [a * q + b for a, b in zip(key, col)]
+            keys.append(key)
+        yield from zip(*keys)
 
 
 def rank(m: FiniteMatrix) -> int:
@@ -302,8 +367,7 @@ def column_space_basis(m: FiniteMatrix) -> FiniteMatrix:
     The canonical form is the RREF of the transpose read back as columns,
     so any two matrices with equal column spans map to the same output.
     """
-    reduced, pivots = rref(m.transpose())
-    return FiniteMatrix.from_cols(m.q, [reduced.row(i) for i in range(len(pivots))], rows=m.rows)
+    return row_space_basis(m.transpose()).transpose()
 
 
 def column_space_intersection(a: FiniteMatrix, b: FiniteMatrix) -> FiniteMatrix:
@@ -328,9 +392,9 @@ def column_space_intersection(a: FiniteMatrix, b: FiniteMatrix) -> FiniteMatrix:
         raise ValueError(f"row-count mismatch: {a.rows} vs {b.rows}")
     n = a.rows
     block = [a.col(j) * 2 for j in range(a.cols)] + [b.col(j) + (0,) * n for j in range(b.cols)]
-    reduced, pivots = rref(FiniteMatrix.from_rows(a.q, block, cols=2 * n))
+    reduced, pivots = rref(FiniteMatrix._of(a.q, len(block), 2 * n, tuple(chain.from_iterable(block))))
     meet = [reduced.row(i)[n:] for i, p in enumerate(pivots) if p >= n]
-    return FiniteMatrix.from_cols(a.q, meet, rows=n)
+    return FiniteMatrix._of(a.q, len(meet), n, tuple(chain.from_iterable(meet))).transpose()
 
 
 def intersect_all(mats: Sequence[FiniteMatrix]) -> FiniteMatrix:
@@ -397,8 +461,7 @@ def solve(a: FiniteMatrix, b: FiniteMatrix) -> FiniteMatrix:
     reduced, pivots = rref(hstack(a, b))
     if any(p >= a.cols for p in pivots):
         raise SubspaceNotContained("right-hand side is not in the column space")
-    out = [[0] * b.cols for _ in range(a.cols)]
+    out = [(0,) * b.cols] * a.cols
     for r, p in enumerate(pivots):
-        for j in range(b.cols):
-            out[p][j] = reduced.at(r, a.cols + j)
-    return FiniteMatrix.from_rows(a.q, out, cols=b.cols)
+        out[p] = reduced.row(r)[a.cols :]
+    return FiniteMatrix._of(a.q, a.cols, b.cols, tuple(chain.from_iterable(out)))

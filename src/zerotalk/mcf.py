@@ -19,11 +19,12 @@ against.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import ClassVar, Union
 
 from .errors import ModelError, SubspaceNotContained, WitnessInvalid
-from .gf import FiniteMatrix, cols_mat, hstack, intersect_all, row_space, row_space_basis, solve
+from .gf import FiniteMatrix, cols_mat, hstack, intersect_all, row_space_basis, row_space_keys, solve
 # Unused here; perfbench's test_instrument_patches_every_namespace_and_restores_it
 # reads mcf.vec_mat.
 from .gf import vec_mat  # noqa: F401
@@ -158,11 +159,8 @@ class SubspaceWitness(CommonFunctionWitness):
         joint = row_space_basis(hstack(*s.matrices, basis))
         total = int(s.q) ** joint.rows
         check_budget("witness check", total, "points")
-        first = joint.cols - basis.cols
-        counts: dict = {}
-        for point in row_space(joint):
-            label = point[first:]
-            counts[label] = counts.get(label, 0) + 1
+        walk = row_space_keys(joint, (joint.cols - basis.cols, basis.cols))
+        counts = Counter(label for _, label in walk)
         return shannon_bits(counts.values(), total)
 
     def key_map(self, s: Source) -> tuple:

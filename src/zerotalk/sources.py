@@ -304,13 +304,12 @@ class DiscreteSource:
 
     @classmethod
     def _from_weights(cls, alphabet_sizes, weights: dict, total: int) -> "DiscreteSource":
-        """A source from weights already in ``pmf_weights`` form, checked as
-        the constructor checks a pmf."""
-        sizes = tuple(alphabet_sizes)
-        cleaned = _realizations(sizes, weights)
-        _check_sum(tuple(cleaned.values()), total, "joint pmf")
+        """A source from the positive weights, in ``pmf_weights`` form, of
+        realizations that the caller built inside the alphabets: the keys are
+        sorted as the constructor sorts them but not checked again."""
+        _check_sum(tuple(weights.values()), total, "joint pmf")
         d = cls.__new__(cls)
-        d._store(sizes, cleaned, total)
+        d._store(tuple(alphabet_sizes), dict(sorted(weights.items())), total)
         return d
 
     def _store(self, sizes: tuple[int, ...], weights: dict, total: int) -> None:
@@ -464,8 +463,9 @@ def expand_finite_linear(f: FiniteLinearSource) -> DiscreteSource:
     for uniform x it is uniform on the row space of A: q**r points of weight
     1 over a total of q**r, r being the rank of A.  The walk streams that
     row space from one RREF of A instead of walking all q**dim hidden
-    vectors; user i's symbol encodes its slice of the point in base q.  The
-    support and the exact masses are those of the q**dim walk.
+    vectors; user i's symbol is its slice of the point read in base q
+    (``gf.row_space_keys``).  The support and the exact masses are those of
+    the q**dim walk.
 
     Raises:
         ExpansionTooLarge: if the q**r support points exceed the
@@ -475,17 +475,9 @@ def expand_finite_linear(f: FiniteLinearSource) -> DiscreteSource:
     basis = gf.row_space_basis(gf.hstack(*f.matrices))
     total = q**basis.rows
     check_budget("linear expansion", total, "support points")
-    alphabets = tuple(q**m.cols for m in f.matrices)
-    slices = []
-    end = 0
-    for m in f.matrices:
-        slices.append((end, end + m.cols, [q] * m.cols))
-        end += m.cols
-    weights = {
-        tuple(_encode(point[lo:hi], radix) for lo, hi, radix in slices): 1
-        for point in gf.row_space(basis)
-    }
-    return DiscreteSource._from_weights(alphabets, weights, total)
+    widths = [m.cols for m in f.matrices]
+    weights = dict.fromkeys(gf.row_space_keys(basis, widths), 1)
+    return DiscreteSource._from_weights(tuple(q**w for w in widths), weights, total)
 
 
 def to_discrete(s: AnySource) -> DiscreteSource:

@@ -7,15 +7,16 @@ import math
 import random
 from fractions import Fraction
 from itertools import product
+from operator import add
+from typing import Iterator
 
-from zerotalk.bounds import LaminationBound, all_partitions, alpha, lamination_bound
-from zerotalk.errors import ModelError, SubspaceNotContained
+from zerotalk.bounds import LaminationBound, Partition, all_partitions, alpha, lamination_bound
+from zerotalk.errors import ModelError, PartitionInvalid, SubspaceNotContained
 from zerotalk.gf import (
     FiniteMatrix,
     columns_subset,
     hstack,
     rank,
-    row_space,
     row_space_basis,
     solve,
     vec_mat,
@@ -30,6 +31,22 @@ from zerotalk.sources import (
     shannon_bits,
     to_discrete,
 )
+
+
+def identity(q, n: int) -> FiniteMatrix:
+    return FiniteMatrix(q, n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+
+
+def zeros(q, rows: int, cols: int) -> FiniteMatrix:
+    return FiniteMatrix(q, rows, cols, (0,) * (rows * cols))
+
+
+def block_of(p: Partition, user: int) -> int:
+    """Index of the block of p holding user, by a scan over the blocks."""
+    for i, block in enumerate(p.blocks):
+        if user in block:
+            return i
+    raise PartitionInvalid(f"user {user} not in partition")
 
 
 def random_hypergraphical(rng: random.Random, users: int, edge_count: int) -> HypergraphicalSource:
@@ -97,6 +114,120 @@ def partition_of(labeling):
 
 
 # --- reference algorithms kept from the greedy and q**dim implementations ---
+
+
+def row_space(basis: FiniteMatrix) -> Iterator[tuple[int, ...]]:
+    """Stream every GF(q) combination of the rows of basis, each exactly once.
+
+    With linearly independent rows (as from row_space_basis) these are the
+    q**rows distinct points of the row space; zero rows yield the single
+    zero vector.  The walk is an odometer over the coefficients with the
+    first row's turning fastest.  Stepping a coefficient adds its row once,
+    and a wrap from q-1 back to 0 adds the q-th copy, which is zero mod q,
+    so a point costs one vector addition plus amortized carries.  Nothing
+    is materialized.  The reference walk for gf.row_space_keys.
+    """
+    q = int(basis.q)
+    reduce = q.__rmod__
+
+    def plus(u, v):
+        return tuple(map(reduce, map(add, u, v)))
+
+    rows = [basis.row(i) for i in range(basis.rows)]
+    start = (0,) * basis.cols
+    if not rows:
+        yield start
+        return
+    first, rest = rows[0], rows[1:]
+    digits = [0] * len(rest)
+    while True:
+        point = start
+        yield point
+        for _ in range(q - 1):
+            point = plus(point, first)
+            yield point
+        for k, row in enumerate(rest):
+            start = plus(start, row)
+            if digits[k] < q - 1:
+                digits[k] += 1
+                break
+            digits[k] = 0
+        else:
+            return
+
+
+def reference_row_space_keys(basis: FiniteMatrix, widths) -> list:
+    """row_space cut into slices of the given widths, each encoded digit by
+    digit in base q."""
+    q = int(basis.q)
+    bounds = [(sum(widths[:i]), sum(widths[: i + 1])) for i in range(len(widths))]
+    return [
+        tuple(_digits(point[lo:hi], [q] * (hi - lo)) for lo, hi in bounds)
+        for point in row_space(basis)
+    ]
+
+
+# --- the list-row elimination and the validating builds gf used before the
+# --- GF(2) int rows and FiniteMatrix._of
+
+
+def list_rref(m: FiniteMatrix) -> tuple[FiniteMatrix, tuple[int, ...]]:
+    """Gauss-Jordan on list rows for every q, the result built by from_rows."""
+    q = m.q
+    work = m.row_list()
+    pivots: list[int] = []
+    pr = 0
+    for col in range(m.cols):
+        sel = next((r for r in range(pr, m.rows) if work[r][col]), None)
+        if sel is None:
+            continue
+        work[pr], work[sel] = work[sel], work[pr]
+        inv = pow(work[pr][col], -1, q)
+        work[pr] = [(x * inv) % q for x in work[pr]]
+        for r in range(m.rows):
+            if r != pr and work[r][col]:
+                f = work[r][col]
+                work[r] = [(a - f * b) % q for a, b in zip(work[r], work[pr])]
+        pivots.append(col)
+        pr += 1
+        if pr == m.rows:
+            break
+    return FiniteMatrix.from_rows(q, work, cols=m.cols), tuple(pivots)
+
+
+def reference_transpose(m: FiniteMatrix) -> FiniteMatrix:
+    return FiniteMatrix.from_cols(m.q, m.row_list(), rows=m.cols)
+
+
+def reference_hstack(*mats: FiniteMatrix) -> FiniteMatrix:
+    cols = [tuple(m.at(i, j) for i in range(m.rows)) for m in mats for j in range(m.cols)]
+    return FiniteMatrix.from_cols(mats[0].q, cols, rows=mats[0].rows)
+
+
+def reference_column_space_basis(m: FiniteMatrix) -> FiniteMatrix:
+    reduced, pivots = list_rref(reference_transpose(m))
+    return FiniteMatrix.from_cols(m.q, [reduced.row(i) for i in range(len(pivots))], rows=m.rows)
+
+
+def reference_intersection(a: FiniteMatrix, b: FiniteMatrix) -> FiniteMatrix:
+    """Zassenhaus on [a_j | a_j] and [b_j | 0], as column_space_intersection."""
+    n = a.rows
+    at, bt = reference_transpose(a), reference_transpose(b)
+    block = [at.row(j) * 2 for j in range(a.cols)] + [bt.row(j) + (0,) * n for j in range(b.cols)]
+    reduced, pivots = list_rref(FiniteMatrix.from_rows(a.q, block, cols=2 * n))
+    meet = [reduced.row(i)[n:] for i, p in enumerate(pivots) if p >= n]
+    return FiniteMatrix.from_cols(a.q, meet, rows=n)
+
+
+def reference_solve(a: FiniteMatrix, b: FiniteMatrix) -> FiniteMatrix:
+    reduced, pivots = list_rref(reference_hstack(a, b))
+    if any(p >= a.cols for p in pivots):
+        raise SubspaceNotContained("right-hand side is not in the column space")
+    out = [[0] * b.cols for _ in range(a.cols)]
+    for r, p in enumerate(pivots):
+        for j in range(b.cols):
+            out[p][j] = reduced.at(r, a.cols + j)
+    return FiniteMatrix.from_rows(a.q, out, cols=b.cols)
 
 
 def greedy_extend_basis(base: FiniteMatrix, target: FiniteMatrix) -> FiniteMatrix:

@@ -24,7 +24,7 @@ from zerotalk.bounds import (
 from zerotalk.errors import ExpansionTooLarge, PartitionInvalid, UnsupportedModel
 from zerotalk.mcf import jgk
 from zerotalk.sources import Edge, HypergraphicalSource, to_discrete
-from helpers import exhaustive_best_partition, random_fls, random_hypergraphical
+from helpers import block_of, exhaustive_best_partition, random_fls, random_hypergraphical
 
 
 def alpha_reference(h, blocks):
@@ -143,10 +143,10 @@ def test_alpha_matches_reference(seed):
 
 
 def block_of_alpha(h, p):
-    """alpha with each user's block found by Partition.block_of, a scan over
+    """alpha with each user's block found by block_of, a scan over
     the blocks: the form alpha had before it built one user -> block dict."""
     touches = [
-        len({p.block_of(u) for u in e.subset}) for e in h.edges if e.subset != h.users()
+        len({block_of(p, u) for u in e.subset}) for e in h.edges if e.subset != h.users()
     ]
     worst = max(touches, default=0)
     return Fraction(worst - 1, len(p) - 1) if worst else Fraction(0)
@@ -321,6 +321,17 @@ def test_best_partition_step_budget(monkeypatch):
     with pytest.raises(ExpansionTooLarge) as info:
         best_partition(g)
     assert str(info.value) == "partition search: 1005 search steps exceed the limit of 1000"
+
+
+def test_partition_search_runs_at_the_cap_and_stops_one_step_past_it(monkeypatch):
+    # the whole search on one global edge over 12 users takes 30695 steps
+    g = HypergraphicalSource(12, (Edge.uniform("g", range(1, 13), 2),))
+    monkeypatch.setenv("ZEROTALK_EXPANSION_LIMIT", "30695")
+    assert best_partition(g).partition == Partition(12, [[1], range(2, 13)])
+    monkeypatch.setenv("ZEROTALK_EXPANSION_LIMIT", "30694")
+    with pytest.raises(ExpansionTooLarge) as info:
+        best_partition(g)
+    assert str(info.value) == "partition search: 30695 search steps exceed the limit of 30694"
 
 
 def test_best_partition_is_never_vacuous():

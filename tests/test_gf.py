@@ -8,6 +8,7 @@ checks.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations, permutations, product
 
 import pytest
@@ -28,14 +29,26 @@ from zerotalk.gf import (
     matmul,
     rank,
     reduce_to_full_column_rank,
-    row_space,
     row_space_basis,
+    row_space_keys,
     rref,
     solve,
     vec_mat,
 )
 
-from helpers import greedy_extend_basis
+from helpers import (
+    greedy_extend_basis,
+    identity,
+    list_rref,
+    reference_column_space_basis,
+    reference_hstack,
+    reference_intersection,
+    reference_row_space_keys,
+    reference_solve,
+    reference_transpose,
+    row_space,
+    zeros,
+)
 
 
 def det_mod(rows: list[list[int]], q: int) -> int:
@@ -108,11 +121,22 @@ def test_matrix_shape_validation():
         FiniteMatrix(2, 2, 2, (1, 0, 1))
 
 
+@pytest.mark.parametrize("bad", [0.5, 1.9, 2.0, "1", True, False, None, Fraction(1)])
+def test_matrix_rejects_entries_that_are_not_ints(bad):
+    for build in (
+        lambda: FiniteMatrix(3, 1, 2, (bad, 2)),
+        lambda: FiniteMatrix.from_rows(3, [[bad, 2]]),
+        lambda: FiniteMatrix.from_cols(3, [[2], [bad]]),
+    ):
+        with pytest.raises(ModelError, match="^matrix entries must be integers, got "):
+            build()
+
+
 # --- rref / rank ---
 
 
 def test_rref_identity_fixed_point():
-    eye = FiniteMatrix.identity(2, 2)
+    eye = identity(2, 2)
     reduced, pivots = rref(eye)
     assert reduced == eye
     assert pivots == (0, 1)
@@ -127,7 +151,7 @@ def test_rref_dependent_third_column():
 
 
 def test_rank_zero_matrix():
-    assert rank(FiniteMatrix.zeros(5, 3, 2)) == 0
+    assert rank(zeros(5, 3, 2)) == 0
 
 
 def test_rank_matches_minor_oracle_gf5():
@@ -167,8 +191,8 @@ def test_row_space_is_every_image_once(m):
 
 
 def test_row_space_of_no_rows_is_the_zero_vector():
-    assert list(row_space(FiniteMatrix.zeros(5, 0, 3))) == [(0, 0, 0)]
-    assert list(row_space(FiniteMatrix.zeros(2, 0, 0))) == [()]
+    assert list(row_space(zeros(5, 0, 3))) == [(0, 0, 0)]
+    assert list(row_space(zeros(2, 0, 0))) == [()]
 
 
 def test_row_space_basis_is_the_nonzero_rref_rows():
@@ -215,11 +239,11 @@ def test_intersection_tolerates_redundant_columns():
 
 
 def test_intersection_of_identical_spaces():
-    eye = FiniteMatrix.identity(3, 3)
+    eye = identity(3, 3)
     meet = column_space_intersection(eye, eye)
     assert contains_span(meet, eye)
     assert contains_span(eye, meet)
-    assert meet == FiniteMatrix.identity(3, 3)
+    assert meet == identity(3, 3)
 
 
 def test_intersection_of_disjoint_lines_is_trivial():
@@ -348,7 +372,7 @@ def test_extend_basis_golden():
 
 
 def test_extend_basis_with_base_equal_target():
-    m = FiniteMatrix.identity(5, 3)
+    m = identity(5, 3)
     assert extend_basis(m, m).cols == 0
 
 
@@ -401,7 +425,7 @@ def test_extend_basis_rejects_outside_vectors():
 def test_extend_basis_requires_independent_base():
     base = FiniteMatrix.from_cols(2, [[1, 0], [1, 0]])
     with pytest.raises(ModelError):
-        extend_basis(base, FiniteMatrix.identity(2, 2))
+        extend_basis(base, identity(2, 2))
 
 
 # --- solve ---
@@ -459,4 +483,96 @@ def test_cols_mat_is_vec_mat_row_by_row(q):
 
 def test_cols_mat_rejects_wrong_column_count():
     with pytest.raises(ValueError):
-        cols_mat([[0, 1]], FiniteMatrix.identity(2, 2), 2)
+        cols_mat([[0, 1]], identity(2, 2), 2)
+
+
+# --- GF(2) int rows and unchecked builds against the list-row references ---
+
+
+def differential_cases(seed: int):
+    """Seeded matrices over GF(2), GF(3) and GF(5): dense, sparse and
+    rank-deficient, empty shapes included."""
+    rng = random.Random(seed)
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (5, 2), (4, 4), (6, 9), (9, 6), (12, 12)]
+    for q in (2, 3, 5):
+        for rows, cols in shapes:
+            yield random_matrix(rng, q, rows, cols)
+            sparse = tuple(rng.randrange(1, q) if rng.random() < 0.2 else 0 for _ in range(rows * cols))
+            yield FiniteMatrix(q, rows, cols, sparse)
+            inner = rng.randrange(0, 3)
+            yield matmul(random_matrix(rng, q, rows, inner), random_matrix(rng, q, inner, cols))
+
+
+def plain(m: FiniteMatrix) -> bool:
+    return type(m.q) is FieldOrder and all(type(e) is int for e in m.entries)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rref_transpose_and_bases_match_the_list_references(seed):
+    for m in differential_cases(900 + seed):
+        reduced, pivots = rref(m)
+        assert (reduced, pivots) == list_rref(m)
+        assert plain(reduced)
+        t = m.transpose()
+        assert t == reference_transpose(m) and plain(t)
+        basis = column_space_basis(m)
+        assert basis == reference_column_space_basis(m) and plain(basis)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_hstack_intersection_and_solve_match_the_list_references(seed):
+    rng = random.Random(950 + seed)
+    cases = list(differential_cases(950 + seed))
+    for a in cases:
+        b = rng.choice([c for c in cases if c.q == a.q and c.rows == a.rows])
+        assert hstack(a, b) == reference_hstack(a, b)
+        meet = column_space_intersection(a, b)
+        assert meet == reference_intersection(a, b)
+        assert plain(meet)
+        for rhs in (b, matmul(a, random_matrix(rng, a.q, a.cols, 2))):
+            try:
+                expected = reference_solve(a, rhs)
+            except SubspaceNotContained:
+                with pytest.raises(SubspaceNotContained):
+                    solve(a, rhs)
+            else:
+                assert solve(a, rhs) == expected
+
+
+def random_widths(rng: random.Random, cols: int) -> list:
+    cuts = sorted(rng.randrange(cols + 1) for _ in range(rng.randrange(1, 4)))
+    return [hi - lo for lo, hi in zip([0] + cuts, cuts + [cols])]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_row_space_keys_is_the_row_space_encoded_digit_by_digit(seed):
+    rng = random.Random(970 + seed)
+    for m in differential_cases(970 + seed):
+        basis = row_space_basis(m)
+        if int(m.q) ** basis.rows > 5000:
+            continue
+        widths = random_widths(rng, m.cols)
+        assert list(row_space_keys(basis, widths)) == reference_row_space_keys(basis, widths)
+
+
+@pytest.mark.parametrize("q, rows", [(2, 12), (3, 7), (7, 4), (131, 2), (2053, 1)])
+def test_row_space_keys_past_one_chunk(q, rows):
+    # more points than one chunk of the walk holds, and q past the byte
+    # packing of cols_mat (131) and past one chunk (2053)
+    rng = random.Random(q)
+    basis = FiniteMatrix.from_rows(  # in RREF: [I | random]
+        q, [[int(i == j) for j in range(rows)] + [rng.randrange(q) for _ in range(3)] for i in range(rows)]
+    )
+    widths = [2, rows - 1, 1, 1]
+    assert list(row_space_keys(basis, widths)) == reference_row_space_keys(basis, widths)
+
+
+def test_row_space_keys_of_no_rows_is_the_zero_point():
+    assert list(row_space_keys(zeros(5, 0, 3), [1, 2])) == [(0, 0)]
+    assert list(row_space_keys(zeros(2, 0, 0), [0, 0])) == [(0, 0)]
+
+
+def test_row_space_keys_widths_must_cover_the_columns():
+    for widths in ([], [1, 1], [2, 2]):
+        with pytest.raises(ValueError):
+            list(row_space_keys(identity(3, 3), widths))

@@ -35,6 +35,7 @@ from zerotalk.sources import (
 from helpers import (
     bfs_components,
     hidden_walk_witness_bits,
+    identity,
     partition_of,
     random_fls,
     random_hypergraphical,
@@ -185,11 +186,11 @@ def test_subspace_witness_bits_match_hidden_walk(q, seed):
 def test_subspace_witness_check_respects_limit(monkeypatch):
     import zerotalk.mcf as mcf_module
 
-    def no_walk(basis):
+    def no_walk(basis, widths):
         raise AssertionError("the walk started before the limit check")
 
-    monkeypatch.setattr(mcf_module, "row_space", no_walk)
-    eye = FiniteMatrix.identity(2, 16)
+    monkeypatch.setattr(mcf_module, "row_space_keys", no_walk)
+    eye = identity(2, 16)
     f = FiniteLinearSource(2, 16, (eye, eye))  # full rank: 2**16 points to walk
     w = gk_finite_linear(f)
     monkeypatch.setenv("ZEROTALK_EXPANSION_LIMIT", "1000")
@@ -228,7 +229,7 @@ def test_witness_check_rejects_wrong_family(shared_bit_source, overlap_pair_sour
     with pytest.raises(WitnessInvalid):
         evaluate_witness(overlap_pair_source, EdgeSubsetWitness(("c",), 1.0))
     with pytest.raises(WitnessInvalid):
-        evaluate_witness(shared_bit_source, SubspaceWitness(FiniteMatrix.identity(2, 3), 1.0))
+        evaluate_witness(shared_bit_source, SubspaceWitness(identity(2, 3), 1.0))
 
 
 def test_witness_check_rejects_partial_labeling():

@@ -27,6 +27,7 @@ from zerotalk.sources import (
     to_discrete,
 )
 from helpers import (
+    identity,
     random_discrete,
     random_fls,
     random_hypergraphical,
@@ -197,13 +198,13 @@ def test_extractor_rejects_repeated_edge(shared_bit_source):
 
 def test_extractor_rejects_uncomputable_subspace(pairwise_xor_source):
     # the full hidden vector is not computable from any single observation
-    w = SubspaceWitness(FiniteMatrix.identity(2, 2), 2.0)
+    w = SubspaceWitness(identity(2, 2), 2.0)
     with pytest.raises(WitnessInvalid):
         build_extractor(pairwise_xor_source, w)
 
 
 def test_extractor_rejects_wrong_field_subspace(overlap_pair_source):
-    w = SubspaceWitness(FiniteMatrix.identity(3, 3), 1.0)
+    w = SubspaceWitness(identity(3, 3), 1.0)
     with pytest.raises(WitnessInvalid):
         build_extractor(overlap_pair_source, w)
 

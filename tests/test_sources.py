@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from zerotalk.errors import ExpansionTooLarge, ModelError, NotTwoUsers
 from zerotalk.gf import FiniteMatrix, rank, hstack, matmul
+from zerotalk.mcf import evaluate_witness, gk_finite_linear
 from zerotalk.sources import (
     DiscreteSource,
     Edge,
@@ -30,6 +31,7 @@ from zerotalk.sources import (
 
 from helpers import (
     hidden_walk_expansion,
+    identity,
     pairwise_profile_ok,
     random_discrete,
     random_hypergraphical,
@@ -76,7 +78,7 @@ def test_hypergraphical_rejects_duplicate_edge_names():
 
 def test_fls_rejects_row_count_mismatch():
     with pytest.raises(ModelError):
-        FiniteLinearSource(2, 3, (FiniteMatrix.identity(2, 2), FiniteMatrix.identity(2, 3)))
+        FiniteLinearSource(2, 3, (identity(2, 2), identity(2, 3)))
 
 
 def test_discrete_drops_zero_mass_and_sorts_support():
@@ -154,7 +156,7 @@ def test_expansion_limit_enforced(shared_bit_source, monkeypatch):
     with pytest.raises(ExpansionTooLarge):
         expand_hypergraphical(shared_bit_source)
     with pytest.raises(ExpansionTooLarge):
-        expand_finite_linear(FiniteLinearSource(2, 3, (FiniteMatrix.identity(2, 3),) * 2))
+        expand_finite_linear(FiniteLinearSource(2, 3, (identity(2, 3),) * 2))
 
 
 def random_stacked_fls(rng: random.Random, q: int) -> FiniteLinearSource:
@@ -215,6 +217,13 @@ def test_to_discrete_passthrough_checks_support_cap(monkeypatch):
         to_discrete(d)
 
 
+# GF(2)^6 seen through columns e1, e2, e3 and e3, e4, e1 + e4: the stack
+# has rank 4, so 16 support points, and the two spans meet in span(e1, e3)
+RANK_4_OF_6 = FiniteLinearSource(2, 6, (
+    FiniteMatrix.from_cols(2, [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]]),
+    FiniteMatrix.from_cols(2, [[0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0], [1, 0, 0, 1, 0, 0]]),
+))
+
 BUDGETED_STAGES = {
     "hypergraphical expansion": (
         lambda: expand_hypergraphical(
@@ -223,7 +232,7 @@ BUDGETED_STAGES = {
         "9 edge assignments",
     ),
     "linear expansion": (
-        lambda: expand_finite_linear(FiniteLinearSource(2, 4, (FiniteMatrix.identity(2, 4),) * 2)),
+        lambda: expand_finite_linear(FiniteLinearSource(2, 4, (identity(2, 4),) * 2)),
         "16 support points",
     ),
     "discrete support": (
@@ -235,6 +244,9 @@ BUDGETED_STAGES = {
     "entropy profile": (
         lambda: entropy_profile(HypergraphicalSource(3, ())), "9 elemental inequalities"
     ),
+    "witness check": (
+        lambda: evaluate_witness(RANK_4_OF_6, gk_finite_linear(RANK_4_OF_6)), "16 points"
+    ),
 }
 
 
@@ -245,6 +257,22 @@ def test_budget_error_names_stage_count_and_cap(stage, monkeypatch):
     with pytest.raises(ExpansionTooLarge) as info:
         build()
     assert str(info.value) == f"{stage}: {counted} exceed the limit of 8"
+
+
+@pytest.mark.parametrize("stage", BUDGETED_STAGES)
+def test_budget_at_the_cap_runs(stage, monkeypatch):
+    build, counted = BUDGETED_STAGES[stage]
+    monkeypatch.setenv("ZEROTALK_EXPANSION_LIMIT", counted.split()[0])
+    build()
+
+
+def test_rank_deficient_linear_expansion_is_counted_by_its_rank(monkeypatch):
+    monkeypatch.setenv("ZEROTALK_EXPANSION_LIMIT", "16")
+    assert len(expand_finite_linear(RANK_4_OF_6).weights) == 16
+    monkeypatch.setenv("ZEROTALK_EXPANSION_LIMIT", "15")
+    with pytest.raises(ExpansionTooLarge) as info:
+        expand_finite_linear(RANK_4_OF_6)
+    assert str(info.value) == "linear expansion: 16 support points exceed the limit of 15"
 
 
 def test_profile_budget_is_checked_before_anything_is_built(monkeypatch):
@@ -417,7 +445,7 @@ def test_conversion_golden(overlap_pair_source):
 
 
 def test_conversion_identical_observations():
-    f = FiniteLinearSource(3, 2, (FiniteMatrix.identity(3, 2), FiniteMatrix.identity(3, 2)))
+    f = FiniteLinearSource(3, 2, (identity(3, 2), identity(3, 2)))
     h = fls_to_hypergraphical(f)
     assert len(h.edges) == 1
     (edge,) = h.edges
