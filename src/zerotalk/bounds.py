@@ -19,7 +19,7 @@ from typing import Iterator, Optional, Sequence, Union
 
 from .errors import PartitionInvalid, UnsupportedModel
 from .gf import FiniteMatrix, column_space_intersection
-from .mcf import gk_finite_linear, gk_hypergraphical
+from .mcf import gk_hypergraphical
 from .sources import FiniteLinearSource, HypergraphicalSource, check_budget, expansion_limit
 
 
@@ -226,15 +226,6 @@ def best_partition(h: HypergraphicalSource) -> LaminationBound:
     return lamination_bound(h, Partition(m, best[3]))
 
 
-def _validate_ordering(user_count: int, ordering: Sequence[int]) -> tuple:
-    order = tuple(ordering)
-    if sorted(order) != list(range(1, user_count + 1)):
-        raise PartitionInvalid(
-            f"ordering must be a permutation of 1..{user_count}, got {order}"
-        )
-    return order
-
-
 def chain_bound(
     s: Union[HypergraphicalSource, FiniteLinearSource],
     ordering: Optional[Sequence[int]] = None,
@@ -247,19 +238,21 @@ def chain_bound(
     it is a column space; folding intersects with the user's column space.
     Both collapse to the full common-function entropy, for every ordering.
     """
+    if not isinstance(s, (HypergraphicalSource, FiniteLinearSource)):
+        raise UnsupportedModel(
+            "chain bound needs edge or subspace structure; "
+            "general discrete sources are not supported"
+        )
+    users = list(range(1, s.user_count + 1))
+    order = tuple(ordering or users)
+    if sorted(order) != users:
+        raise PartitionInvalid(f"ordering must be a permutation of 1..{s.user_count}, got {order}")
     if isinstance(s, HypergraphicalSource):
-        order = _validate_ordering(s.user_count, ordering or range(1, s.user_count + 1))
         carried = set(s.incident(order[0]))
         for user in order[1:]:
             carried &= set(s.incident(user))
         return math.fsum(s.edges[k].entropy_bits() for k in carried)
-    if isinstance(s, FiniteLinearSource):
-        order = _validate_ordering(s.user_count, ordering or range(1, s.user_count + 1))
-        carried: FiniteMatrix = s.matrices[order[0] - 1]
-        for user in order[1:]:
-            carried = column_space_intersection(carried, s.matrices[user - 1])
-        return carried.cols * math.log2(int(s.q))
-    raise UnsupportedModel(
-        "chain bound needs edge or subspace structure; "
-        "general discrete sources are not supported"
-    )
+    carried: FiniteMatrix = s.matrices[order[0] - 1]
+    for user in order[1:]:
+        carried = column_space_intersection(carried, s.matrices[user - 1])
+    return carried.cols * math.log2(int(s.q))

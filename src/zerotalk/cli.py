@@ -48,13 +48,7 @@ from .bounds import (
     lamination_bound,
     singleton_partition,
 )
-from .errors import (
-    ExpansionTooLarge,
-    ModelError,
-    ParseError,
-    UnsupportedModel,
-    ZerotalkError,
-)
+from .errors import ExpansionTooLarge, ParseError, UnsupportedModel, ZerotalkError
 from .gf import FiniteMatrix
 from .mcf import common_function, evaluate_witness, gk_oracle
 from .sim import run as run_simulation
@@ -75,6 +69,9 @@ EXIT_PARSE = 2
 EXIT_MODEL = 3
 EXIT_UNSUPPORTED = 4
 EXIT_RESOURCE = 5
+# the exit code of each error family (see errors.py); the nearest class in an error's MRO wins
+_EXIT_CODES = {ParseError: EXIT_PARSE, UnsupportedModel: EXIT_UNSUPPORTED,
+               ExpansionTooLarge: EXIT_RESOURCE, ZerotalkError: EXIT_MODEL}
 
 
 # --- model file parsing ---
@@ -159,10 +156,7 @@ def _parse_finite_linear(doc: dict) -> FiniteLinearSource:
         if len(widths) > 1:
             raise ParseError(f"{where}: ragged rows")
         cols = widths.pop() if widths else 0
-        try:
-            matrices.append(FiniteMatrix.from_rows(q, rows, cols=cols))
-        except ValueError as exc:
-            raise ParseError(f"{where}: {exc}") from exc
+        matrices.append(FiniteMatrix.from_rows(q, rows, cols=cols))
     return FiniteLinearSource(q, dim, tuple(matrices))
 
 
@@ -389,8 +383,11 @@ def cmd_convert(args) -> int:
     h = fls_to_hypergraphical(s)  # NotTwoUsers -> exit 4
     doc = json.dumps(render_hypergraphical(h), indent=2)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(doc + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(doc + "\n")
+        except OSError as exc:
+            raise ParseError(f"cannot write {args.out}: {exc}") from exc
         if not args.json:
             print(f"wrote {args.out}")
     else:
@@ -649,18 +646,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ExpansionTooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except UnsupportedModel as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
     except ZerotalkError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MODEL
+        return next(_EXIT_CODES[c] for c in type(exc).__mro__ if c in _EXIT_CODES)
 
 
 if __name__ == "__main__":

@@ -33,8 +33,7 @@ _CHUNK = 1024  # most points row_space_keys holds at once
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
+    """Primality of an n >= 2 by trial division."""
     if n % 2 == 0:
         return n == 2
     f = 3
@@ -127,10 +126,6 @@ class FiniteMatrix:
     def transpose(self) -> "FiniteMatrix":
         cols = chain.from_iterable(self.col(j) for j in range(self.cols))
         return FiniteMatrix._of(self.q, self.cols, self.rows, tuple(cols))
-
-    def __str__(self) -> str:
-        body = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
-        return f"GF({int(self.q)})[{body}]"
 
 
 def matmul(a: FiniteMatrix, b: FiniteMatrix) -> FiniteMatrix:
@@ -361,23 +356,16 @@ def rank(m: FiniteMatrix) -> int:
     return len(rref(m)[1])
 
 
-def column_space_basis(m: FiniteMatrix) -> FiniteMatrix:
-    """Canonical full-column-rank matrix spanning the column space of m.
-
-    The canonical form is the RREF of the transpose read back as columns,
-    so any two matrices with equal column spans map to the same output.
-    """
-    return row_space_basis(m.transpose()).transpose()
-
-
 def column_space_intersection(a: FiniteMatrix, b: FiniteMatrix) -> FiniteMatrix:
     """Canonical basis of the intersection of two column spaces.
 
     Zassenhaus's algorithm, one RREF: row-reduce the block whose rows are
     [a_j | a_j] for each column a_j of a and [b_j | 0] for each column b_j
-    of b.  The rows whose pivot falls in the right half are [0 | w], and
-    their right halves w are the RREF basis of span(a) & span(b), the same
-    canonical form column_space_basis returns.
+    of b.  The block's row space is {[u + v | u] : u in span(a), v in
+    span(b)}, fixed by the two spans alone, and so is its RREF.  The rows
+    whose pivot falls in the right half are [0 | w], and their right halves
+    w are the RREF basis of span(a) & span(b), read as columns: span-equal
+    inputs give the identical matrix.
 
     Args:
         a, b: matrices with the same row count over the same field.
@@ -395,20 +383,6 @@ def column_space_intersection(a: FiniteMatrix, b: FiniteMatrix) -> FiniteMatrix:
     reduced, pivots = rref(FiniteMatrix._of(a.q, len(block), 2 * n, tuple(chain.from_iterable(block))))
     meet = [reduced.row(i)[n:] for i, p in enumerate(pivots) if p >= n]
     return FiniteMatrix._of(a.q, len(meet), n, tuple(chain.from_iterable(meet))).transpose()
-
-
-def intersect_all(mats: Sequence[FiniteMatrix]) -> FiniteMatrix:
-    """Left fold of the pairwise column-space intersection.
-
-    The result is order-invariant up to the canonical form, which makes it
-    literally order-invariant here.
-    """
-    if not mats:
-        raise ValueError("need at least one matrix to intersect")
-    acc = column_space_basis(mats[0])
-    for m in mats[1:]:
-        acc = column_space_intersection(acc, m)
-    return acc
 
 
 def reduce_to_full_column_rank(m: FiniteMatrix) -> FiniteMatrix:

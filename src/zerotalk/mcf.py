@@ -21,10 +21,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from typing import ClassVar, Union
 
 from .errors import ModelError, SubspaceNotContained, WitnessInvalid
-from .gf import FiniteMatrix, cols_mat, hstack, intersect_all, row_space_basis, row_space_keys, solve
+from .gf import (FiniteMatrix, cols_mat, column_space_intersection, hstack, row_space_basis,
+                 row_space_keys, solve)
 # Unused here; perfbench's test_instrument_patches_every_namespace_and_restores_it
 # reads mcf.vec_mat.
 from .gf import vec_mat  # noqa: F401
@@ -233,11 +235,9 @@ def gk_hypergraphical(h: HypergraphicalSource) -> EdgeSubsetWitness:
     independent of that user's observation.
     """
     everyone = h.users()
-    global_edges = tuple(e.name for e in h.edges if e.subset == everyone)
-    bits = math.fsum(
-        e.entropy_bits() for e in h.edges if e.subset == everyone
-    )
-    return EdgeSubsetWitness(global_edges, bits)
+    global_edges = [e for e in h.edges if e.subset == everyone]
+    bits = math.fsum(e.entropy_bits() for e in global_edges)
+    return EdgeSubsetWitness(tuple(e.name for e in global_edges), bits)
 
 
 def gk_finite_linear(f: FiniteLinearSource) -> SubspaceWitness:
@@ -245,9 +245,10 @@ def gk_finite_linear(f: FiniteLinearSource) -> SubspaceWitness:
 
     The linear functions of the hidden vector that every user can compute are
     exactly those in the intersection of the users' column spaces; the witness
-    is a canonical basis of that intersection.
+    is a canonical basis of that intersection.  A source has at least two
+    users, so the fold's first step already returns the canonical basis.
     """
-    basis = intersect_all(list(f.matrices))
+    basis = reduce(column_space_intersection, f.matrices)
     bits = basis.cols * math.log2(int(f.q))
     return SubspaceWitness(basis, bits)
 

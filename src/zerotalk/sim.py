@@ -29,7 +29,6 @@ from .gf import cols_mat
 from .gf import vec_mat  # noqa: F401
 from .mcf import CommonFunctionWitness, Source, common_function
 from .sources import (
-    DiscreteSource,
     FiniteLinearSource,
     HypergraphicalSource,
     check_budget,
@@ -52,7 +51,6 @@ class KeyExtractor:
     """
 
     source: Source
-    witness: CommonFunctionWitness
     decoders: tuple
     expected_bits: float
     surprise_var: float
@@ -64,7 +62,7 @@ def build_extractor(
 ) -> KeyExtractor:
     w = witness if witness is not None else common_function(s)
     source, decoders, var, count = w.key_map(s)
-    return KeyExtractor(source, w, tuple(decoders), w.entropy_bits, var, count)
+    return KeyExtractor(source, tuple(decoders), w.entropy_bits, var, count)
 
 
 def _cdf(weights, total: int) -> list:
@@ -121,11 +119,9 @@ def _observation_columns(s: Source, rng: random.Random, n: int) -> list:
     if isinstance(s, FiniteLinearSource):
         hidden = [_uniform_column(rng, int(s.q), n) for _ in range(s.dim)]
         return [tuple(cols_mat(hidden, mat, n)) for mat in s.matrices]
-    if isinstance(s, DiscreteSource):
-        support = s.support()
-        draws = rng.choices(support, cum_weights=_cdf(s.weights.values(), s.total), k=n)
-        return [(list(col),) for col in zip(*draws)]
-    raise ModelError(f"unrecognized source type: {type(s).__name__}")
+    # a DiscreteSource: key_map returns one of the three families
+    draws = rng.choices(s.support(), cum_weights=_cdf(s.weights.values(), s.total), k=n)
+    return [(list(col),) for col in zip(*draws)]
 
 
 @dataclass(frozen=True)

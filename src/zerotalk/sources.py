@@ -232,9 +232,6 @@ class FiniteLinearSource:
     def user_count(self) -> int:
         return len(self.matrices)
 
-    def users(self) -> frozenset[int]:
-        return frozenset(range(1, self.user_count + 1))
-
 
 class _PmfView(Mapping):
     """Read-only realization -> probability view of a DiscreteSource.
@@ -325,9 +322,6 @@ class DiscreteSource:
     def user_count(self) -> int:
         return len(self.alphabet_sizes)
 
-    def users(self) -> frozenset[int]:
-        return frozenset(range(1, self.user_count + 1))
-
     def support(self) -> tuple[tuple[int, ...], ...]:
         """Positive-probability realizations, lexicographically sorted."""
         return tuple(self.weights)
@@ -336,8 +330,11 @@ class DiscreteSource:
         """Projection onto the given users (ascending order), as weights over
         ``self.total``."""
         idx = [i - 1 for i in sorted(subset)]
-        # itemgetter of one index returns the bare value, not a 1-tuple
-        project = itemgetter(*idx) if len(idx) > 1 else lambda key: tuple(key[i] for i in idx)
+        if len(idx) == 1:  # itemgetter of one index returns the bare value, not a 1-tuple
+            i = idx[0]
+            project = lambda key: (key[i],)
+        else:
+            project = itemgetter(*idx) if idx else lambda key: ()
         out: dict[tuple[int, ...], Weight] = {}
         for key, w in self.weights.items():
             proj = project(key)

@@ -61,6 +61,8 @@ def test_partition_rejects_overlap_and_gaps():
         Partition(3, [[1, 2], [3, 4]])
     with pytest.raises(PartitionInvalid):
         Partition(3, [[1], [2], [3], []])
+    with pytest.raises(PartitionInvalid, match="^user count must be positive$"):
+        Partition(0, [])
 
 
 def test_singleton_partition():

@@ -28,7 +28,7 @@ from zerotalk.cli import (
     render_hypergraphical,
 )
 from zerotalk.errors import ParseError
-from zerotalk.mcf import LabelingWitness
+from zerotalk.mcf import CommonFunctionWitness, LabelingWitness
 from zerotalk.sim import run
 from zerotalk.sources import (
     DiscreteSource,
@@ -286,6 +286,14 @@ def test_convert_out_file(tmp_path, capsys):
     assert doc["model"] == "hypergraphical"
 
 
+@pytest.mark.parametrize("where", ["missing/x.json", "."], ids=["no-such-directory", "a-directory"])
+def test_convert_out_path_that_cannot_be_written_exits_2(tmp_path, capsys, where):
+    target = tmp_path / where
+    code, out, err = run_cli(capsys, "convert", OVERLAP_PAIR, "--to", "hypergraphical", "--out", str(target))
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err.startswith(f"error: cannot write {target}: [Errno ")
+
+
 def test_convert_requires_two_user_linear(capsys):
     assert run_cli(capsys, "convert", PAIRWISE_XOR, "--to", "hypergraphical")[0] == EXIT_UNSUPPORTED
     assert run_cli(capsys, "convert", SHARED_BIT, "--to", "hypergraphical")[0] == EXIT_UNSUPPORTED
@@ -446,26 +454,45 @@ def test_verify_on_wide_models_finishes(tmp_path, doc, code):
     assert proc.returncode == code, proc.stderr
 
 
+def _one_global_edge(users: int) -> dict:
+    return {"model": "hypergraphical", "users": users,
+            "edges": [{"name": "g", "subset": list(range(1, users + 1)), "uniform": 2}]}
+
+
+# Every past-the-cap case at the default limit.  The stages checked before
+# their work starts get 1 s; the partition search counts its steps as it goes.
 @pytest.mark.parametrize(
-    "doc, stage",
+    "doc, argv, seconds, stage",
     [
-        ({"model": "hypergraphical", "users": 10**9,
-          "edges": [{"name": "e", "subset": [1, 2], "uniform": 2}]},
-         "hypergraphical model: 1000000000 users exceed the limit of 1000000"),
-        ({"model": "hypergraphical", "users": 2,
-          "edges": [{"name": "e", "subset": [1, 2], "uniform": 10**9}]},
-         "edge 'e': 1000000000 uniform values exceed the limit of 1000000"),
+        pytest.param({"model": "hypergraphical", "users": 10**9,
+                      "edges": [{"name": "e", "subset": [1, 2], "uniform": 2}]}, ["jgk"], 1.0,
+                     "hypergraphical model: 1000000000 users exceed the limit of 1000000", id="users"),
+        pytest.param({"model": "hypergraphical", "users": 2,
+                      "edges": [{"name": "e", "subset": [1, 2], "uniform": 10**9}]}, ["jgk"], 1.0,
+                     "edge 'e': 1000000000 uniform values exceed the limit of 1000000", id="uniform"),
+        pytest.param({"model": "finite_linear", "q": 2, "dim": 21,
+                      "matrices": {"1": [[int(i == j) for j in range(21)] for i in range(21)], "2": [[1]] * 21}},
+                     ["oracle"], 1.0, "linear expansion: 2097152 support points exceed the limit of 1000000",
+                     id="linear-expansion"),
+        # 16 + C(16, 2) * 2**14 elemental inequalities
+        pytest.param(_one_global_edge(16), ["verify"], 1.0,
+                     "entropy profile: 1966096 elemental inequalities exceed the limit of 1000000",
+                     id="entropy-profile"),
+        # 40000000 rounds of 3 edge columns
+        pytest.param(json.loads(Path(SHARED_BIT).read_text()), ["simulate", "--n", "40000000"], 1.0,
+                     "simulation: 120000000 values exceed the limit of 100000000", id="simulation"),
+        pytest.param(_one_global_edge(20), ["bound", "--search"], 5.0,
+                     "partition search: 1000002 search steps exceed the limit of 1000000", id="partition-search"),
     ],
-    ids=["users", "uniform"],
 )
-def test_oversized_model_file_exits_5_fast(tmp_path, capsys, doc, stage):
+def test_oversized_model_file_exits_5_fast(tmp_path, capsys, monkeypatch, doc, argv, seconds, stage):
+    monkeypatch.delenv("ZEROTALK_EXPANSION_LIMIT", raising=False)
     model = tmp_path / "huge.json"
     model.write_text(json.dumps(doc))
     start = time.perf_counter()
-    code, _, err = run_cli(capsys, "jgk", str(model))
-    assert time.perf_counter() - start < 1.0
-    assert code == EXIT_RESOURCE
-    assert stage in err
+    code, out, err = run_cli(capsys, argv[0], str(model), *argv[1:])
+    assert time.perf_counter() - start < seconds
+    assert (code, out, err) == (EXIT_RESOURCE, "", f"error: {stage}\n")
 
 
 def test_simulate_output(capsys):
@@ -512,6 +539,33 @@ def test_simulate_budget_exits_5_before_drawing(capsys, monkeypatch):
     assert err == "error: simulation: 300000000 values exceed the limit of 100000000\n"
 
 
+class _DisagreeingWitness(CommonFunctionWitness):
+    """A test witness whose user i decodes every round as the label i."""
+
+    kind = "disagreeing"
+
+    def key_map(self, s):
+        decoders = [lambda obs, n, i=i: [i] * n for i in range(1, s.user_count + 1)]
+        return s, decoders, 0.0, 1
+
+
+def test_simulate_reports_users_that_disagree(capsys, monkeypatch):
+    import zerotalk.sim as sim_module
+
+    monkeypatch.setattr(sim_module, "common_function", lambda s: _DisagreeingWitness(None, 0.0))
+    digests = [hashlib.sha256(",".join(["1"] * 5).encode()).hexdigest(),
+               hashlib.sha256(",".join(["2"] * 5).encode()).hexdigest()]
+    code, out, _ = run_cli(capsys, "simulate", TWO_COINS, "--n", "5", "--json")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert (doc["agreement"], doc["key_digests"], doc["first_labels"]) == (False, digests, ["1"] * 5)
+    code, out, _ = run_cli(capsys, "simulate", TWO_COINS, "--n", "5")
+    assert code == EXIT_OK
+    assert "agreement: NO\n" in out
+    assert f"user 1 key digest: {digests[0]}\nuser 2 key digest: {digests[1]}\n" in out
+    assert not any(line.startswith("key digest: ") for line in out.splitlines())
+
+
 def test_simulate_human_output(capsys):
     code, out, _ = run_cli(capsys, "simulate", TWO_COINS, "--n", "100", "--seed", "1")
     assert code == 0
@@ -522,6 +576,32 @@ def test_simulate_human_output(capsys):
 def test_expansion_limit_exit_code(capsys, monkeypatch):
     monkeypatch.setenv("ZEROTALK_EXPANSION_LIMIT", "4")
     assert run_cli(capsys, "oracle", SHARED_BIT)[0] == EXIT_RESOURCE
+
+
+@pytest.mark.parametrize(
+    "doc, code, message",
+    [
+        pytest.param({"model": "hypergraphical", "users": 1, "edges": []},
+                     EXIT_MODEL, "need at least 2 users, got 1", id="one-user"),
+        pytest.param({"model": "finite_linear", "q": 2, "dim": 0, "matrices": {"1": [], "2": []}},
+                     EXIT_MODEL, "ambient dimension must be positive, got 0", id="dim-0"),
+        pytest.param({"model": "hypergraphical", "users": 2, "edges": [{"name": "", "subset": [1], "uniform": 2}]},
+                     EXIT_MODEL, "edge name must be nonempty", id="empty-edge-name"),
+        pytest.param({"model": "hypergraphical", "users": 2, "edges": [{"name": "e", "subset": [1], "pmf": []}]},
+                     EXIT_MODEL, "edge 'e': empty distribution", id="empty-pmf"),
+        pytest.param({"model": "hypergraphical", "users": 2,
+                      "edges": [{"name": "e", "subset": [1], "pmf": [-0.5, 1.5]}]},
+                     EXIT_MODEL, "edge 'e': bad probability -0.5", id="negative-probability"),
+        pytest.param({"model": "discrete", "alphabets": [2], "pmf": [{"symbols": [0], "p": 1}]},
+                     EXIT_MODEL, "need at least 2 users, got 1", id="one-user-discrete"),
+        pytest.param({"model": "discrete", "alphabets": [2, 2], "pmf": [{"symbols": [0, 0], "p": True}]},
+                     EXIT_PARSE, "pmf entry #0: probability must be a number or 'a/b' string", id="bool-p"),
+    ],
+)
+def test_invalid_model_file_exits_with_its_message(tmp_path, capsys, doc, code, message):
+    model = tmp_path / "bad.json"
+    model.write_text(json.dumps(doc))
+    assert run_cli(capsys, "jgk", str(model)) == (code, "", f"error: {message}\n")
 
 
 def test_model_error_exit_code(tmp_path, capsys):

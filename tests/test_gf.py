@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, permutations, product
 
 import pytest
@@ -20,12 +21,10 @@ from zerotalk.gf import (
     FieldOrder,
     FiniteMatrix,
     cols_mat,
-    column_space_basis,
     column_space_intersection,
     columns_subset,
     extend_basis,
     hstack,
-    intersect_all,
     matmul,
     rank,
     reduce_to_full_column_rank,
@@ -105,7 +104,7 @@ def test_field_order_accepts_primes():
     assert FieldOrder(2147483629) == 2147483629  # largest prime below 2**31
 
 
-@pytest.mark.parametrize("bad", [0, 1, 4, 9, 15, 2**31, -3])
+@pytest.mark.parametrize("bad", [0, 1, 4, 9, 15, 2**31, -3, "x"])
 def test_field_order_rejects_non_primes(bad):
     with pytest.raises(ModelError):
         FieldOrder(bad)
@@ -119,6 +118,12 @@ def test_matrix_entries_reduced_mod_q():
 def test_matrix_shape_validation():
     with pytest.raises(ModelError):
         FiniteMatrix(2, 2, 2, (1, 0, 1))
+    with pytest.raises(ModelError, match="^matrix shape must be nonnegative, got -1x0$"):
+        FiniteMatrix(2, -1, 0, ())
+    with pytest.raises(ModelError, match="^all matrix rows must have the same length$"):
+        FiniteMatrix.from_rows(2, [[1, 0], [1]])
+    with pytest.raises(ModelError, match="^all matrix columns must have the same length$"):
+        FiniteMatrix.from_cols(2, [[1, 0], [1]])
 
 
 @pytest.mark.parametrize("bad", [0.5, 1.9, 2.0, "1", True, False, None, Fraction(1)])
@@ -306,7 +311,7 @@ def test_intersection_is_canonical_basis_of_brute_force_meet(q, rows, ca, cb, se
 
     assert meet.rows == rows
     assert span(meet) == span(a) & span(b)
-    assert meet == column_space_basis(meet)
+    assert meet == reference_column_space_basis(meet)
 
 
 def test_intersection_is_one_rref(monkeypatch):
@@ -332,7 +337,7 @@ def test_intersect_all_is_order_invariant():
     rng = random.Random(4242)
     for _ in range(10):
         mats = [random_matrix(rng, 3, 4, rng.randrange(1, 4)) for _ in range(3)]
-        results = {intersect_all([mats[i] for i in perm]) for perm in permutations(range(3))}
+        results = {reduce(column_space_intersection, perm) for perm in permutations(mats)}
         assert len(results) == 1
 
 
@@ -381,7 +386,7 @@ def test_extend_basis_random_nested_subspaces():
     for _ in range(20):
         target = random_matrix(rng, 5, 4, 3)
         take = rng.randrange(0, rank(target) + 1)
-        base = column_space_basis(columns_subset(reduce_to_full_column_rank(target), range(take)))
+        base = reference_column_space_basis(columns_subset(reduce_to_full_column_rank(target), range(take)))
         ext = extend_basis(base, target)
         joined = hstack(base, ext)
         assert rank(joined) == joined.cols == rank(target)
@@ -395,7 +400,7 @@ def test_extend_basis_matches_greedy_reference(q):
         rows = rng.randrange(1, 6)
         target = random_matrix(rng, q, rows, rng.randrange(0, 6))
         take = rng.randrange(0, rank(target) + 1)  # zero base columns included
-        base = column_space_basis(matmul(target, random_matrix(rng, q, target.cols, take)))
+        base = reference_column_space_basis(matmul(target, random_matrix(rng, q, target.cols, take)))
         assert extend_basis(base, target) == greedy_extend_basis(base, target)
 
 
@@ -456,7 +461,8 @@ def test_span_equal_inputs_share_canonical_basis():
     m = FiniteMatrix.from_rows(5, [[1, 2, 3], [0, 1, 4], [2, 0, 1]])
     shuffled = columns_subset(m, [2, 0, 1])
     scaled = FiniteMatrix.from_cols(5, [[(3 * x) % 5 for x in m.col(j)] for j in range(3)])
-    assert column_space_basis(m) == column_space_basis(shuffled) == column_space_basis(scaled)
+    assert column_space_intersection(m, m) == column_space_intersection(shuffled, scaled)
+    assert column_space_intersection(m, m) == reference_column_space_basis(m)
 
 
 def test_operations_are_deterministic():
@@ -484,6 +490,39 @@ def test_cols_mat_is_vec_mat_row_by_row(q):
 def test_cols_mat_rejects_wrong_column_count():
     with pytest.raises(ValueError):
         cols_mat([[0, 1]], identity(2, 2), 2)
+
+
+GF2_2x2, GF2_3x1, GF3_2x2 = identity(2, 2), zeros(2, 3, 1), identity(3, 2)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: matmul(GF2_2x2, GF3_2x2), "field mismatch: GF(2) vs GF(3)", id="matmul-field"),
+        pytest.param(lambda: matmul(GF2_2x2, GF2_3x1), "shape mismatch: 2x2 times 3x1", id="matmul-shape"),
+        pytest.param(lambda: vec_mat((1, 0, 1), GF2_2x2), "vector length 3 does not match 2 rows",
+                     id="vec_mat-length"),
+        pytest.param(lambda: hstack(), "hstack needs at least one matrix", id="hstack-empty"),
+        pytest.param(lambda: hstack(GF2_2x2, GF3_2x2), "hstack requires equal row counts and a common field",
+                     id="hstack-field"),
+        pytest.param(lambda: hstack(GF2_2x2, GF2_3x1), "hstack requires equal row counts and a common field",
+                     id="hstack-rows"),
+        pytest.param(lambda: column_space_intersection(GF2_2x2, GF3_2x2), "field mismatch: GF(2) vs GF(3)",
+                     id="intersection-field"),
+        pytest.param(lambda: column_space_intersection(GF2_2x2, GF2_3x1), "row-count mismatch: 2 vs 3",
+                     id="intersection-rows"),
+        pytest.param(lambda: extend_basis(GF2_2x2, GF3_2x2), "base and target must share field and row count",
+                     id="extend_basis-field"),
+        pytest.param(lambda: extend_basis(GF2_2x2, GF2_3x1), "base and target must share field and row count",
+                     id="extend_basis-rows"),
+        pytest.param(lambda: solve(GF2_2x2, GF3_2x2), "a and b must share field and row count", id="solve-field"),
+        pytest.param(lambda: solve(GF2_2x2, GF2_3x1), "a and b must share field and row count", id="solve-rows"),
+    ],
+)
+def test_operations_reject_mismatched_fields_and_shapes(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 # --- GF(2) int rows and unchecked builds against the list-row references ---
@@ -515,7 +554,7 @@ def test_rref_transpose_and_bases_match_the_list_references(seed):
         assert plain(reduced)
         t = m.transpose()
         assert t == reference_transpose(m) and plain(t)
-        basis = column_space_basis(m)
+        basis = column_space_intersection(m, m)
         assert basis == reference_column_space_basis(m) and plain(basis)
 
 

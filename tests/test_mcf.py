@@ -5,12 +5,14 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
 from zerotalk.errors import ExpansionTooLarge, WitnessInvalid
-from zerotalk.gf import FiniteMatrix, intersect_all, matmul
+from zerotalk.gf import FiniteMatrix, column_space_intersection, matmul
 from zerotalk.mcf import (
     CommonFunctionWitness,
     EdgeSubsetWitness,
@@ -39,6 +41,7 @@ from helpers import (
     partition_of,
     random_fls,
     random_hypergraphical,
+    reference_column_space_basis,
 )
 
 
@@ -198,6 +201,19 @@ def test_subspace_witness_check_respects_limit(monkeypatch):
         evaluate_witness(f, w)
 
 
+def test_witness_check_past_the_default_cap_fails_fast(monkeypatch):
+    # through the CLI the linear expansion, which counts the same q**rank
+    # points, trips first; the check itself is timed here
+    monkeypatch.delenv("ZEROTALK_EXPANSION_LIMIT", raising=False)
+    eye = identity(2, 21)
+    f = FiniteLinearSource(2, 21, (eye, eye))
+    w = gk_finite_linear(f)
+    start = time.perf_counter()
+    with pytest.raises(ExpansionTooLarge, match=r"^witness check: 2097152 points exceed the limit of 1000000$"):
+        evaluate_witness(f, w)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_dispatcher_matches_engines(shared_bit_source, pairwise_xor_source):
     assert common_function(shared_bit_source).kind == "edge-subset"
     assert common_function(pairwise_xor_source).kind == "subspace-basis"
@@ -255,10 +271,20 @@ def test_intersection_fold_is_order_invariant():
     rng = random.Random(55)
     for _ in range(10):
         f = random_fls(rng, 3)
-        mats = list(f.matrices)
-        base = intersect_all(mats)
-        for perm in itertools.permutations(mats):
-            assert intersect_all(list(perm)).entries == base.entries
+        base = gk_finite_linear(f).payload
+        for perm in itertools.permutations(f.matrices):
+            assert gk_finite_linear(FiniteLinearSource(f.q, f.dim, perm)).payload.entries == base.entries
+
+
+def test_the_fold_needs_no_canonical_first_step():
+    # Zassenhaus's RREF depends only on the two spans, so canonicalizing M_1
+    # before the fold gives the identical witness
+    rng = random.Random(56)
+    for users in (2, 3, 4):
+        for _ in range(20):
+            f = random_fls(rng, users, rng.choice([2, 3, 5]))
+            first = reference_column_space_basis(f.matrices[0])
+            assert gk_finite_linear(f).payload == reduce(column_space_intersection, f.matrices[1:], first)
 
 
 def test_common_information_bounded_by_min_marginal():

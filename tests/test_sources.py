@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from zerotalk.errors import ExpansionTooLarge, ModelError, NotTwoUsers
 from zerotalk.gf import FiniteMatrix, rank, hstack, matmul
-from zerotalk.mcf import evaluate_witness, gk_finite_linear
+from zerotalk.mcf import common_function, evaluate_witness, gk_finite_linear
 from zerotalk.sources import (
     DiscreteSource,
     Edge,
@@ -92,6 +92,47 @@ def test_discrete_drops_zero_mass_and_sorts_support():
 def test_discrete_requires_unit_mass():
     with pytest.raises(ModelError):
         DiscreteSource((2, 2), {(0, 0): Fraction(1, 2)})
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: Edge("", {1}, (Fraction(1),)), "edge name must be nonempty", id="edge-name"),
+        pytest.param(lambda: Edge("e", {1}, ()), "edge 'e': empty distribution", id="edge-empty-pmf"),
+        pytest.param(lambda: Edge("e", {1}, (-0.5, 1.5)), "edge 'e': bad probability -0.5", id="edge-negative"),
+        pytest.param(lambda: Edge("e", {1}, (1,)), "edge 'e': probability must be Fraction or float, got int",
+                     id="edge-int-probability"),
+        pytest.param(lambda: Edge.uniform("e", {1}, 0), "edge 'e': alphabet size must be positive, got 0",
+                     id="edge-uniform-size"),
+        pytest.param(lambda: HypergraphicalSource(1, ()), "need at least 2 users, got 1", id="hypergraphical-one-user"),
+        pytest.param(lambda: FiniteLinearSource(2, 0, (identity(2, 0),) * 2),
+                     "ambient dimension must be positive, got 0", id="linear-dim"),
+        pytest.param(lambda: FiniteLinearSource(2, 2, (identity(2, 2), identity(3, 2))),
+                     "user 2: matrix field GF(3) differs from GF(2)", id="linear-field"),
+        pytest.param(lambda: DiscreteSource((2,), {(0,): Fraction(1)}), "need at least 2 users, got 1",
+                     id="discrete-one-user"),
+        pytest.param(lambda: DiscreteSource((2, 2), {(0,): Fraction(1)}),
+                     "realization (0,) has 1 symbols, expected 2", id="discrete-short-realization"),
+    ],
+)
+def test_models_reject_invalid_data(call, message):
+    with pytest.raises(ModelError) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (to_discrete, "not a source model: object"),
+        (entropy_profile, "not a source model: object"),
+        (common_function, "unrecognized source type: object"),
+    ],
+)
+def test_non_sources_are_rejected(call, message):
+    with pytest.raises(ModelError) as info:
+        call(object())
+    assert str(info.value) == message
 
 
 # --- expansion ---
@@ -206,6 +247,9 @@ def test_expansion_limit_env_override(shared_bit_source, monkeypatch):
         expand_hypergraphical(shared_bit_source)
     monkeypatch.setenv("ZEROTALK_EXPANSION_LIMIT", "not-a-number")
     with pytest.raises(ModelError):
+        expansion_limit()
+    monkeypatch.setenv("ZEROTALK_EXPANSION_LIMIT", "0")
+    with pytest.raises(ModelError, match="^ZEROTALK_EXPANSION_LIMIT must be positive, got 0$"):
         expansion_limit()
 
 
@@ -424,6 +468,13 @@ def test_elemental_check_accepts_what_the_pairwise_check_accepts(seed):
     bent = list(h)
     bent[-1] = h[-2] - 0.5
     assert not elemental_ok(bent) and not pairwise_profile_ok(m, bent)
+
+
+def test_profile_matches_only_a_profile_of_as_many_users():
+    one, two = EntropyProfile(1, [0.0, 1.0]), EntropyProfile(2, [0.0, 1.0, 0.0, 1.0])
+    # the first two entries agree, so only the user count tells them apart
+    assert one.matches(one) and two.matches(two)
+    assert not one.matches(two) and not two.matches(one)
 
 
 def test_profile_rejects_wrong_length_and_nonzero_empty_set():
