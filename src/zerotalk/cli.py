@@ -362,13 +362,13 @@ def cmd_oracle(args) -> int:
         "command": "oracle",
         "model": s.model,
         "users": s.user_count,
-        "support": len(d.support()),
+        "support": len(d.weights),
         "components": labels,
         "jgk_bits": w.entropy_bits,
     }
     lines = [
         f"model: {s.model} ({s.user_count} users)",
-        f"support size: {len(d.support())}",
+        f"support size: {len(d.weights)}",
         f"connected components: {labels}",
         f"J_GK = {_bits(w.entropy_bits)} bits",
     ]

@@ -22,7 +22,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from typing import ClassVar, Union
+from typing import ClassVar
 
 from .errors import ModelError, SubspaceNotContained, WitnessInvalid
 from .gf import (FiniteMatrix, cols_mat, column_space_intersection, hstack, row_space_basis,
@@ -31,6 +31,7 @@ from .gf import (FiniteMatrix, cols_mat, column_space_intersection, hstack, row_
 # reads mcf.vec_mat.
 from .gf import vec_mat  # noqa: F401
 from .sources import (
+    AnySource,
     DiscreteSource,
     FiniteLinearSource,
     HypergraphicalSource,
@@ -38,8 +39,6 @@ from .sources import (
     shannon_bits,
     to_discrete,
 )
-
-Source = Union[HypergraphicalSource, FiniteLinearSource, DiscreteSource]
 
 
 def _surprisal_variance(probs) -> float:
@@ -77,11 +76,11 @@ class CommonFunctionWitness:
     payload: object
     entropy_bits: float
 
-    def brute_force_bits(self, s: Source) -> float:
+    def brute_force_bits(self, s: AnySource) -> float:
         """Entropy of the witness value, recomputed on the source's distribution."""
         raise NotImplementedError
 
-    def key_map(self, s: Source) -> tuple:
+    def key_map(self, s: AnySource) -> tuple:
         """(source, decoders, surprisal variance, label count) of the key.
 
         decoders[i] is user (i+1)'s column decoder: decoders[i](obs, n) takes
@@ -99,7 +98,7 @@ class CommonFunctionWitness:
 class EdgeSubsetWitness(CommonFunctionWitness):
     kind = "edge-subset"
 
-    def _edges(self, s: Source) -> list:
+    def _edges(self, s: AnySource) -> list:
         """Indices, in edge order, of the named edges of s."""
         if not isinstance(s, HypergraphicalSource):
             raise WitnessInvalid("edge-subset witness needs a hypergraphical source")
@@ -112,10 +111,10 @@ class EdgeSubsetWitness(CommonFunctionWitness):
             raise WitnessInvalid(f"witness names unknown edge {name!r}")
         return [k for k, e in enumerate(s.edges) if e.name in names]
 
-    def brute_force_bits(self, s: Source) -> float:
+    def brute_force_bits(self, s: AnySource) -> float:
         return math.fsum(s.edges[k].entropy_bits() for k in self._edges(s))
 
-    def key_map(self, s: Source) -> tuple:
+    def key_map(self, s: AnySource) -> tuple:
         chosen = self._edges(s)
         everyone = s.users()
         for k in chosen:
@@ -146,7 +145,7 @@ class EdgeSubsetWitness(CommonFunctionWitness):
 class SubspaceWitness(CommonFunctionWitness):
     kind = "subspace-basis"
 
-    def _basis(self, s: Source) -> FiniteMatrix:
+    def _basis(self, s: AnySource) -> FiniteMatrix:
         if not isinstance(s, FiniteLinearSource):
             raise WitnessInvalid("subspace-basis witness needs a finite linear source")
         basis: FiniteMatrix = self.payload
@@ -154,7 +153,7 @@ class SubspaceWitness(CommonFunctionWitness):
             raise WitnessInvalid("witness basis has the wrong field or dimension")
         return basis
 
-    def brute_force_bits(self, s: Source) -> float:
+    def brute_force_bits(self, s: AnySource) -> float:
         """Walks the row space of [A | basis], A = [M_1 | ... | M_m]: the support
         of (observations, label), q**rank points, valid witness or not."""
         basis = self._basis(s)
@@ -165,7 +164,7 @@ class SubspaceWitness(CommonFunctionWitness):
         counts = Counter(label for _, label in walk)
         return shannon_bits(counts.values(), total)
 
-    def key_map(self, s: Source) -> tuple:
+    def key_map(self, s: AnySource) -> tuple:
         basis = self._basis(s)
         decoders = []
         for mat in s.matrices:
@@ -194,11 +193,11 @@ class SubspaceWitness(CommonFunctionWitness):
 class LabelingWitness(CommonFunctionWitness):
     kind = "support-labeling"
 
-    def brute_force_bits(self, s: Source) -> float:
+    def brute_force_bits(self, s: AnySource) -> float:
         d = to_discrete(s)
         return shannon_bits(_label_masses(d.weights, self.payload).values(), d.total)
 
-    def key_map(self, s: Source) -> tuple:
+    def key_map(self, s: AnySource) -> tuple:
         d = to_discrete(s)
         masses = _label_masses(d.weights, self.payload)
         decoders = []
@@ -253,67 +252,41 @@ def gk_finite_linear(f: FiniteLinearSource) -> SubspaceWitness:
     return SubspaceWitness(basis, bits)
 
 
-class _UnionFind:
-    __slots__ = ("parent", "size")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:  # path compression
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri == rj:
-            return
-        if self.size[ri] < self.size[rj]:
-            ri, rj = rj, ri
-        self.parent[rj] = ri
-        self.size[ri] += self.size[rj]
-
-
-def gk_oracle(s: Source) -> LabelingWitness:
+def gk_oracle(s: AnySource) -> LabelingWitness:
     """Ground-truth common function via the joint support.
 
     Two realizations are linked when they agree in some coordinate; connected
     components of that graph are the finest labeling every user can compute.
-    Components are found with a union-find keyed on per-coordinate value
-    buckets, so the cost is O(support size x user count) rather than
-    quadratic in the support.
+    Each realization is joined to the first one holding its value in each
+    coordinate, with a union-find whose ``find`` halves paths, so the cost
+    is near O(support size x user count) rather than quadratic in the
+    support.
 
     Labels are 0..K-1, ordered by each component's lexicographically smallest
     member realization.
     """
     d = to_discrete(s)
     support = d.support()
-    uf = _UnionFind(len(support))
-    m = len(d.alphabet_sizes)
-    for coord in range(m):
-        buckets: dict = {}
+    parent = list(range(len(support)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]  # path halving
+        return i
+
+    for coord in range(len(d.alphabet_sizes)):
+        first: dict = {}  # value -> the first realization holding it at coord
         for idx, realization in enumerate(support):
-            v = realization[coord]
-            if v in buckets:
-                uf.union(buckets[v], idx)
-            else:
-                buckets[v] = idx
+            j = first.setdefault(realization[coord], idx)
+            if j != idx:
+                parent[find(idx)] = find(j)
     roots: dict = {}
-    labeling: dict = {}
-    for idx, realization in enumerate(support):
-        root = uf.find(idx)
-        if root not in roots:
-            roots[root] = len(roots)
-        labeling[realization] = roots[root]
+    labeling = {r: roots.setdefault(find(idx), len(roots)) for idx, r in enumerate(support)}
     bits = shannon_bits(_label_masses(d.weights, labeling).values(), d.total)
     return LabelingWitness(labeling, bits)
 
 
-def common_function(s: Source) -> CommonFunctionWitness:
+def common_function(s: AnySource) -> CommonFunctionWitness:
     """Dispatch to the closed-form engine for the model, oracle for discrete."""
     if isinstance(s, HypergraphicalSource):
         return gk_hypergraphical(s)
@@ -324,12 +297,12 @@ def common_function(s: Source) -> CommonFunctionWitness:
     raise ModelError(f"unrecognized source type: {type(s).__name__}")
 
 
-def jgk(s: Source) -> float:
+def jgk(s: AnySource) -> float:
     """Entropy in bits of the maximum common function of the source."""
     return common_function(s).entropy_bits
 
 
-def evaluate_witness(s: Source, w: CommonFunctionWitness) -> float:
+def evaluate_witness(s: AnySource, w: CommonFunctionWitness) -> float:
     """Recompute a witness's entropy directly on the source's distribution.
 
     Raises WitnessInvalid if the witness does not fit the source, and

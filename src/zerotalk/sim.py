@@ -9,9 +9,9 @@ entropy with a concentration-style tolerance.
 The simulation is column-wise: the sampler draws every coordinate for all n
 rounds at once (one column per edge, hidden coordinate or discrete draw), and
 each user's decoder turns its own observation columns into its n key labels
-in one call.  The n values of every column drawn are checked against
-``VALUES_PER_POINT`` times ``ZEROTALK_EXPANSION_LIMIT`` before anything is
-drawn.
+in one call.  The n values of every column drawn and the n key labels each
+user decodes are checked against ``VALUES_PER_POINT`` times
+``ZEROTALK_EXPANSION_LIMIT`` before anything is drawn.
 """
 
 from __future__ import annotations
@@ -27,8 +27,9 @@ from .gf import cols_mat
 # Unused here; perfbench's test_instrument_patches_every_namespace_and_restores_it
 # reads sim.vec_mat.
 from .gf import vec_mat  # noqa: F401
-from .mcf import CommonFunctionWitness, Source, common_function
+from .mcf import CommonFunctionWitness, common_function
 from .sources import (
+    AnySource,
     FiniteLinearSource,
     HypergraphicalSource,
     check_budget,
@@ -50,7 +51,7 @@ class KeyExtractor:
     label_count the number of possible labels.
     """
 
-    source: Source
+    source: AnySource
     decoders: tuple
     expected_bits: float
     surprise_var: float
@@ -58,7 +59,7 @@ class KeyExtractor:
 
 
 def build_extractor(
-    s: Source, witness: Optional[CommonFunctionWitness] = None
+    s: AnySource, witness: Optional[CommonFunctionWitness] = None
 ) -> KeyExtractor:
     w = witness if witness is not None else common_function(s)
     source, decoders, var, count = w.key_map(s)
@@ -91,16 +92,16 @@ def _uniform_column(rng: random.Random, q: int, n: int):
     return col
 
 
-# A simulated value is one small int in a column; a run peaks at about
-# 30-80 bytes per value, counting the decoded key streams.  A realization of
-# an expansion is a tuple and a probability, so the simulation limit is 100
+# A simulated value is one small int in a column or one key label a user
+# decodes; a run peaks at tens of bytes per value.  A realization of an
+# expansion is a tuple and a probability, so the simulation limit is 100
 # values per point of the expansion limit: 10**8 values (several GB) by default.
 VALUES_PER_POINT = 100
 
 
-def _columns_drawn(s: Source) -> int:
-    """Columns of n values the sampler draws: one per edge (the key stream
-    counts as one when there is none), hidden coordinate or discrete user."""
+def _columns_drawn(s: AnySource) -> int:
+    """Columns of n values the sampler draws: one per edge (at least one),
+    hidden coordinate or discrete user."""
     if isinstance(s, HypergraphicalSource):
         return max(len(s.edges), 1)
     if isinstance(s, FiniteLinearSource):
@@ -108,7 +109,7 @@ def _columns_drawn(s: Source) -> int:
     return s.user_count
 
 
-def _observation_columns(s: Source, rng: random.Random, n: int) -> list:
+def _observation_columns(s: AnySource, rng: random.Random, n: int) -> list:
     """n rounds of s: per user, the tuple of its observation columns."""
     if isinstance(s, HypergraphicalSource):
         cols = [
@@ -145,7 +146,7 @@ def rate_tolerance(surprise_var: float, label_count: int, n: int) -> float:
 
 
 def run(
-    s: Source,
+    s: AnySource,
     n: int,
     seed: int,
     witness: Optional[CommonFunctionWitness] = None,
@@ -153,7 +154,8 @@ def run(
     if n < 1:
         raise ModelError("need at least one round")
     ext = build_extractor(s, witness)
-    check_budget("simulation", n * _columns_drawn(ext.source), "values", VALUES_PER_POINT)
+    per_round = _columns_drawn(ext.source) + ext.source.user_count  # and one label per user
+    check_budget("simulation", n * per_round, "values", VALUES_PER_POINT)
     observations = _observation_columns(ext.source, random.Random(seed), n)
     keys = [decode(obs, n) for decode, obs in zip(ext.decoders, observations)]
     first = keys[0]

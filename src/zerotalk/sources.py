@@ -35,7 +35,6 @@ import os
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from operator import itemgetter
 from typing import ClassVar, Union
 
@@ -135,14 +134,6 @@ def shannon_bits(probs, total: int = 1) -> float:
         if x > 0.0:
             bits -= x * math.log2(x)
     return bits
-
-
-def _encode(values, sizes) -> int:
-    """Mixed-radix index of a digit tuple, most significant digit first."""
-    idx = 0
-    for v, s in zip(values, sizes):
-        idx = idx * s + v
-    return idx
 
 
 @dataclass(frozen=True)
@@ -418,39 +409,35 @@ def _users_of(mask: int) -> list[int]:
 
 
 def expand_hypergraphical(h: HypergraphicalSource) -> DiscreteSource:
-    """Enumerate the joint pmf of a hypergraphical source.
+    """Enumerate the joint pmf of a hypergraphical source, one edge at a time.
 
-    Each user's symbol encodes the values of its incident edges (in edge
-    order, mixed-radix); the joint probability of an assignment is the
-    product over the independent edges.  With exact edges it is the product
-    of their integer weights over the product of their totals.  Every edge
-    is seen by some user, so assignments and realizations correspond one to
-    one, and for every prime some weight of each edge is prime to it: the
+    Each edge appends its value to the symbols of the users who see it and
+    multiplies its weight into every partial realization, so each user's
+    symbol is the mixed-radix value of its incident edges, in edge order,
+    and the joint probability is the product over the independent edges.
+    With exact edges it is the product of their integer weights over the
+    product of their totals.  Every edge is seen by some user, so each step
+    keeps the keys distinct and assignments and realizations correspond one
+    to one; for every prime some weight of each edge is prime to it, so the
     product weights are in the least-total form of ``pmf_weights``.
 
     Raises:
         ExpansionTooLarge: if the product of edge alphabet sizes exceeds
-            the enumeration limit.
+            the enumeration limit (checked before the first edge).
     """
     check_budget("hypergraphical expansion", math.prod(e.alphabet_size for e in h.edges),
                  "edge assignments")
-    incident = [h.incident(i) for i in range(1, h.user_count + 1)]
-    sizes = [e.alphabet_size for e in h.edges]
-    alphabets = tuple(math.prod(sizes[k] for k in inc) for inc in incident)
     exact = all(isinstance(p, Fraction) for e in h.edges for p in e.pmf)
     tables = [pmf_weights(e.pmf) if exact else (e.pmf, 1) for e in h.edges]
-    weights: dict[tuple[int, ...], Weight] = {}
-    for assignment in product(*(range(s) for s in sizes)):
-        w: Weight = 1 if exact else 1.0
-        for (table, _), v in zip(tables, assignment):
-            w = w * table[v]
-        if w == 0:
-            continue
-        key = tuple(
-            _encode([assignment[k] for k in inc], [sizes[k] for k in inc]) for inc in incident
-        )
-        weights[key] = w
-    return DiscreteSource._from_weights(alphabets, weights, math.prod(t for _, t in tables))
+    alphabets = [1] * h.user_count
+    joint: dict[tuple[int, ...], Weight] = {(0,) * h.user_count: 1 if exact else 1.0}
+    for e, (table, _) in zip(h.edges, tables):
+        size = e.alphabet_size
+        sees = [u in e.subset for u in range(1, h.user_count + 1)]
+        alphabets = [a * size if seen else a for a, seen in zip(alphabets, sees)]
+        joint = {tuple(k * size + v if seen else k for k, seen in zip(key, sees)): x
+                 for key, w in joint.items() for v, p in enumerate(table) if (x := w * p)}
+    return DiscreteSource._from_weights(alphabets, joint, math.prod(t for _, t in tables))
 
 
 def expand_finite_linear(f: FiniteLinearSource) -> DiscreteSource:

@@ -70,7 +70,8 @@ def test_singleton_partition():
     assert p.blocks == ((1,), (2,), (3,), (4,))
 
 
-@pytest.mark.parametrize("m,bell", [(1, 1), (2, 2), (3, 5), (4, 15), (5, 52)])
+# no users have no partition to scan
+@pytest.mark.parametrize("m,bell", [(0, 0), (1, 1), (2, 2), (3, 5), (4, 15), (5, 52)])
 def test_partition_enumeration_counts(m, bell):
     seen = list(all_partitions(m))
     assert len(seen) == bell

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
 import os
@@ -32,6 +33,7 @@ from zerotalk.mcf import CommonFunctionWitness, LabelingWitness
 from zerotalk.sim import run
 from zerotalk.sources import (
     DiscreteSource,
+    Edge,
     FiniteLinearSource,
     HypergraphicalSource,
     entropy_profile,
@@ -171,6 +173,15 @@ def test_render_round_trips(overlap_pair_source):
     doc = render_hypergraphical(h)
     again = parse_model(doc)
     assert entropy_profile(again).matches(entropy_profile(h))
+    # convert emits uniform edges only; exact non-uniform and float edges take the pmf form
+    mixed = HypergraphicalSource(3, (
+        Edge("exact", {1, 2}, (Fraction(1, 3), Fraction(2, 3))),
+        Edge("float", {2, 3}, (0.25, 0.75)),
+        Edge.uniform("uniform", {1, 2, 3}, 4),
+    ))
+    doc = render_hypergraphical(mixed)
+    assert [sorted(e) for e in doc["edges"]] == [["name", "pmf", "subset"]] * 2 + [["name", "subset", "uniform"]]
+    assert parse_model(doc) == mixed
 
 
 # --- subcommand behavior ---
@@ -478,9 +489,13 @@ def _one_global_edge(users: int) -> dict:
         pytest.param(_one_global_edge(16), ["verify"], 1.0,
                      "entropy profile: 1966096 elemental inequalities exceed the limit of 1000000",
                      id="entropy-profile"),
-        # 40000000 rounds of 3 edge columns
+        # 40000000 rounds of 3 edge columns and 3 users' key labels
         pytest.param(json.loads(Path(SHARED_BIT).read_text()), ["simulate", "--n", "40000000"], 1.0,
-                     "simulation: 120000000 values exceed the limit of 100000000", id="simulation"),
+                     "simulation: 240000000 values exceed the limit of 100000000", id="simulation"),
+        # 1000 rounds of 1 column and 100000 users' key labels
+        pytest.param({"model": "hypergraphical", "users": 10**5, "edges": []}, ["simulate", "--n", "1000"],
+                     1.0, "simulation: 100001000 values exceed the limit of 100000000",
+                     id="simulation-key-streams"),
         pytest.param(_one_global_edge(20), ["bound", "--search"], 5.0,
                      "partition search: 1000002 search steps exceed the limit of 1000000", id="partition-search"),
     ],
@@ -536,7 +551,7 @@ def test_simulate_budget_exits_5_before_drawing(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "simulate", SHARED_BIT, "--n", "100000000")
     assert code == EXIT_RESOURCE
     assert out == ""
-    assert err == "error: simulation: 300000000 values exceed the limit of 100000000\n"
+    assert err == "error: simulation: 600000000 values exceed the limit of 100000000\n"
 
 
 class _DisagreeingWitness(CommonFunctionWitness):
@@ -694,3 +709,25 @@ def test_readme_example_output(capsys, monkeypatch, argv, output):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert out == "\n".join(output) + "\n"
+
+
+def test_readme_library_block_holds():
+    """Run the README's Library block and check the value each comment states."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    values = []
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr):
+            values.append(eval(compile(ast.Expression(stmt.value), "README", "eval"), namespace))
+        else:
+            exec(compile(ast.Module([stmt], []), "README", "exec"), namespace)
+    jgk_bits, summary, best, chain, column, converted, agreement = values
+    assert jgk_bits == 1.0
+    assert repr(namespace["w"]) == "EdgeSubsetWitness(payload=('c',), entropy_bits=1.0)"
+    assert summary == {"kind": "edge-subset", "edges": ["c"]}
+    assert (best.partition.blocks, best.coefficient) == (((1,), (2,), (3,)), Fraction(1, 2))
+    assert chain == 1.0
+    assert column == (1, 1, 0)
+    assert len(converted.edges) == 3
+    assert agreement is True

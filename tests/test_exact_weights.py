@@ -103,7 +103,7 @@ def test_discrete_sources_match_the_fraction_path(kind, seed):
     assert_consumers_match_the_fraction_path(d, pmf)
 
 
-@pytest.mark.parametrize("kind", ["exact", "mixed"])
+@pytest.mark.parametrize("kind", ["exact", "float", "mixed"])
 @pytest.mark.parametrize("seed", range(12))
 def test_hypergraphical_expansions_match_the_fraction_path(kind, seed):
     rng = random.Random(f"edges-{kind}-{seed}")
@@ -111,6 +111,19 @@ def test_hypergraphical_expansions_match_the_fraction_path(kind, seed):
     assert_consumers_match_the_fraction_path(to_discrete(h), fraction_expansion(h))
     for e in h.edges:
         assert _cdf(*pmf_weights(e.pmf)) == fraction_cdf(e.pmf)
+
+
+@pytest.mark.parametrize(
+    "h",
+    [
+        HypergraphicalSource(2, ()),
+        HypergraphicalSource(3, (Edge("a", {1, 2}, (Fraction(1, 3), Fraction(2, 3))),
+                                 Edge("one", {2, 3}, (Fraction(1),)))),
+    ],
+    ids=["no-edges", "one-value-edge"],
+)
+def test_degenerate_hypergraphical_expansions_match_the_fraction_path(h):
+    assert_consumers_match_the_fraction_path(to_discrete(h), fraction_expansion(h))
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])

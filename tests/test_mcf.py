@@ -39,6 +39,7 @@ from helpers import (
     hidden_walk_witness_bits,
     identity,
     partition_of,
+    random_discrete,
     random_fls,
     random_hypergraphical,
     reference_column_space_basis,
@@ -112,16 +113,21 @@ def test_oracle_respects_limit(shared_bit_source, monkeypatch):
 def test_oracle_matches_quadratic_reference(seed):
     rng = random.Random(seed)
     users = rng.randrange(2, 4)
-    source = random_hypergraphical(rng, users, rng.randrange(1, 4))
-    d = to_discrete(source)
-    w = gk_oracle(d)
-    support = d.support()
-    comp, count = bfs_components(support)
-    assert len(set(w.payload.values())) == count
-    reference = {}
-    for idx, realization in enumerate(support):
-        reference[realization] = comp[idx]
-    assert partition_of(w.payload) == partition_of(reference)
+    sources = [random_hypergraphical(rng, users, rng.randrange(1, 4)),
+               random_discrete(rng, users), random_fls(rng, users)]
+    for source in sources:
+        d = to_discrete(source)
+        w = gk_oracle(d)
+        support = d.support()
+        comp, count = bfs_components(support)
+        assert len(set(w.payload.values())) == count
+        reference = {}
+        for idx, realization in enumerate(support):
+            reference[realization] = comp[idx]
+        assert partition_of(w.payload) == partition_of(reference)
+        # the reference numbers each component by its first realization in
+        # support order, which is the oracle's documented label order
+        assert list(w.payload.items()) == list(reference.items())
 
 
 def test_oracle_labeling_is_computable_by_every_user():

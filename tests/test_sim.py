@@ -121,18 +121,20 @@ def test_round_budget_is_checked_before_drawing(request, monkeypatch, source, co
     else:
         s = request.getfixturevalue(source)
 
+    # a round counts its drawn columns and the key label each user decodes
+    per_round = columns + s.user_count
     # the limit of 10 points admits 1000 values
     monkeypatch.setenv("ZEROTALK_EXPANSION_LIMIT", "10")
-    assert run(s, n=1000 // columns, seed=1).agreement
+    assert run(s, n=1000 // per_round, seed=1).agreement
 
     def refuse(*args):
         raise AssertionError("rounds were drawn past the budget")
 
     monkeypatch.setattr(sim_module, "_observation_columns", refuse)
-    over = 1000 // columns + 1
+    over = 1000 // per_round + 1
     with pytest.raises(ExpansionTooLarge) as info:
         run(s, n=over, seed=1)
-    assert str(info.value) == f"simulation: {over * columns} values exceed the limit of 1000"
+    assert str(info.value) == f"simulation: {over * per_round} values exceed the limit of 1000"
 
 
 class Drawn(Exception):

@@ -105,6 +105,8 @@ def test_discrete_requires_unit_mass():
         pytest.param(lambda: Edge.uniform("e", {1}, 0), "edge 'e': alphabet size must be positive, got 0",
                      id="edge-uniform-size"),
         pytest.param(lambda: HypergraphicalSource(1, ()), "need at least 2 users, got 1", id="hypergraphical-one-user"),
+        pytest.param(lambda: FiniteLinearSource(2, 2, (identity(2, 2),)), "need at least 2 users, got 1",
+                     id="linear-one-user"),
         pytest.param(lambda: FiniteLinearSource(2, 0, (identity(2, 0),) * 2),
                      "ambient dimension must be positive, got 0", id="linear-dim"),
         pytest.param(lambda: FiniteLinearSource(2, 2, (identity(2, 2), identity(3, 2))),
