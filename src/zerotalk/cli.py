@@ -223,12 +223,12 @@ def render_hypergraphical(h: HypergraphicalSource) -> dict:
     for e in h.edges:
         item: dict = {"name": e.name, "subset": sorted(e.subset)}
         uniform = Fraction(1, e.alphabet_size)
-        if all(p == uniform for p in e.pmf):
+        if e.probs is None or all(p == uniform for p in e.probs):  # a float 1/n too
             item["uniform"] = e.alphabet_size
         else:
             item["pmf"] = [
                 f"{p.numerator}/{p.denominator}" if isinstance(p, Fraction) else p
-                for p in e.pmf
+                for p in e.probs
             ]
         edges.append(item)
     return {"model": "hypergraphical", "users": h.user_count, "edges": edges}

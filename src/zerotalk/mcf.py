@@ -132,7 +132,9 @@ class EdgeSubsetWitness(CommonFunctionWitness):
                 return list(zip(*(obs[p] for p in positions))) if positions else [()] * n
 
             decoders.append(decode)
-        var = math.fsum(_surprisal_variance(s.edges[k].pmf) for k in chosen)
+        # a uniform edge's surprisal is constant: its variance is zero
+        var = math.fsum(_surprisal_variance(s.edges[k].probs) for k in chosen
+                        if s.edges[k].probs is not None)
         return s, decoders, var, math.prod(s.edges[k].alphabet_size for k in chosen)
 
     def summary(self) -> dict:

@@ -11,7 +11,7 @@ rounds at once (one column per edge, hidden coordinate or discrete draw), and
 each user's decoder turns its own observation columns into its n key labels
 in one call.  The n values of every column drawn and the n key labels each
 user decodes are checked against ``VALUES_PER_POINT`` times
-``ZEROTALK_EXPANSION_LIMIT`` before anything is drawn.
+``ZEROTALK_EXPANSION_LIMIT`` before any decoder is built or value drawn.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .gf import cols_mat
 # Unused here; perfbench's test_instrument_patches_every_namespace_and_restores_it
 # reads sim.vec_mat.
 from .gf import vec_mat  # noqa: F401
-from .mcf import CommonFunctionWitness, common_function
+from .mcf import CommonFunctionWitness, LabelingWitness, common_function
 from .sources import (
     AnySource,
     FiniteLinearSource,
@@ -99,9 +99,12 @@ def _uniform_column(rng: random.Random, q: int, n: int):
 VALUES_PER_POINT = 100
 
 
-def _columns_drawn(s: AnySource) -> int:
+def _columns_drawn(s: AnySource, witness: Optional[CommonFunctionWitness]) -> int:
     """Columns of n values the sampler draws: one per edge (at least one),
-    hidden coordinate or discrete user."""
+    hidden coordinate or discrete user.  A labeling witness is drawn from the
+    discrete view of s, one column per user."""
+    if isinstance(witness, LabelingWitness):
+        return s.user_count
     if isinstance(s, HypergraphicalSource):
         return max(len(s.edges), 1)
     if isinstance(s, FiniteLinearSource):
@@ -113,7 +116,8 @@ def _observation_columns(s: AnySource, rng: random.Random, n: int) -> list:
     """n rounds of s: per user, the tuple of its observation columns."""
     if isinstance(s, HypergraphicalSource):
         cols = [
-            rng.choices(range(e.alphabet_size), cum_weights=_cdf(*pmf_weights(e.pmf)), k=n)
+            rng.choices(range(e.alphabet_size), k=n) if e.probs is None  # floor(random() * size)
+            else rng.choices(range(e.alphabet_size), cum_weights=_cdf(*pmf_weights(e.probs)), k=n)
             for e in s.edges
         ]
         return [tuple(cols[k] for k in s.incident(u)) for u in range(1, s.user_count + 1)]
@@ -153,9 +157,9 @@ def run(
 ) -> SimulationRun:
     if n < 1:
         raise ModelError("need at least one round")
-    ext = build_extractor(s, witness)
-    per_round = _columns_drawn(ext.source) + ext.source.user_count  # and one label per user
+    per_round = _columns_drawn(s, witness) + s.user_count  # and one label per user
     check_budget("simulation", n * per_round, "values", VALUES_PER_POINT)
+    ext = build_extractor(s, witness)
     observations = _observation_columns(ext.source, random.Random(seed), n)
     keys = [decode(obs, n) for decode, obs in zip(ext.decoders, observations)]
     first = keys[0]

@@ -25,7 +25,8 @@ of a finite linear source, whose expansion walks the row space of the
 stacked observation matrix rather than all q**dim hidden vectors.  The same
 cap refuses a hypergraphical user count, a uniform edge size or the
 elemental inequalities of an entropy profile before anything of that size
-is built; ``check_budget`` is the one check.
+is built; ``check_budget`` is the one check.  A uniform edge holds only its
+size: only an expansion, under its cap, or ``Edge.pmf`` builds its values.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import ClassVar, Union
+from typing import ClassVar, Optional, Union
 
 from . import gf
 from .errors import ExpansionTooLarge, ModelError, NotTwoUsers
@@ -136,36 +137,54 @@ def shannon_bits(probs, total: int = 1) -> float:
     return bits
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Edge:
-    """One hyperedge: its name, the users observing it, and its value pmf."""
+    """One hyperedge: its name, the users observing it, and its value pmf.
+
+    A uniform edge holds only its alphabet size (``probs`` is None); ``pmf``
+    builds its masses on each read.  An exact pmf of n masses
+    ``Fraction(1, n)`` is held the same way, so it equals
+    ``Edge.uniform(name, subset, n)``; a float pmf keeps its floats.
+    """
 
     name: str
     subset: frozenset[int]
-    pmf: tuple[Probability, ...]
+    alphabet_size: int
+    probs: Optional[tuple[Probability, ...]]
 
-    def __post_init__(self):
-        object.__setattr__(self, "subset", frozenset(self.subset))
-        object.__setattr__(self, "pmf", tuple(self.pmf))
-        if not self.name:
-            raise ModelError("edge name must be nonempty")
-        if not self.subset:
-            raise ModelError(f"edge {self.name!r}: user subset must be nonempty")
-        _check_pmf(self.pmf, f"edge {self.name!r}")
+    def __init__(self, name: str, subset, pmf):
+        probs = tuple(pmf)
+        self._store(name, subset, len(probs), probs)
+        _check_pmf(probs, f"edge {name!r}")
+        if all(isinstance(p, Fraction) and p * len(probs) == 1 for p in probs):
+            object.__setattr__(self, "probs", None)
 
     @classmethod
     def uniform(cls, name: str, subset, size: int) -> "Edge":
         if size < 1:
             raise ModelError(f"edge {name!r}: alphabet size must be positive, got {size}")
         check_budget(f"edge {name!r}", size, "uniform values")
-        return cls(name, frozenset(subset), tuple(Fraction(1, size) for _ in range(size)))
+        e = cls.__new__(cls)
+        e._store(name, subset, size, None)
+        return e
+
+    def _store(self, name: str, subset, size: int, probs) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "subset", frozenset(subset))
+        object.__setattr__(self, "alphabet_size", size)
+        object.__setattr__(self, "probs", probs)
+        if not name:
+            raise ModelError("edge name must be nonempty")
+        if not self.subset:
+            raise ModelError(f"edge {name!r}: user subset must be nonempty")
 
     @property
-    def alphabet_size(self) -> int:
-        return len(self.pmf)
+    def pmf(self) -> tuple[Probability, ...]:
+        n = self.alphabet_size
+        return (Fraction(1, n),) * n if self.probs is None else self.probs
 
     def entropy_bits(self) -> float:
-        return shannon_bits(self.pmf)
+        return math.log2(self.alphabet_size) if self.probs is None else shannon_bits(self.probs)
 
 
 @dataclass(frozen=True)
@@ -408,6 +427,14 @@ def _users_of(mask: int) -> list[int]:
     return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
 
 
+def _edge_weights(e: Edge, exact: bool) -> tuple:
+    """An edge's pmf in ``pmf_weights`` form in an exact model, else its masses over 1."""
+    n = e.alphabet_size
+    if e.probs is None:  # the one place a uniform edge's values are built
+        return ([1] * n, n) if exact else ((1.0 / n,) * n, 1)
+    return pmf_weights(e.probs) if exact else (e.probs, 1)
+
+
 def expand_hypergraphical(h: HypergraphicalSource) -> DiscreteSource:
     """Enumerate the joint pmf of a hypergraphical source, one edge at a time.
 
@@ -427,8 +454,8 @@ def expand_hypergraphical(h: HypergraphicalSource) -> DiscreteSource:
     """
     check_budget("hypergraphical expansion", math.prod(e.alphabet_size for e in h.edges),
                  "edge assignments")
-    exact = all(isinstance(p, Fraction) for e in h.edges for p in e.pmf)
-    tables = [pmf_weights(e.pmf) if exact else (e.pmf, 1) for e in h.edges]
+    exact = all(isinstance(p, Fraction) for e in h.edges for p in e.probs or ())
+    tables = [_edge_weights(e, exact) for e in h.edges]
     alphabets = [1] * h.user_count
     joint: dict[tuple[int, ...], Weight] = {(0,) * h.user_count: 1 if exact else 1.0}
     for e, (table, _) in zip(h.edges, tables):

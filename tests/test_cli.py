@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import hashlib
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -182,6 +183,15 @@ def test_render_round_trips(overlap_pair_source):
     doc = render_hypergraphical(mixed)
     assert [sorted(e) for e in doc["edges"]] == [["name", "pmf", "subset"]] * 2 + [["name", "subset", "uniform"]]
     assert parse_model(doc) == mixed
+    # an explicit exact 1/n pmf is the uniform edge; a float 1/n pmf stays
+    # float in its model but is written as uniform too
+    third = Edge("third", {1, 3}, (Fraction(1, 3),) * 3)
+    half = Edge("half", {1, 2}, (0.5, 0.5))
+    doc = render_hypergraphical(HypergraphicalSource(3, (third, half)))
+    assert doc["edges"] == [{"name": "third", "subset": [1, 3], "uniform": 3},
+                            {"name": "half", "subset": [1, 2], "uniform": 2}]
+    assert parse_model(doc).edges == (third, Edge.uniform("half", {1, 2}, 2))
+    assert half.pmf == (0.5, 0.5)
 
 
 # --- subcommand behavior ---
@@ -496,6 +506,10 @@ def _one_global_edge(users: int) -> dict:
         pytest.param({"model": "hypergraphical", "users": 10**5, "edges": []}, ["simulate", "--n", "1000"],
                      1.0, "simulation: 100001000 values exceed the limit of 100000000",
                      id="simulation-key-streams"),
+        # checked before the 10**6 users' decoders are built
+        pytest.param({"model": "hypergraphical", "users": 10**6, "edges": []}, ["simulate", "--n", "1000"],
+                     1.0, "simulation: 1000001000 values exceed the limit of 100000000",
+                     id="simulation-before-extractor"),
         pytest.param(_one_global_edge(20), ["bound", "--search"], 5.0,
                      "partition search: 1000002 search steps exceed the limit of 1000000", id="partition-search"),
     ],
@@ -508,6 +522,30 @@ def test_oversized_model_file_exits_5_fast(tmp_path, capsys, monkeypatch, doc, a
     code, out, err = run_cli(capsys, argv[0], str(model), *argv[1:])
     assert time.perf_counter() - start < seconds
     assert (code, out, err) == (EXIT_RESOURCE, "", f"error: {stage}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["jgk"], EXIT_OK), (["bound", "--search"], EXIT_OK), (["verify"], EXIT_RESOURCE)],
+    ids=["jgk", "bound-search", "verify"],
+)
+def test_wide_uniform_edges_load_in_constant_space(tmp_path, capsys, monkeypatch, argv, code):
+    # 100 edges at the cap, 34 of them global; holding their 10**8 values
+    # took minutes and GBs
+    monkeypatch.delenv("ZEROTALK_EXPANSION_LIMIT", raising=False)
+    model = tmp_path / "wide.json"
+    edges = [{"name": f"e{k}", "subset": [1, 2, 3] if k % 3 == 0 else [k % 3, 3], "uniform": 10**6}
+             for k in range(100)]
+    model.write_text(json.dumps({"model": "hypergraphical", "users": 3, "edges": edges}))
+    start = time.perf_counter()
+    got, out, err = run_cli(capsys, argv[0], str(model), *argv[1:])
+    assert time.perf_counter() - start < 1.0
+    assert got == code, err
+    if code == EXIT_OK:
+        assert f"{34 * math.log2(10**6):.6f} bits" in out
+    else:
+        assert err.startswith("error: hypergraphical expansion: ")
+        assert err.endswith(" edge assignments exceed the limit of 1000000\n")
 
 
 def test_simulate_output(capsys):

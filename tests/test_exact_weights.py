@@ -64,13 +64,16 @@ def random_discrete(rng: random.Random, kind: str) -> tuple[DiscreteSource, dict
 
 
 def random_edges(rng: random.Random, users: int, kind: str) -> HypergraphicalSource:
-    """Edges with random pmfs (zero entries included); in a mixed model the
-    edges alternate between exact and float."""
+    """Edges with random pmfs (zero entries included) and one uniform edge of
+    1 to 7 values; in a mixed model the pmf edges alternate between exact and
+    float."""
     edges = []
     for k in range(rng.randrange(1, 5)):
         edge_kind = kind if kind != "mixed" else ("exact", "float")[k % 2]
         subset = rng.sample(range(1, users + 1), rng.randrange(1, users + 1))
         edges.append(Edge(f"e{k}", subset, random_masses(rng, rng.randrange(1, 5), edge_kind)))
+    subset = rng.sample(range(1, users + 1), rng.randrange(1, users + 1))
+    edges.insert(rng.randrange(len(edges) + 1), Edge.uniform("u", subset, rng.randrange(1, 8)))
     return HypergraphicalSource(users, edges)
 
 
@@ -113,14 +116,26 @@ def test_hypergraphical_expansions_match_the_fraction_path(kind, seed):
         assert _cdf(*pmf_weights(e.pmf)) == fraction_cdf(e.pmf)
 
 
+def uniform_edges_beside(kind: str, n: int) -> HypergraphicalSource:
+    """A global and a private uniform edge of n values beside an exact pmf
+    edge, a float one, or both."""
+    others = {"exact": (Edge("x", {1, 2}, (Fraction(1, 3), Fraction(2, 3))),),
+              "float": (Edge("y", {2, 3}, (0.25, 0.75)),)}
+    others["mixed"] = others["exact"] + others["float"]
+    return HypergraphicalSource(3, (Edge.uniform("g", {1, 2, 3}, n), *others[kind],
+                                    Edge.uniform("own", {3}, n)))
+
+
 @pytest.mark.parametrize(
     "h",
     [
         HypergraphicalSource(2, ()),
         HypergraphicalSource(3, (Edge("a", {1, 2}, (Fraction(1, 3), Fraction(2, 3))),
                                  Edge("one", {2, 3}, (Fraction(1),)))),
+        *(uniform_edges_beside(kind, n) for kind in ("exact", "float", "mixed") for n in range(1, 8)),
     ],
-    ids=["no-edges", "one-value-edge"],
+    ids=["no-edges", "one-value-edge",
+         *(f"uniform-{n}-{kind}" for kind in ("exact", "float", "mixed") for n in range(1, 8))],
 )
 def test_degenerate_hypergraphical_expansions_match_the_fraction_path(h):
     assert_consumers_match_the_fraction_path(to_discrete(h), fraction_expansion(h))

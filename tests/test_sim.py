@@ -18,7 +18,14 @@ from zerotalk.mcf import (
     gk_oracle,
 )
 from zerotalk.cli import load_model
-from zerotalk.sim import _uniform_column, build_extractor, rate_tolerance, run
+from zerotalk.sim import (
+    _cdf,
+    _observation_columns,
+    _uniform_column,
+    build_extractor,
+    rate_tolerance,
+    run,
+)
 from zerotalk.sources import (
     DiscreteSource,
     Edge,
@@ -109,15 +116,21 @@ def test_rejects_nonpositive_rounds(shared_bit_source):
 
 @pytest.mark.parametrize(
     "source, columns",
-    [("shared_bit_source", 3), ("overlap_pair_source", 3), ("two_coins", 2), ("no_edges", 1)],
+    [("shared_bit_source", 3), ("overlap_pair_source", 3), ("two_coins", 2), ("no_edges", 1),
+     ("overlap_pair_labeling", 2)],
 )
 def test_round_budget_is_checked_before_drawing(request, monkeypatch, source, columns):
     import zerotalk.sim as sim_module
 
+    witness = None
     if source == "two_coins":
         s = load_model(str(TWO_COINS))
     elif source == "no_edges":
         s = HypergraphicalSource(2, ())
+    elif source == "overlap_pair_labeling":
+        # drawn from the discrete view: one column per user, not per hidden coordinate
+        s = request.getfixturevalue("overlap_pair_source")
+        witness = gk_oracle(s)
     else:
         s = request.getfixturevalue(source)
 
@@ -125,15 +138,16 @@ def test_round_budget_is_checked_before_drawing(request, monkeypatch, source, co
     per_round = columns + s.user_count
     # the limit of 10 points admits 1000 values
     monkeypatch.setenv("ZEROTALK_EXPANSION_LIMIT", "10")
-    assert run(s, n=1000 // per_round, seed=1).agreement
+    assert run(s, n=1000 // per_round, seed=1, witness=witness).agreement
 
     def refuse(*args):
-        raise AssertionError("rounds were drawn past the budget")
+        raise AssertionError("decoders were built or rounds drawn past the budget")
 
+    monkeypatch.setattr(sim_module, "build_extractor", refuse)
     monkeypatch.setattr(sim_module, "_observation_columns", refuse)
     over = 1000 // per_round + 1
     with pytest.raises(ExpansionTooLarge) as info:
-        run(s, n=over, seed=1)
+        run(s, n=over, seed=1, witness=witness)
     assert str(info.value) == f"simulation: {over * per_round} values exceed the limit of 1000"
 
 
@@ -320,6 +334,16 @@ def test_uniform_column_keeps_bytes_below_a_multiple_of_q(q):
     keep = 256 - 256 % q
     col = _uniform_column(_CyclingBytes(), q, 4 * keep)
     assert list(col) == [b % q for b in range(keep)] * 4
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_uniform_edge_column_is_the_cdf_draw(seed):
+    # a uniform edge draws floor(random() * n) with no cdf; the pinned
+    # simulate digests rely on it matching the bisect over the float cdf
+    for n in range(2, 65):
+        h = HypergraphicalSource(2, (Edge.uniform("e", {1, 2}, n),))
+        cdf_draw = random.Random(seed).choices(range(n), cum_weights=_cdf([1] * n, n), k=1000)
+        assert _observation_columns(h, random.Random(seed), 1000)[0] == (cdf_draw,)
 
 
 def test_large_field_run_agrees():

@@ -65,6 +65,24 @@ def test_edge_requires_nonempty_subset():
         Edge("e", frozenset(), (Fraction(1),))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 64, 53**2, 97**2])
+def test_uniform_edge_holds_its_size(n):
+    e = Edge.uniform("e", {1, 2}, n)
+    explicit = Edge("e", {1, 2}, (Fraction(1, n),) * n)
+    assert e == explicit and hash(e) == hash(explicit)
+    assert e.probs is None and e.alphabet_size == n
+    assert e.pmf == (Fraction(1, n),) * n
+    assert e.entropy_bits() == math.log2(n)
+    assert abs(e.entropy_bits() - shannon_bits(e.pmf)) < 1e-12
+
+
+def test_only_exact_uniform_pmfs_are_held_as_a_size():
+    assert Edge("e", {1}, (0.5, 0.5)).probs == (0.5, 0.5)
+    assert Edge("e", {1}, (1.0,)).probs == (1.0,)
+    assert Edge("e", {1}, (Fraction(1, 2), 0.5)).probs == (Fraction(1, 2), 0.5)
+    assert Edge("e", {1}, (Fraction(1, 3), Fraction(2, 3))).probs == (Fraction(1, 3), Fraction(2, 3))
+
+
 def test_hypergraphical_rejects_out_of_range_subsets():
     with pytest.raises(ModelError):
         HypergraphicalSource(2, (Edge.uniform("e", {1, 3}, 2),))
