@@ -525,7 +525,9 @@ def cmd_verify(args) -> int:
 
 
 def _key_digest(stream) -> str:
-    return hashlib.sha256(",".join(map(repr, stream)).encode()).hexdigest()
+    """sha256 of the labels' reprs joined by commas; each distinct label is repr'd once."""
+    reprs = {label: repr(label) for label in set(stream)}
+    return hashlib.sha256(",".join(map(reprs.__getitem__, stream)).encode()).hexdigest()
 
 
 def cmd_simulate(args) -> int:

@@ -9,17 +9,21 @@ entropy with a concentration-style tolerance.
 The simulation is column-wise: the sampler draws every coordinate for all n
 rounds at once (one column per edge, hidden coordinate or discrete draw), and
 each user's decoder turns its own observation columns into its n key labels
-in one call.  The n values of every column drawn and the n key labels each
-user decodes are checked against ``VALUES_PER_POINT`` times
-``ZEROTALK_EXPANSION_LIMIT`` before any decoder is built or value drawn.
+in one call.  Edge and discrete columns are read off the generator's raw
+words through a byte table, the same draws as ``random.choices`` (``_draw``).
+The n values of every column drawn and the n key labels each user decodes
+are checked against ``VALUES_PER_POINT`` times ``ZEROTALK_EXPANSION_LIMIT``
+before any decoder is built or value drawn.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from struct import unpack_from
 from typing import Optional
 
 from .errors import ModelError
@@ -76,20 +80,69 @@ def _cdf(weights, total: int) -> list:
     return cum
 
 
-def _uniform_column(rng: random.Random, q: int, n: int):
-    """n exactly uniform draws from [0, q).
+# More cuts leave too many rounds (a byte in 256 per cut) to the exact pick;
+# it also keeps every index below 255, the table's mark for such a byte.
+MAX_TABLE_CUTS = 16
+
+
+def _draw(rng: random.Random, size: int, n: int, cum=None) -> list:
+    """rng.choices(range(size), cum_weights=cum, k=n), leaving rng where choices would.
+
+    random() is m / 2**53, m = (a >> 5) << 26 | b >> 6 for its 32-bit words a,
+    b; getrandbits(64 * k) holds the next 2k words least significant first, so
+    its byte 8i + 3 is the top byte of round i's m.  The pick is monotone in
+    m, so a translate table maps each byte to its index, and only rounds whose
+    byte a cut falls inside (255) are picked from m by choices' own expression.
+    """
+    if cum is None:
+        fsize = float(size)
+        pick = lambda m: math.floor(m * 2**-53 * fsize)
+        starts = [(k << 8) // size for k in range(1, size)]
+    else:
+        total = cum[-1] + 0.0
+        pick = lambda m: bisect_right(cum, m * 2**-53 * total, 0, size - 1)
+        starts = [int(c / total * 256) for c in cum[:-1]]
+    if len(starts) > MAX_TABLE_CUTS:
+        return rng.choices(range(size), cum_weights=cum, k=n)
+    # cut k is in the first byte t whose highest m picks k or more, at most
+    # one byte below its start; the table holds k - 1 from the last cut to t
+    table = bytearray()
+    for k, t in enumerate(starts, 1):
+        t = max(t - 1, 0)
+        while t < 256 and pick(((t + 1) << 45) - 1) < k:
+            t += 1
+        table += bytes((k - 1,)) * (t - len(table))
+        if t < 256 and pick(t << 45) < k:
+            table[t:] = b"\xff"  # the cut is inside byte t
+    table += bytes((size - 1,)) * (256 - len(table))
+    out = []
+    while len(out) < n:  # 2**16 rounds at a time bounds the raw bytes held
+        base, rounds = len(out), min(n - len(out), 1 << 16)
+        raw = rng.getrandbits(64 * rounds).to_bytes(8 * rounds, "little")
+        col = raw[3::8].translate(table)
+        out += col
+        i = col.find(255)
+        while i >= 0:
+            a, b = unpack_from("<II", raw, 8 * i)
+            out[base + i] = pick(a >> 5 << 26 | b >> 6)
+            i = col.find(255, i + 1)
+    return out
+
+
+def _uniform_columns(rng: random.Random, q: int, n: int, count: int) -> list:
+    """count columns of n exactly uniform draws from [0, q), one after another.
 
     For q < 256 random bytes are reduced mod q after dropping those at or
     above the largest multiple of q, so every kept byte is uniform.
     """
     if q >= 256:
-        return [rng.randrange(q) for _ in range(n)]
-    reduce = bytes(b % q for b in range(256))
-    reject = bytes(range(256 - 256 % q, 256))
-    col = b""
-    while len(col) < n:
-        col += rng.randbytes(n - len(col)).translate(reduce, reject)
-    return col
+        return [[rng.randrange(q) for _ in range(n)] for _ in range(count)]
+    reduce, reject = bytes(b % q for b in range(256)), bytes(range(256 - 256 % q, 256))
+    cols = [b""] * count
+    for j in range(count):
+        while len(cols[j]) < n:
+            cols[j] += rng.randbytes(n - len(cols[j])).translate(reduce, reject)
+    return cols
 
 
 # A simulated value is one small int in a column or one key label a user
@@ -116,16 +169,16 @@ def _observation_columns(s: AnySource, rng: random.Random, n: int) -> list:
     """n rounds of s: per user, the tuple of its observation columns."""
     if isinstance(s, HypergraphicalSource):
         cols = [
-            rng.choices(range(e.alphabet_size), k=n) if e.probs is None  # floor(random() * size)
-            else rng.choices(range(e.alphabet_size), cum_weights=_cdf(*pmf_weights(e.probs)), k=n)
+            _draw(rng, e.alphabet_size, n, None if e.probs is None else _cdf(*pmf_weights(e.probs)))
             for e in s.edges
         ]
         return [tuple(cols[k] for k in s.incident(u)) for u in range(1, s.user_count + 1)]
     if isinstance(s, FiniteLinearSource):
-        hidden = [_uniform_column(rng, int(s.q), n) for _ in range(s.dim)]
+        hidden = _uniform_columns(rng, int(s.q), n, s.dim)
         return [tuple(cols_mat(hidden, mat, n)) for mat in s.matrices]
     # a DiscreteSource: key_map returns one of the three families
-    draws = rng.choices(s.support(), cum_weights=_cdf(s.weights.values(), s.total), k=n)
+    support = s.support()
+    draws = map(support.__getitem__, _draw(rng, len(support), n, _cdf(s.weights.values(), s.total)))
     return [(list(col),) for col in zip(*draws)]
 
 

@@ -75,10 +75,8 @@ def check_budget(stage: str, count: int, what: str, per_point: int = 1) -> None:
     """
     cap = per_point * expansion_limit()
     if count > cap:
-        try:
-            shown = str(count)
-        except ValueError:  # past the interpreter's limit on int-to-str digits
-            shown = f"more than 2**{count.bit_length() - 1}"
+        bits = count.bit_length()  # past 100 bits, a power of two says as much
+        shown = count if bits <= 100 else f"more than 2**{bits - 1}"
         raise ExpansionTooLarge(f"{stage}: {shown} {what} exceed the limit of {cap}")
 
 

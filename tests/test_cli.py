@@ -548,6 +548,20 @@ def test_wide_uniform_edges_load_in_constant_space(tmp_path, capsys, monkeypatch
         assert err.endswith(" edge assignments exceed the limit of 1000000\n")
 
 
+def test_wide_edge_budget_error_is_one_short_line(tmp_path, capsys, monkeypatch):
+    # 10**600 edge assignments: past 100 bits the count is shown as a power of two
+    monkeypatch.delenv("ZEROTALK_EXPANSION_LIMIT", raising=False)
+    model = tmp_path / "wide.json"
+    edges = [{"name": f"e{k}", "subset": [1, 2, 3] if k % 3 == 0 else [k % 3, 3], "uniform": 10**6}
+             for k in range(100)]
+    model.write_text(json.dumps({"model": "hypergraphical", "users": 3, "edges": edges}))
+    code, out, err = run_cli(capsys, "verify", str(model))
+    assert (code, out) == (EXIT_RESOURCE, "")
+    assert err.count("\n") == 1 and len(err.encode()) < 120
+    assert err == ("error: hypergraphical expansion: more than 2**1993 edge assignments"
+                   " exceed the limit of 1000000\n")
+
+
 def test_simulate_output(capsys):
     code, out, _ = run_cli(
         capsys, "simulate", SHARED_BIT, "--n", "500", "--seed", "9", "--json"

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,10 +20,12 @@ from zerotalk.mcf import (
     gk_oracle,
 )
 from zerotalk.cli import load_model
+import zerotalk.sim as sim_module
 from zerotalk.sim import (
     _cdf,
+    _draw,
     _observation_columns,
-    _uniform_column,
+    _uniform_columns,
     build_extractor,
     rate_tolerance,
     run,
@@ -332,7 +336,7 @@ def test_uniform_column_keeps_bytes_below_a_multiple_of_q(q):
     # bytes at or above the largest multiple of q are dropped and the draw is
     # topped up, so every residue comes from the same number of byte values
     keep = 256 - 256 % q
-    col = _uniform_column(_CyclingBytes(), q, 4 * keep)
+    col = _uniform_columns(_CyclingBytes(), q, 4 * keep, 1)[0]
     assert list(col) == [b % q for b in range(keep)] * 4
 
 
@@ -344,6 +348,119 @@ def test_uniform_edge_column_is_the_cdf_draw(seed):
         h = HypergraphicalSource(2, (Edge.uniform("e", {1, 2}, n),))
         cdf_draw = random.Random(seed).choices(range(n), cum_weights=_cdf([1] * n, n), k=1000)
         assert _observation_columns(h, random.Random(seed), 1000)[0] == (cdf_draw,)
+
+
+def _same_draw(size, n, seed, cum=None):
+    """_draw returns random.choices' list and leaves the generator where it does."""
+    a, b = random.Random(seed), random.Random(seed)
+    assert _draw(a, size, n, cum) == b.choices(range(size), cum_weights=cum, k=n)
+    assert a.random() == b.random()
+
+
+@pytest.mark.parametrize("n", [1, 7, 1000])
+def test_draw_is_random_choices_for_every_size(n):
+    # sizes past MAX_TABLE_CUTS + 1 fall back to random.choices itself
+    for size in range(1, 301):
+        _same_draw(size, n, 9000 + size)
+
+
+@pytest.mark.parametrize("n", [1, 7, 1000])
+def test_draw_is_random_choices_for_random_pmfs(n):
+    rng = random.Random(9100 + n)
+    for _ in range(200):
+        size = rng.randint(1, 40)
+        weights = [rng.choice([0, 0, 1, 2, 3, 5, 8, 1000]) for _ in range(size)]
+        weights[rng.randrange(size)] += 1
+        _same_draw(size, n, rng.randrange(10**6), _cdf(weights, sum(weights)))
+        floats = [rng.random() for _ in range(size)]
+        _same_draw(size, n, rng.randrange(10**6), _cdf([w / sum(floats) for w in floats], 1))
+
+
+def test_draw_crosses_chunks_of_rounds():
+    for size in (1, 3, 10, 16):
+        _same_draw(size, (1 << 16) + 1000, size)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_discrete_columns_are_the_choices_draw_on_1_to_120_points(seed):
+    rng = random.Random(9200 + seed)
+    for points in range(1, 121):
+        weights = [rng.randint(1, 9) for _ in range(points)]
+        d = DiscreteSource((points, 3), {(i, rng.randrange(3)): Fraction(w, sum(weights))
+                                         for i, w in enumerate(weights)})
+        n = rng.choice([1, 7, 1000])
+        a, b = random.Random(seed), random.Random(seed)
+        draws = b.choices(d.support(), cum_weights=_cdf(d.weights.values(), d.total), k=n)
+        assert _observation_columns(d, a, n) == [(list(col),) for col in zip(*draws)]
+        assert a.random() == b.random()
+
+
+def test_random_is_built_from_two_getrandbits_words():
+    # the layout _draw reads: round i's m is (a >> 5) << 26 | b >> 6 for the
+    # 32-bit words a, b at bytes 8i and 8i + 4 of getrandbits(64 * n)
+    raw = random.Random(7).getrandbits(64 * 500).to_bytes(8 * 500, "little")
+    ref = random.Random(7)
+    for i in range(500):
+        a = int.from_bytes(raw[8 * i:8 * i + 4], "little")
+        b = int.from_bytes(raw[8 * i + 4:8 * i + 8], "little")
+        assert ((a >> 5) << 26 | b >> 6) * 2**-53 == ref.random()
+
+
+class _CraftedRounds(random.Random):
+    """A generator whose rounds have the given m (random() == m / 2**53).
+
+    getrandbits returns the words CPython's random() would read m from, with
+    the low bits it drops set; random() returns m / 2**53 itself, so
+    random.Random.choices on this class applies its own expression to m.
+    """
+
+    def __init__(self, ms):
+        super().__init__(0)
+        self.ms, self.at = ms, 0
+
+    def random(self):
+        self.at += 1
+        return self.ms[self.at - 1] * 2**-53
+
+    def getrandbits(self, k):
+        words = 0
+        for j in range(k // 64):
+            m = self.ms[self.at + j]
+            a, b = (m >> 26) << 5 | 0b10101, (m & (1 << 26) - 1) << 6 | 0b101010
+            words |= (b << 32 | a) << 64 * j
+        self.at += k // 64
+        return words
+
+
+def _edge_rounds(pick, size):
+    """Every m within 4 of a top-byte edge or of the first m that picks k."""
+    jumps = [bisect_left(range(1 << 53), k, key=pick) for k in range(1, size)]
+    centers = jumps + [t << 45 for t in range(257)]
+    return sorted({c + d for c in centers for d in range(-4, 5) if 0 <= c + d < 1 << 53})
+
+
+def _check_crafted(size, cum=None):
+    if cum is None:
+        pick = lambda m: math.floor(m * 2**-53 * float(size))
+    else:
+        pick = lambda m: bisect_right(cum, m * 2**-53 * (cum[-1] + 0.0), 0, size - 1)
+    ms = _edge_rounds(pick, size)
+    got = _draw(_CraftedRounds(ms), size, len(ms), cum)
+    assert got == _CraftedRounds(ms).choices(range(size), cum_weights=cum, k=len(ms))
+    assert got == [pick(m) for m in ms]
+
+
+@pytest.mark.parametrize("limit", [sim_module.MAX_TABLE_CUTS, 253])
+def test_draw_at_every_cut_and_byte_edge(limit, monkeypatch):
+    # limit 253 puts every size below 255 through the byte table
+    monkeypatch.setattr(sim_module, "MAX_TABLE_CUTS", limit)
+    for size in [*range(1, 70), 96, 100, 127, 128, 129, 200, 251, 253, 254]:
+        _check_crafted(size)
+    rng = random.Random(9300)
+    for size in [*range(1, 30), 60, 120, 254]:
+        weights = [rng.choice([0, 0, 1, 2, 3, 7, 10**6]) for _ in range(size)]
+        weights[rng.randrange(size)] += 1
+        _check_crafted(size, _cdf(weights, sum(weights)))
 
 
 def test_large_field_run_agrees():

@@ -20,6 +20,7 @@ from zerotalk.sources import (
     EntropyProfile,
     FiniteLinearSource,
     HypergraphicalSource,
+    check_budget,
     entropy_profile,
     expand_finite_linear,
     expand_hypergraphical,
@@ -361,6 +362,15 @@ def test_budget_error_prints_counts_past_the_int_digit_limit(monkeypatch):
     edges = tuple(Edge.uniform(f"e{i}", {1}, 2) for i in range(20000))
     with pytest.raises(ExpansionTooLarge, match=r"^hypergraphical expansion: more than 2\*\*20000 "):
         expand_hypergraphical(HypergraphicalSource(2, edges))
+
+
+def test_budget_error_prints_counts_past_100_bits_as_a_power_of_two(monkeypatch):
+    monkeypatch.setenv("ZEROTALK_EXPANSION_LIMIT", "8")
+    for count, shown in [(2**100 - 1, str(2**100 - 1)), (2**100 + 1, "more than 2**100"),
+                         (3 * 2**200, "more than 2**201")]:
+        with pytest.raises(ExpansionTooLarge) as info:
+            check_budget("stage", count, "items")
+        assert str(info.value) == f"stage: {shown} items exceed the limit of 8"
 
 
 def test_user_budget_is_checked_before_the_user_set_is_built(monkeypatch):
