@@ -27,6 +27,9 @@ cap refuses a hypergraphical user count, a uniform edge size or the
 elemental inequalities of an entropy profile before anything of that size
 is built; ``check_budget`` is the one check.  A uniform edge holds only its
 size: only an expansion, under its cap, or ``Edge.pmf`` builds its values.
+The entropy profile of a discrete source packs each realization once into
+an int, a bit field per user, and projects it onto a subset with one AND;
+``DiscreteSource.marginal`` is the tuple form of the same marginal.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import os
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from operator import itemgetter, lshift
 from typing import ClassVar, Optional, Union
 
 from . import gf
@@ -75,8 +78,8 @@ def check_budget(stage: str, count: int, what: str, per_point: int = 1) -> None:
     """
     cap = per_point * expansion_limit()
     if count > cap:
-        bits = count.bit_length()  # past 100 bits, a power of two says as much
-        shown = count if bits <= 100 else f"more than 2**{bits - 1}"
+        k = count.bit_length() - 1  # past 100 bits, a power of two says as much
+        shown = count if k < 100 else f"2**{k}" if count == 1 << k else f"more than 2**{k}"
         raise ExpansionTooLarge(f"{stage}: {shown} {what} exceed the limit of {cap}")
 
 
@@ -267,24 +270,27 @@ class _PmfView(Mapping):
 
 def _realizations(sizes: tuple[int, ...], masses: dict) -> dict:
     """The positive-mass entries of masses, keys checked against the
-    alphabets and sorted lexicographically."""
+    alphabets (int symbols only, as the profile packs them into bit fields)
+    and sorted lexicographically."""
     if len(sizes) < 2:
         raise ModelError(f"need at least 2 users, got {len(sizes)}")
     if any(a < 1 for a in sizes):
         raise ModelError("alphabet sizes must be positive")
     m = len(sizes)
     cleaned = {}
-    for key in sorted(masses):
-        w = masses[key]
+    for key, w in masses.items():
         key = tuple(key)
         if len(key) != m:
             raise ModelError(f"realization {key} has {len(key)} symbols, expected {m}")
         for i, (sym, size) in enumerate(zip(key, sizes), start=1):
+            # FiniteMatrix's test, after the cheap one that passes a plain int
+            if type(sym) is not int and (not isinstance(sym, int) or isinstance(sym, bool)):
+                raise ModelError(f"realization {key}: symbol {sym!r} of user {i} is not an integer")
             if not 0 <= sym < size:
                 raise ModelError(f"realization {key}: symbol {sym} outside alphabet of user {i}")
         if w != 0:
             cleaned[key] = w
-    return cleaned
+    return {key: cleaned[key] for key in sorted(cleaned)}
 
 
 @dataclass(frozen=True, init=False)
@@ -505,7 +511,11 @@ def entropy_profile(s: AnySource) -> EntropyProfile:
     """Subset entropies of any source model, in bits.
 
     Hypergraphical and linear sources use their closed forms (edge-entropy
-    sums and rank times log2 q); discrete sources marginalize the pmf.
+    sums and rank times log2 q).  A discrete source packs each realization
+    into one int, a field of (alphabet size - 1).bit_length() bits per user
+    with user 1 most significant, and a subset's marginal keeps key & fields:
+    the weights ``marginal`` adds, in its first-seen order, so each entropy
+    is bit-identical to ``shannon_bits(s.marginal(users).values(), s.total)``.
 
     Raises:
         ExpansionTooLarge: if the m + C(m,2)*2**(m-2) elemental inequalities
@@ -529,7 +539,20 @@ def entropy_profile(s: AnySource) -> EntropyProfile:
         ]
         return EntropyProfile(m, h)
     to_discrete(s)  # enforce the support cap
-    h = [0.0] + [shannon_bits(s.marginal(_users_of(mask)).values(), s.total) for mask in masks[1:]]
+    # one int per realization: a bit field per user, user 1 most significant
+    widths = [(a - 1).bit_length() for a in s.alphabet_sizes]
+    offsets = [sum(widths[i + 1:]) for i in range(m)]
+    user_fields = [(1 << w) - 1 << off for w, off in zip(widths, offsets)]
+    points = [(sum(map(lshift, key, offsets)), w) for key, w in s.weights.items()]
+    fields, h = [0] * 2**m, [0.0] * 2**m
+    for mask in masks[1:]:
+        low = mask & -mask
+        fields[mask] = f = fields[mask ^ low] | user_fields[low.bit_length() - 1]
+        marginal: dict[int, Weight] = {}  # first-seen order, as s.marginal builds it
+        for key, w in points:
+            key &= f
+            marginal[key] = marginal.get(key, 0) + w
+        h[mask] = shannon_bits(marginal.values(), s.total)
     return EntropyProfile(m, h)
 
 

@@ -134,6 +134,12 @@ def test_discrete_requires_unit_mass():
                      id="discrete-one-user"),
         pytest.param(lambda: DiscreteSource((2, 2), {(0,): Fraction(1)}),
                      "realization (0,) has 1 symbols, expected 2", id="discrete-short-realization"),
+        pytest.param(lambda: DiscreteSource((2, 2), {(0.5, 1): Fraction(1, 2), (1, 0): Fraction(1, 2)}),
+                     "realization (0.5, 1): symbol 0.5 of user 1 is not an integer", id="discrete-float-symbol"),
+        pytest.param(lambda: DiscreteSource((2, 2), {(0, True): Fraction(1)}),
+                     "realization (0, True): symbol True of user 2 is not an integer", id="discrete-bool-symbol"),
+        pytest.param(lambda: DiscreteSource((2, 2), {("a", 0): Fraction(1, 2), (0, 0): Fraction(1, 2)}),
+                     "realization ('a', 0): symbol 'a' of user 1 is not an integer", id="discrete-str-symbol"),
     ],
 )
 def test_models_reject_invalid_data(call, message):
@@ -346,12 +352,16 @@ def test_profile_budget_is_checked_before_anything_is_built(monkeypatch):
     def refuse(*args):
         raise AssertionError("profile work started before the budget check")
 
-    monkeypatch.setattr(sources_module, "EntropyProfile", refuse)
-    monkeypatch.setattr(Edge, "entropy_bits", refuse)
-    monkeypatch.setattr(DiscreteSource, "marginal", refuse)
+    class Untouchable(dict):  # the discrete profile's first work reads the weights
+        __len__ = __iter__ = __getitem__ = keys = values = items = refuse
+
     monkeypatch.setenv("ZEROTALK_EXPANSION_LIMIT", "100")
     h = HypergraphicalSource(6, (Edge.uniform("e", range(1, 7), 2),))
-    for s in (h, to_discrete(h)):
+    d = to_discrete(h)
+    object.__setattr__(d, "weights", Untouchable(d.weights))
+    monkeypatch.setattr(sources_module, "EntropyProfile", refuse)
+    monkeypatch.setattr(Edge, "entropy_bits", refuse)
+    for s in (h, d):
         with pytest.raises(ExpansionTooLarge, match="^entropy profile: 246 elemental"):
             entropy_profile(s)
 
@@ -360,14 +370,16 @@ def test_budget_error_prints_counts_past_the_int_digit_limit(monkeypatch):
     # 2**20000 has more decimal digits than str(int) allows by default
     monkeypatch.setenv("ZEROTALK_EXPANSION_LIMIT", "8")
     edges = tuple(Edge.uniform(f"e{i}", {1}, 2) for i in range(20000))
-    with pytest.raises(ExpansionTooLarge, match=r"^hypergraphical expansion: more than 2\*\*20000 "):
+    with pytest.raises(ExpansionTooLarge, match=r"^hypergraphical expansion: 2\*\*20000 "):
         expand_hypergraphical(HypergraphicalSource(2, edges))
+    with pytest.raises(ExpansionTooLarge, match=r"^stage: more than 2\*\*20000 items"):
+        check_budget("stage", 2**20000 + 1, "items")
 
 
 def test_budget_error_prints_counts_past_100_bits_as_a_power_of_two(monkeypatch):
     monkeypatch.setenv("ZEROTALK_EXPANSION_LIMIT", "8")
-    for count, shown in [(2**100 - 1, str(2**100 - 1)), (2**100 + 1, "more than 2**100"),
-                         (3 * 2**200, "more than 2**201")]:
+    for count, shown in [(2**100 - 1, str(2**100 - 1)), (2**100, "2**100"),
+                         (2**100 + 1, "more than 2**100"), (3 * 2**200, "more than 2**201")]:
         with pytest.raises(ExpansionTooLarge) as info:
             check_budget("stage", count, "items")
         assert str(info.value) == f"stage: {shown} items exceed the limit of 8"
@@ -473,6 +485,73 @@ def test_profile_values_are_the_subset_formulas_bit_for_bit(seed):
     prof = entropy_profile(d)
     for sub in subsets_of(d.user_count):
         assert prof.of(sub) == shannon_bits(d.marginal(sub).values(), d.total)
+
+
+def assert_profile_is_the_tuple_path(d: DiscreteSource) -> None:
+    """The profile of d, bit for bit, against each subset's tuple marginal."""
+    users = range(1, d.user_count + 1)
+    tuple_path = [0.0] + [
+        shannon_bits(d.marginal([u for u in users if mask >> (u - 1) & 1]).values(), d.total)
+        for mask in range(1, 2**d.user_count)
+    ]
+    assert list(map(float.hex, entropy_profile(d).h)) == list(map(float.hex, tuple_path))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_packed_profile_is_the_tuple_path_on_random_sources(seed):
+    rng = random.Random(1700 + seed)
+    assert_profile_is_the_tuple_path(random_discrete(rng, rng.randrange(2, 6)))
+    assert_profile_is_the_tuple_path(to_discrete(random_hypergraphical(rng, rng.randrange(2, 8),
+                                                                       rng.randrange(0, 6))))
+    assert_profile_is_the_tuple_path(to_discrete(random_fls(rng, users=rng.randrange(2, 5))))
+
+
+def random_support(rng: random.Random, alphabets, points: int, exact=True, top=10) -> DiscreteSource:
+    keys = {tuple(rng.randrange(a) for a in alphabets) for _ in range(points)}
+    weights = [rng.randrange(1, top) for _ in keys]
+    if exact:
+        return DiscreteSource(alphabets, {k: Fraction(w, sum(weights)) for k, w in zip(keys, weights)})
+    return DiscreteSource(alphabets, {k: w / sum(weights) for k, w in zip(keys, weights)})
+
+
+def test_packed_profile_field_widths():
+    # a user who sees no edge has alphabet 1, a field of width 0
+    h = HypergraphicalSource(4, (Edge.uniform("a", {1, 2}, 4), Edge.uniform("b", {2, 4}, 5)))
+    assert to_discrete(h).alphabet_sizes == (4, 20, 1, 5)
+    assert_profile_is_the_tuple_path(to_discrete(h))
+    rng = random.Random(1800)
+    for _ in range(4):
+        # alphabets of exactly 2**k and 2**k + 1 symbols, widths k and k + 1
+        assert_profile_is_the_tuple_path(random_support(rng, (1, 2, 3, 4, 5, 8, 9), 40))
+        # keys of 20 + 21 + 2 + 30 + 3 = 76 bits
+        assert_profile_is_the_tuple_path(random_support(rng, (2**20, 2**20 + 1, 3, 2**30, 5), 40))
+
+
+def test_packed_profile_of_keys_past_64_bits():
+    # five users see one 97**2 edge: 14-bit fields, 70-bit keys; user 6 sees nothing
+    h = HypergraphicalSource(6, (Edge.uniform("g", range(1, 6), 97**2), Edge.uniform("p", {1, 2}, 2)))
+    assert_profile_is_the_tuple_path(to_discrete(h))
+
+
+def test_packed_profile_of_float_mixed_and_wide_weights():
+    edges = (Edge("a", {1, 2}, (0.1, 0.2, 0.7)), Edge("b", {2, 3}, (Fraction(1, 3), Fraction(2, 3))))
+    assert_profile_is_the_tuple_path(to_discrete(HypergraphicalSource(3, edges)))
+    # exact and float masses in one pmf: a marginal entry fed only by Fractions stays a Fraction
+    third = Fraction(1, 3)
+    mixed = DiscreteSource((2, 3, 2), {(0, 0, 1): third, (0, 2, 0): 1 / 3, (1, 1, 1): third})
+    assert any(isinstance(w, Fraction) for w in mixed.marginal({1}).values())
+    assert_profile_is_the_tuple_path(mixed)
+    rng = random.Random(1900)
+    for _ in range(4):
+        assert_profile_is_the_tuple_path(random_support(rng, (3, 4, 2, 5), 30, exact=False))
+        # integer weights past 2**53: each mass is one correctly rounded division
+        wide = random_support(rng, (3, 2, 4, 5), 60, top=2**70)
+        assert wide.total > 2**53
+        assert_profile_is_the_tuple_path(wide)
+        d = random_support(rng, (3, 2, 4), 12)
+        assert_profile_is_the_tuple_path(DiscreteSource(d.alphabet_sizes, {
+            k: float(p) if i % 2 else p for i, (k, p) in enumerate(d.pmf.items())
+        }))
 
 
 @pytest.mark.parametrize("seed", range(12))
