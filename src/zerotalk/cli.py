@@ -524,22 +524,22 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_ok else EXIT_MISMATCH
 
 
-def _key_digest(stream) -> str:
-    """sha256 of the labels' reprs joined by commas; each distinct label is repr'd once."""
-    reprs = {label: repr(label) for label in set(stream)}
-    return hashlib.sha256(",".join(map(reprs.__getitem__, stream)).encode()).hexdigest()
+def _key_digest(codes, label) -> str:
+    """sha256 of the codes' label reprs joined by commas; each distinct code is labelled once."""
+    reprs = {code: repr(label(code)) for code in set(codes)}
+    return hashlib.sha256(",".join(map(reprs.__getitem__, codes)).encode()).hexdigest()
 
 
 def cmd_simulate(args) -> int:
     s = load_model(args.model)
     result = run_simulation(s, n=args.n, seed=args.seed)
-    keys = result.per_user_keys
+    codes, label = result.codes, result.label
     # agreeing users hold equal streams: hash one and repeat its digest
     if result.agreement:
-        digests = [_key_digest(keys[0])] * len(keys)
+        digests = [_key_digest(codes[0], label)] * len(codes)
     else:
-        digests = [_key_digest(stream) for stream in keys]
-    preview = [repr(label) for label in result.per_user_keys[0][:16]]
+        digests = [_key_digest(stream, label) for stream in codes]
+    preview = [repr(label(code)) for code in codes[0][:16]]
     report = {
         "command": "simulate",
         "model": s.model,

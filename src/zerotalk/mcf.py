@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from typing import ClassVar
 
 from .errors import ModelError, SubspaceNotContained, WitnessInvalid
@@ -61,6 +61,30 @@ def _label_masses(weights: dict, labeling: dict) -> dict:
     return masses
 
 
+def _codes(cols, radices, n: int) -> list:
+    """The n mixed-radix codes of the columns, the first most significant.  While
+    every code fits in a byte, a column is a big int of bytes and acc * r + col
+    carries nothing from byte to byte, as in gf.cols_mat."""
+    if math.prod(radices) <= 256:
+        acc = 0
+        for col, r in zip(cols, radices):
+            acc = acc * r + int.from_bytes(bytes(col), "little")
+        return list(acc.to_bytes(n, "little"))
+    codes = [0] * n
+    for col, r in zip(cols, radices):
+        codes = [c * r + v for c, v in zip(codes, col)]
+    return codes
+
+
+def _digits(radices: tuple, code: int) -> tuple:
+    """The digits of a code of _codes; the first is what the lower radices leave."""
+    digits = []
+    for r in reversed(radices[1:]):
+        code, v = divmod(code, r)
+        digits.append(v)
+    return tuple(reversed(digits + [code])) if radices else ()
+
+
 @dataclass(frozen=True)
 class CommonFunctionWitness:
     """A common function realized as an explicit, checkable object.
@@ -81,12 +105,14 @@ class CommonFunctionWitness:
         raise NotImplementedError
 
     def key_map(self, s: AnySource) -> tuple:
-        """(source, decoders, surprisal variance, label count) of the key.
+        """(source, decoders, surprisal variance, label count, label) of the key.
 
         decoders[i] is user (i+1)'s column decoder: decoders[i](obs, n) takes
         that user's observations of n rounds of source as a tuple of
         coordinate columns, each n values long, and returns the list of the
-        n key labels.  One observation is the case n = 1.
+        n keys as int codes.  One observation is the case n = 1.  label(code)
+        is the key's label: the tuple of the chosen edges' values, the tuple
+        of the subspace coordinates, or the support component.
         """
         raise NotImplementedError
 
@@ -123,19 +149,20 @@ class EdgeSubsetWitness(CommonFunctionWitness):
                     f"edge {s.edges[k].name!r} is not observed by every user; "
                     "some user cannot compute the key"
                 )
+        radices = tuple(s.edges[k].alphabet_size for k in chosen)
         decoders = []
         for user in range(1, s.user_count + 1):
             incident = s.incident(user)
             positions = tuple(incident.index(k) for k in chosen)
 
             def decode(obs, n, positions=positions):
-                return list(zip(*(obs[p] for p in positions))) if positions else [()] * n
+                return _codes([obs[p] for p in positions], radices, n)
 
             decoders.append(decode)
         # a uniform edge's surprisal is constant: its variance is zero
         var = math.fsum(_surprisal_variance(s.edges[k].probs) for k in chosen
                         if s.edges[k].probs is not None)
-        return s, decoders, var, math.prod(s.edges[k].alphabet_size for k in chosen)
+        return s, decoders, var, math.prod(radices), partial(_digits, radices)
 
     def summary(self) -> dict:
         return {"kind": self.kind, "edges": list(self.payload)}
@@ -168,6 +195,7 @@ class SubspaceWitness(CommonFunctionWitness):
 
     def key_map(self, s: AnySource) -> tuple:
         basis = self._basis(s)
+        radices = (int(s.q),) * basis.cols
         decoders = []
         for mat in s.matrices:
             try:
@@ -176,11 +204,11 @@ class SubspaceWitness(CommonFunctionWitness):
                 raise WitnessInvalid("witness subspace is not computable from every observation") from exc
 
             def decode(obs, n, coeffs=coeffs):
-                return list(zip(*cols_mat(obs, coeffs, n))) if coeffs.cols else [()] * n
+                return _codes(cols_mat(obs, coeffs, n), radices, n)
 
             decoders.append(decode)
         # the key is uniform over the image: surprisal is constant, variance zero
-        return s, decoders, 0.0, int(s.q) ** basis.cols
+        return s, decoders, 0.0, math.prod(radices), partial(_digits, radices)
 
     def _columns(self) -> list:
         return [list(self.payload.col(j)) for j in range(self.payload.cols)]
@@ -219,7 +247,7 @@ class LabelingWitness(CommonFunctionWitness):
 
             decoders.append(decode)
         variance = _surprisal_variance(m / d.total for m in masses.values())
-        return d, decoders, variance, len(masses)
+        return d, decoders, variance, len(masses), lambda code: code  # codes are the labels
 
     def summary(self) -> dict:
         return {"kind": self.kind, "labels": len(set(self.payload.values()))}

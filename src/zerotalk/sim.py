@@ -8,12 +8,14 @@ entropy with a concentration-style tolerance.
 
 The simulation is column-wise: the sampler draws every coordinate for all n
 rounds at once (one column per edge, hidden coordinate or discrete draw), and
-each user's decoder turns its own observation columns into its n key labels
-in one call.  Edge and discrete columns are read off the generator's raw
-words through a byte table, the same draws as ``random.choices`` (``_draw``).
-The n values of every column drawn and the n key labels each user decodes
-are checked against ``VALUES_PER_POINT`` times ``ZEROTALK_EXPANSION_LIMIT``
-before any decoder is built or value drawn.
+each user's decoder turns its own observation columns into its n keys in one
+call.  A key is an int code, turned into its label only where one is shown
+(see CommonFunctionWitness.key_map).  Edge and discrete columns are read off
+the generator's raw words through a table of the top byte or two of each
+round, the same draws as ``random.choices`` (``_draw``).  The n values of
+every column drawn and the n keys each user decodes are checked against
+``VALUES_PER_POINT`` times ``ZEROTALK_EXPANSION_LIMIT`` before any decoder is
+built or value drawn.
 """
 
 from __future__ import annotations
@@ -22,9 +24,10 @@ import math
 import random
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
-from struct import unpack_from
-from typing import Optional
+from dataclasses import dataclass, field, fields
+from functools import cached_property
+from struct import unpack, unpack_from
+from typing import Callable, Optional
 
 from .errors import ModelError
 from .gf import cols_mat
@@ -49,10 +52,10 @@ class KeyExtractor:
     source is the model the decoders read observations of (a discrete view of
     the original model when the witness is a support labeling).  decoders[i]
     is user (i+1)'s column decoder: decoders[i](obs, n) maps that user's
-    observation columns of n rounds to its list of n key labels (see
-    CommonFunctionWitness.key_map).  surprise_var is the variance of the
-    label's surprisal in bits^2, used for the empirical-rate tolerance;
-    label_count the number of possible labels.
+    observation columns of n rounds to its list of n key codes, and
+    label(code) is a code's key label (see CommonFunctionWitness.key_map).
+    surprise_var is the variance of the label's surprisal in bits^2, used for
+    the empirical-rate tolerance; label_count the number of possible labels.
     """
 
     source: AnySource
@@ -60,14 +63,15 @@ class KeyExtractor:
     expected_bits: float
     surprise_var: float
     label_count: int
+    label: Callable
 
 
 def build_extractor(
     s: AnySource, witness: Optional[CommonFunctionWitness] = None
 ) -> KeyExtractor:
     w = witness if witness is not None else common_function(s)
-    source, decoders, var, count = w.key_map(s)
-    return KeyExtractor(source, tuple(decoders), w.entropy_bits, var, count)
+    source, decoders, var, count, label = w.key_map(s)
+    return KeyExtractor(source, tuple(decoders), w.entropy_bits, var, count, label)
 
 
 def _cdf(weights, total: int) -> list:
@@ -80,8 +84,10 @@ def _cdf(weights, total: int) -> list:
     return cum
 
 
-# More cuts leave too many rounds (a byte in 256 per cut) to the exact pick;
-# it also keeps every index below 255, the table's mark for such a byte.
+# Past this many cuts too many rounds (a byte in 256 per cut) would go to the
+# exact pick, so a weighted draw's table reads the top two bytes of m instead
+# of one.  A uniform draw then stays with choices: its floor(random() * size)
+# costs no more per round than the two-byte lookup.
 MAX_TABLE_CUTS = 16
 
 
@@ -90,36 +96,48 @@ def _draw(rng: random.Random, size: int, n: int, cum=None) -> list:
 
     random() is m / 2**53, m = (a >> 5) << 26 | b >> 6 for its 32-bit words a,
     b; getrandbits(64 * k) holds the next 2k words least significant first, so
-    its byte 8i + 3 is the top byte of round i's m.  The pick is monotone in
-    m, so a translate table maps each byte to its index, and only rounds whose
-    byte a cut falls inside (255) are picked from m by choices' own expression.
+    bytes 8i + 3 and 8i + 2 are the top two bytes of round i's m.  The pick is
+    monotone in m, so a table maps the top byte (past MAX_TABLE_CUTS cuts, the
+    top two) to the index, and only rounds whose slice of m a cut falls inside
+    (255) are picked from m by choices' own expression.  An index must be
+    below that mark, so past 254 cuts this is choices itself.
     """
+    if size > 255 or cum is None and size - 1 > MAX_TABLE_CUTS:
+        return rng.choices(range(size), cum_weights=cum, k=n)
+    # cut k, the first m that picks k or more, is within a few units of cuts[k - 1]
     if cum is None:
         fsize = float(size)
         pick = lambda m: math.floor(m * 2**-53 * fsize)
-        starts = [(k << 8) // size for k in range(1, size)]
+        cuts = [(k << 53) // size for k in range(1, size)]
     else:
         total = cum[-1] + 0.0
         pick = lambda m: bisect_right(cum, m * 2**-53 * total, 0, size - 1)
-        starts = [int(c / total * 256) for c in cum[:-1]]
-    if len(starts) > MAX_TABLE_CUTS:
-        return rng.choices(range(size), cum_weights=cum, k=n)
-    # cut k is in the first byte t whose highest m picks k or more, at most
-    # one byte below its start; the table holds k - 1 from the last cut to t
+        cuts = [int(c / total * 2**53) for c in cum[:-1]]
+    wide = len(cuts) > MAX_TABLE_CUTS
+    shift, end = (37, 1 << 16) if wide else (45, 256)
     table = bytearray()
-    for k, t in enumerate(starts, 1):
-        t = max(t - 1, 0)
-        while t < 256 and pick(((t + 1) << 45) - 1) < k:
-            t += 1
+    for k, c in enumerate(cuts, 1):
+        t, r = divmod(c, 1 << shift)
+        inside = 64 < r < (1 << shift) - 64
+        if not inside:  # near a slice edge: the first slice from t - 1 whose highest m picks k
+            t = max(t - 1, 0)
+            while t < end and pick(((t + 1) << shift) - 1) < k:
+                t += 1
+            inside = t < end and pick(t << shift) < k
         table += bytes((k - 1,)) * (t - len(table))
-        if t < 256 and pick(t << 45) < k:
-            table[t:] = b"\xff"  # the cut is inside byte t
-    table += bytes((size - 1,)) * (256 - len(table))
+        if inside:
+            table[t:] = b"\xff"
+    table += bytes((size - 1,)) * (end - len(table))
     out = []
     while len(out) < n:  # 2**16 rounds at a time bounds the raw bytes held
         base, rounds = len(out), min(n - len(out), 1 << 16)
         raw = rng.getrandbits(64 * rounds).to_bytes(8 * rounds, "little")
-        col = raw[3::8].translate(table)
+        if wide:  # each round's top two bytes of m as one big-endian 16-bit key
+            keys = bytearray(2 * rounds)
+            keys[::2], keys[1::2] = raw[3::8], raw[2::8]
+            col = bytes(map(table.__getitem__, unpack(f">{rounds}H", keys)))
+        else:
+            col = raw[3::8].translate(table)
         out += col
         i = col.find(255)
         while i >= 0:
@@ -184,16 +202,28 @@ def _observation_columns(s: AnySource, rng: random.Random, n: int) -> list:
 
 @dataclass(frozen=True)
 class SimulationRun:
-    """Outcome of n zero-discussion key-extraction rounds."""
+    """Outcome of n zero-discussion key-extraction rounds: each user's list of
+    n key codes and label(code), a code's key label.  Runs compare by labels."""
 
     n: int
     seed: int
-    per_user_keys: tuple  # one label sequence per user
     agreement: bool
     empirical_rate_bits: float
     expected_rate_bits: float
     rate_ok: bool
     discussion_bits: int = 0
+    codes: tuple = field(default=(), repr=False, compare=False)
+    label: Callable = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def per_user_keys(self) -> tuple:
+        """One tuple of key labels per user, built when first read."""
+        return tuple(tuple(map(self.label, stream)) for stream in self.codes)
+
+    def __eq__(self, other):
+        return (isinstance(other, SimulationRun) and self.per_user_keys == other.per_user_keys
+                and all(getattr(self, f.name) == getattr(other, f.name)
+                        for f in fields(self) if f.compare))
 
 
 def rate_tolerance(surprise_var: float, label_count: int, n: int) -> float:
@@ -214,9 +244,9 @@ def run(
     check_budget("simulation", n * per_round, "values", VALUES_PER_POINT)
     ext = build_extractor(s, witness)
     observations = _observation_columns(ext.source, random.Random(seed), n)
-    keys = [decode(obs, n) for decode, obs in zip(ext.decoders, observations)]
-    first = keys[0]
-    agreement = all(stream == first for stream in keys[1:])
+    codes = tuple(decode(obs, n) for decode, obs in zip(ext.decoders, observations))
+    first = codes[0]
+    agreement = all(stream == first for stream in codes[1:])
     counts = Counter(first)
     empirical = shannon_bits(c / n for c in counts.values())
     gap = abs(empirical - ext.expected_bits)
@@ -224,9 +254,10 @@ def run(
     return SimulationRun(
         n=n,
         seed=seed,
-        per_user_keys=tuple(map(tuple, keys)),
         agreement=agreement,
         empirical_rate_bits=empirical,
         expected_rate_bits=ext.expected_bits,
         rate_ok=ok,
+        codes=codes,
+        label=ext.label,
     )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from pathlib import Path
@@ -179,9 +180,9 @@ def test_extractor_projects_global_edge(shared_bit_source):
     ext = build_extractor(shared_bit_source)
     # user 1 sees (a, b, c); users 2 and 3 see two edges each; each decoder
     # must pick out exactly the c component (one round: one-value columns)
-    assert ext.decoders[0](([10], [20], [30]), 1) == [(30,)]
-    assert ext.decoders[1](([20], [30]), 1) == [(30,)]
-    assert ext.decoders[2](([10], [30]), 1) == [(30,)]
+    assert list(map(ext.label, ext.decoders[0](([10], [20], [30]), 1))) == [(30,)]
+    assert list(map(ext.label, ext.decoders[1](([20], [30]), 1))) == [(30,)]
+    assert list(map(ext.label, ext.decoders[2](([10], [30]), 1))) == [(30,)]
     assert ext.label_count == 2
     assert ext.surprise_var == pytest.approx(0.0, abs=1e-12)
 
@@ -195,7 +196,7 @@ def test_extractor_computes_hidden_sum(overlap_pair_source):
         expected = ((x[0] + x[1]) % 2,)
         for decode, mat in zip(ext.decoders, overlap_pair_source.matrices):
             obs = tuple([v] for v in vec_mat(x, mat))
-            assert decode(obs, 1) == [expected]
+            assert list(map(ext.label, decode(obs, 1))) == [expected]
 
 
 def test_extractor_rejects_nonglobal_edge_witness(shared_bit_source):
@@ -284,6 +285,23 @@ def _decoder_cases():
     cases.append(pytest.param(h, gk_oracle(h), id="labeling-on-edges"))
     f = random_fls(rng, 3, 3)
     cases.append(pytest.param(f, gk_oracle(f), id="labeling-on-linear"))
+    # chosen edges: none, one, several; radix products of 256 (every code a
+    # byte) and 257 (the list combine), with private edges between them
+    for name, sizes in [("none", []), ("one", [5]), ("several", [2, 3, 4, 2]),
+                        ("product-256", [16, 16]), ("product-257", [257]),
+                        ("product-272", [17, 2, 8])]:
+        edges = [Edge.uniform(f"g{k}", {1, 2, 3}, v) for k, v in enumerate(sizes)]
+        edges[1:1] = [Edge.uniform("p", {1, 2}, 3), Edge.uniform("r", {3}, 2)]
+        h = HypergraphicalSource(3, tuple(edges))
+        cases.append(pytest.param(h, common_function(h), id=f"edges-{name}"))
+    # one shared column over GF(131): the q > 127 column product, codes in a byte
+    f = _linear(131, 3, [[1, 2, 0], [0, 0, 1]], [[1, 2, 0], [0, 1, 5]])
+    cases.append(pytest.param(f, common_function(f), id="gf131-shared"))
+    for q, dim in [(2, 8), (2, 9), (3, 5), (5, 4)]:  # q**dim on both sides of 256
+        f = FiniteLinearSource(q, dim, (identity(q, dim), identity(q, dim)))
+        cases.append(pytest.param(f, common_function(f), id=f"gf{q}-dim{dim}"))
+    nothing = _linear(3, 2, [[1, 0]], [[0, 1]])  # a zero-column basis
+    cases.append(pytest.param(nothing, common_function(nothing), id="zero-column-basis"))
     return cases
 
 
@@ -296,6 +314,7 @@ def _user_columns(worlds, i, source):
 
 @pytest.mark.parametrize("s, w", _decoder_cases())
 def test_column_decoders_match_reference_round_by_round(s, w):
+    # the decoders return int codes; label(code) is the reference's label
     ext = build_extractor(s, w)
     source, reference = round_decoders(s, w)
     assert ext.source == source
@@ -303,7 +322,7 @@ def test_column_decoders_match_reference_round_by_round(s, w):
     draw = round_sampler(source)
     worlds = [draw(rng) for _ in range(80)]
     for i, (decode, ref) in enumerate(zip(ext.decoders, reference)):
-        labels = decode(_user_columns(worlds, i, source), len(worlds))
+        labels = list(map(ext.label, decode(_user_columns(worlds, i, source), len(worlds))))
         assert labels == [ref(world[i]) for world in worlds]
 
 
@@ -461,6 +480,49 @@ def test_draw_at_every_cut_and_byte_edge(limit, monkeypatch):
         weights = [rng.choice([0, 0, 1, 2, 3, 7, 10**6]) for _ in range(size)]
         weights[rng.randrange(size)] += 1
         _check_crafted(size, _cdf(weights, sum(weights)))
+
+
+class _NoChoices(random.Random):
+    """A generator that fails if the draw falls back to random.choices."""
+
+    def choices(self, *args, **kwargs):
+        raise AssertionError("drawn by random.choices")
+
+
+@pytest.mark.parametrize("cuts", [17, 99, 254])
+def test_two_byte_table_is_random_choices(cuts):
+    # past MAX_TABLE_CUTS a weighted draw's table reads the top two bytes of
+    # m; zero masses at both ends and inside put several cuts at one m
+    size = cuts + 1
+    rng = random.Random(9400 + cuts)
+    weights = [rng.choice([0, 0, 1, 2, 3, 7, 10**6]) for _ in range(size)]
+    weights[0] = weights[-1] = 0
+    weights[rng.randrange(1, size - 1)] += 1
+    cum = _cdf(weights, sum(weights))
+    _check_crafted(size, cum)
+    for n in (1, 7, 1000, (1 << 16) + 1000):
+        seed = rng.randrange(10**6)
+        assert _draw(_NoChoices(seed), size, n, cum) == random.Random(seed).choices(
+            range(size), cum_weights=cum, k=n)
+        _same_draw(size, n, seed, cum)
+
+
+@pytest.mark.parametrize("size, weighted", [(18, False), (256, False), (256, True)])
+def test_draw_is_random_choices_itself_past_the_tables(size, weighted):
+    cum = _cdf([1] * size, size) if weighted else None
+    with pytest.raises(AssertionError, match="drawn by random.choices"):
+        _draw(_NoChoices(1), size, 10, cum)
+
+
+def test_draw_of_a_huge_uniform_edge_builds_nothing_per_value():
+    # a 10**6-value edge goes to random.choices before any per-cut list is made
+    tracemalloc.start()
+    try:
+        _same_draw(10**6, 5, 11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
 
 
 def test_large_field_run_agrees():
