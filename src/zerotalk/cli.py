@@ -258,7 +258,7 @@ def _jsonable(x):
 
 def _emit(report: dict, lines, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(_jsonable(report), indent=2))
+        print(json.dumps(_jsonable(report), indent=2, allow_nan=False))
     else:
         for line in lines:
             print(line)
@@ -327,6 +327,8 @@ def cmd_bound(args) -> int:
     else:
         b = lamination_bound(s, parse_partition_text(args.partition, s.user_count))
     value = b.bound_at(rate)
+    if not (b.vacuous or math.isfinite(value)):
+        raise ParseError(f"--rate {rate!r} puts the bound past the largest float")
     report = {
         "command": "bound",
         "model": "hypergraphical",

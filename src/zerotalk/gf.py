@@ -12,14 +12,17 @@ Gauss-Jordan elimination over GF(2) packs each row into one int, column 0
 the most significant bit, so clearing a column from a row is one XOR
 (M4RI's bit-packing: Albrecht, Bard and Hart, "Algorithm 898", ACM TOMS
 37(1), 2010); ``row_space_keys`` walks GF(2) row spaces the same way.
-Odd q keeps one list per row.  Subspaces are handled through their spanning
-column sets; every routine that returns a basis returns the canonical one,
-the RREF basis of the span read as columns, so span-equal inputs produce
-identical output matrices and golden tests stay stable.
+Odd q keeps one list per row.  ``codes`` is the one mixed-radix encoder:
+it folds value columns into keys for that walk and for the simulator's
+decoders.  Subspaces are handled through their spanning column sets; every
+routine that returns a basis returns the canonical one, the RREF basis of
+the span read as columns, so span-equal inputs produce identical output
+matrices and golden tests stay stable.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain
@@ -201,6 +204,24 @@ def cols_mat(x_cols: Sequence[Sequence[int]], a: FiniteMatrix, n: int) -> list[l
     return out
 
 
+def codes(cols: Sequence[Sequence[int]], radices: Sequence[int], n: int) -> list[int]:
+    """The n mixed-radix codes of the columns, the first most significant.
+
+    Column k holds n values in [0, radices[k]).  While every code fits in a
+    byte, a column is a big int of bytes and acc * r + col carries nothing
+    from byte to byte, as in cols_mat.  No columns give n zeros.
+    """
+    if math.prod(radices) <= 256:
+        acc = 0
+        for col, r in zip(cols, radices):
+            acc = acc * r + int.from_bytes(bytes(col), "little")
+        return list(acc.to_bytes(n, "little"))
+    out = [0] * n
+    for col, r in zip(cols, radices):
+        out = [c * r + v for c, v in zip(out, col)]
+    return out
+
+
 def hstack(*mats: FiniteMatrix) -> FiniteMatrix:
     """Concatenate matrices side by side: [a | b | ...]."""
     if not mats:
@@ -311,8 +332,8 @@ def row_space_keys(basis: FiniteMatrix, widths: Sequence[int]) -> Iterator[tuple
     the first low rows, one chunk per combination of the other rows.  Over
     GF(2) a point is one int with column 0 as its most significant bit, so
     a point is one XOR and a key a shift and a mask.  Over odd q, cols_mat
-    computes a chunk a column at a time and the keys are read off those
-    columns.
+    computes a chunk a column at a time and ``codes`` reads the keys off
+    those columns.
     """
     if not widths or sum(widths) != basis.cols:
         raise ValueError(f"widths {list(widths)} do not cover {basis.cols} columns")
@@ -342,13 +363,7 @@ def row_space_keys(basis: FiniteMatrix, widths: Sequence[int]) -> Iterator[tuple
     digits = [[d for d in range(q) for _ in range(q**k)] * q ** (low - 1 - k) for k in range(low)]
     for h in range(q ** (r - low)):
         cols = cols_mat(digits + [[h // q**k % q] * size for k in range(r - low)], basis, size)
-        keys = []
-        for end, w in zip(ends, widths):
-            key = [0] * size
-            for col in cols[end - w : end]:
-                key = [a * q + b for a, b in zip(key, col)]
-            keys.append(key)
-        yield from zip(*keys)
+        yield from zip(*(codes(cols[end - w : end], (q,) * w, size) for end, w in zip(ends, widths)))
 
 
 def rank(m: FiniteMatrix) -> int:

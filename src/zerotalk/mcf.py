@@ -22,11 +22,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial, reduce
-from typing import ClassVar
+from typing import Callable, ClassVar
 
 from .errors import ModelError, SubspaceNotContained, WitnessInvalid
-from .gf import (FiniteMatrix, cols_mat, column_space_intersection, hstack, row_space_basis,
-                 row_space_keys, solve)
+from .gf import (FiniteMatrix, codes, cols_mat, column_space_intersection, hstack,
+                 row_space_basis, row_space_keys, solve)
 # Unused here; perfbench's test_instrument_patches_every_namespace_and_restores_it
 # reads mcf.vec_mat.
 from .gf import vec_mat  # noqa: F401
@@ -61,28 +61,37 @@ def _label_masses(weights: dict, labeling: dict) -> dict:
     return masses
 
 
-def _codes(cols, radices, n: int) -> list:
-    """The n mixed-radix codes of the columns, the first most significant.  While
-    every code fits in a byte, a column is a big int of bytes and acc * r + col
-    carries nothing from byte to byte, as in gf.cols_mat."""
-    if math.prod(radices) <= 256:
-        acc = 0
-        for col, r in zip(cols, radices):
-            acc = acc * r + int.from_bytes(bytes(col), "little")
-        return list(acc.to_bytes(n, "little"))
-    codes = [0] * n
-    for col, r in zip(cols, radices):
-        codes = [c * r + v for c, v in zip(codes, col)]
-    return codes
-
-
 def _digits(radices: tuple, code: int) -> tuple:
-    """The digits of a code of _codes; the first is what the lower radices leave."""
+    """The digits of a code of gf.codes; the first is what the lower radices leave."""
     digits = []
     for r in reversed(radices[1:]):
         code, v = divmod(code, r)
         digits.append(v)
     return tuple(reversed(digits + [code])) if radices else ()
+
+
+@dataclass(frozen=True)
+class KeyExtractor:
+    """Per-user deterministic key maps realizing a common-function witness.
+
+    source is the model the decoders read observations of (a discrete view of
+    the original model when the witness is a support labeling).  decoders[i]
+    is user (i+1)'s column decoder: decoders[i](obs, n) takes that user's
+    observations of n rounds of source as a tuple of coordinate columns, each
+    n values long, and returns the list of the n keys as int codes; one
+    observation is the case n = 1.  expected_bits is the witness entropy.
+    surprise_var is the variance of the key's surprisal in bits^2, used for
+    the empirical-rate tolerance; label_count the number of possible keys.
+    label(code) is the key's label: the tuple of the chosen edges' values, the
+    tuple of the subspace coordinates, or the support component.
+    """
+
+    source: AnySource
+    decoders: tuple
+    expected_bits: float
+    surprise_var: float
+    label_count: int
+    label: Callable
 
 
 @dataclass(frozen=True)
@@ -94,6 +103,7 @@ class CommonFunctionWitness:
     columns span the common subspace (SubspaceWitness), or a dict from
     support realizations to component labels (LabelingWitness).
     entropy_bits is the entropy of the witness value under the source law.
+    key_map(s) turns the witness into the KeyExtractor each user runs on s.
     """
 
     kind: ClassVar[str]
@@ -104,16 +114,8 @@ class CommonFunctionWitness:
         """Entropy of the witness value, recomputed on the source's distribution."""
         raise NotImplementedError
 
-    def key_map(self, s: AnySource) -> tuple:
-        """(source, decoders, surprisal variance, label count, label) of the key.
-
-        decoders[i] is user (i+1)'s column decoder: decoders[i](obs, n) takes
-        that user's observations of n rounds of source as a tuple of
-        coordinate columns, each n values long, and returns the list of the
-        n keys as int codes.  One observation is the case n = 1.  label(code)
-        is the key's label: the tuple of the chosen edges' values, the tuple
-        of the subspace coordinates, or the support component.
-        """
+    def key_map(self, s: AnySource) -> KeyExtractor:
+        """The KeyExtractor of this witness on s."""
         raise NotImplementedError
 
     def summary(self) -> dict:
@@ -140,7 +142,7 @@ class EdgeSubsetWitness(CommonFunctionWitness):
     def brute_force_bits(self, s: AnySource) -> float:
         return math.fsum(s.edges[k].entropy_bits() for k in self._edges(s))
 
-    def key_map(self, s: AnySource) -> tuple:
+    def key_map(self, s: AnySource) -> KeyExtractor:
         chosen = self._edges(s)
         everyone = s.users()
         for k in chosen:
@@ -156,13 +158,14 @@ class EdgeSubsetWitness(CommonFunctionWitness):
             positions = tuple(incident.index(k) for k in chosen)
 
             def decode(obs, n, positions=positions):
-                return _codes([obs[p] for p in positions], radices, n)
+                return codes([obs[p] for p in positions], radices, n)
 
             decoders.append(decode)
         # a uniform edge's surprisal is constant: its variance is zero
         var = math.fsum(_surprisal_variance(s.edges[k].probs) for k in chosen
                         if s.edges[k].probs is not None)
-        return s, decoders, var, math.prod(radices), partial(_digits, radices)
+        return KeyExtractor(s, tuple(decoders), self.entropy_bits, var, math.prod(radices),
+                            partial(_digits, radices))
 
     def summary(self) -> dict:
         return {"kind": self.kind, "edges": list(self.payload)}
@@ -193,7 +196,7 @@ class SubspaceWitness(CommonFunctionWitness):
         counts = Counter(label for _, label in walk)
         return shannon_bits(counts.values(), total)
 
-    def key_map(self, s: AnySource) -> tuple:
+    def key_map(self, s: AnySource) -> KeyExtractor:
         basis = self._basis(s)
         radices = (int(s.q),) * basis.cols
         decoders = []
@@ -204,11 +207,12 @@ class SubspaceWitness(CommonFunctionWitness):
                 raise WitnessInvalid("witness subspace is not computable from every observation") from exc
 
             def decode(obs, n, coeffs=coeffs):
-                return _codes(cols_mat(obs, coeffs, n), radices, n)
+                return codes(cols_mat(obs, coeffs, n), radices, n)
 
             decoders.append(decode)
         # the key is uniform over the image: surprisal is constant, variance zero
-        return s, decoders, 0.0, math.prod(radices), partial(_digits, radices)
+        return KeyExtractor(s, tuple(decoders), self.entropy_bits, 0.0, math.prod(radices),
+                            partial(_digits, radices))
 
     def _columns(self) -> list:
         return [list(self.payload.col(j)) for j in range(self.payload.cols)]
@@ -227,7 +231,7 @@ class LabelingWitness(CommonFunctionWitness):
         d = to_discrete(s)
         return shannon_bits(_label_masses(d.weights, self.payload).values(), d.total)
 
-    def key_map(self, s: AnySource) -> tuple:
+    def key_map(self, s: AnySource) -> KeyExtractor:
         d = to_discrete(s)
         masses = _label_masses(d.weights, self.payload)
         decoders = []
@@ -247,7 +251,8 @@ class LabelingWitness(CommonFunctionWitness):
 
             decoders.append(decode)
         variance = _surprisal_variance(m / d.total for m in masses.values())
-        return d, decoders, variance, len(masses), lambda code: code  # codes are the labels
+        return KeyExtractor(d, tuple(decoders), self.entropy_bits, variance, len(masses),
+                            lambda code: code)  # codes are the labels
 
     def summary(self) -> dict:
         return {"kind": self.kind, "labels": len(set(self.payload.values()))}

@@ -9,8 +9,9 @@ entropy with a concentration-style tolerance.
 The simulation is column-wise: the sampler draws every coordinate for all n
 rounds at once (one column per edge, hidden coordinate or discrete draw), and
 each user's decoder turns its own observation columns into its n keys in one
-call.  A key is an int code, turned into its label only where one is shown
-(see CommonFunctionWitness.key_map).  Edge and discrete columns are read off
+call.  The witness's ``key_map`` returns those decoders as a KeyExtractor
+(defined in mcf, re-exported here); a key is an int code, turned into its
+label only where one is shown.  Edge and discrete columns are read off
 the generator's raw words through a table of the top byte or two of each
 round, the same draws as ``random.choices`` (``_draw``).  The n values of
 every column drawn and the n keys each user decodes are checked against
@@ -27,14 +28,14 @@ from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from struct import unpack, unpack_from
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 from .errors import ModelError
 from .gf import cols_mat
 # Unused here; perfbench's test_instrument_patches_every_namespace_and_restores_it
 # reads sim.vec_mat.
 from .gf import vec_mat  # noqa: F401
-from .mcf import CommonFunctionWitness, LabelingWitness, common_function
+from .mcf import CommonFunctionWitness, KeyExtractor, LabelingWitness, common_function
 from .sources import (
     AnySource,
     FiniteLinearSource,
@@ -45,33 +46,8 @@ from .sources import (
 )
 
 
-@dataclass(frozen=True)
-class KeyExtractor:
-    """Per-user deterministic key maps realizing a common-function witness.
-
-    source is the model the decoders read observations of (a discrete view of
-    the original model when the witness is a support labeling).  decoders[i]
-    is user (i+1)'s column decoder: decoders[i](obs, n) maps that user's
-    observation columns of n rounds to its list of n key codes, and
-    label(code) is a code's key label (see CommonFunctionWitness.key_map).
-    surprise_var is the variance of the label's surprisal in bits^2, used for
-    the empirical-rate tolerance; label_count the number of possible labels.
-    """
-
-    source: AnySource
-    decoders: tuple
-    expected_bits: float
-    surprise_var: float
-    label_count: int
-    label: Callable
-
-
-def build_extractor(
-    s: AnySource, witness: Optional[CommonFunctionWitness] = None
-) -> KeyExtractor:
-    w = witness if witness is not None else common_function(s)
-    source, decoders, var, count, label = w.key_map(s)
-    return KeyExtractor(source, tuple(decoders), w.entropy_bits, var, count, label)
+def build_extractor(s: AnySource, witness: Optional[CommonFunctionWitness] = None) -> KeyExtractor:
+    return (witness if witness is not None else common_function(s)).key_map(s)
 
 
 def _cdf(weights, total: int) -> list:
@@ -211,9 +187,9 @@ class SimulationRun:
     empirical_rate_bits: float
     expected_rate_bits: float
     rate_ok: bool
-    discussion_bits: int = 0
-    codes: tuple = field(default=(), repr=False, compare=False)
-    label: Callable = field(default=None, repr=False, compare=False)
+    codes: tuple = field(repr=False, compare=False)
+    label: Callable = field(repr=False, compare=False)
+    discussion_bits: ClassVar[int] = 0
 
     @cached_property
     def per_user_keys(self) -> tuple:

@@ -40,6 +40,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter, lshift
+from types import MappingProxyType
 from typing import ClassVar, Optional, Union
 
 from . import gf
@@ -244,30 +245,6 @@ class FiniteLinearSource:
         return len(self.matrices)
 
 
-class _PmfView(Mapping):
-    """Read-only realization -> probability view of a DiscreteSource.
-
-    Exact weights read as ``Fraction(w, total)``, computed on each lookup;
-    other masses read as stored.
-    """
-
-    __slots__ = ("_weights", "_total")
-
-    def __init__(self, weights: dict, total: int):
-        self._weights = weights
-        self._total = total
-
-    def __getitem__(self, key) -> Probability:
-        w = self._weights[key]
-        return Fraction(w, self._total) if isinstance(w, int) else w
-
-    def __iter__(self):
-        return iter(self._weights)
-
-    def __len__(self) -> int:
-        return len(self._weights)
-
-
 def _realizations(sizes: tuple[int, ...], masses: dict) -> dict:
     """The positive-mass entries of masses, keys checked against the
     alphabets (int symbols only, as the profile packs them into bit fields)
@@ -299,7 +276,7 @@ class DiscreteSource:
 
     The pmf is held as ``weights`` over one ``total``: realization r has
     mass weights[r] / total (see ``pmf_weights``), and ``pmf`` is a
-    read-only view of the masses themselves.
+    read-only mapping of the masses themselves, built on each read.
     """
 
     model: ClassVar[str] = "discrete"
@@ -330,7 +307,9 @@ class DiscreteSource:
 
     @property
     def pmf(self) -> Mapping[tuple[int, ...], Probability]:
-        return _PmfView(self.weights, self.total)
+        t = self.total
+        return MappingProxyType({k: Fraction(w, t) if isinstance(w, int) else w
+                                 for k, w in self.weights.items()})
 
     @property
     def user_count(self) -> int:

@@ -315,10 +315,10 @@ def round_sampler(s):
             return tuple(tuple(vec_mat(x, mat)) for mat in s.matrices)
 
         return draw
-    support = s.support()
+    support, pmf = s.support(), s.pmf  # pmf builds its mapping on each read
     acc, cum = 0.0, []
     for realization in support:
-        acc += float(s.pmf[realization])
+        acc += float(pmf[realization])
         cum.append(acc)
     cum[-1] = 1.0
 

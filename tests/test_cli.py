@@ -30,7 +30,7 @@ from zerotalk.cli import (
     render_hypergraphical,
 )
 from zerotalk.errors import ParseError
-from zerotalk.mcf import CommonFunctionWitness, LabelingWitness
+from zerotalk.mcf import CommonFunctionWitness, KeyExtractor, LabelingWitness
 from zerotalk.sim import run
 from zerotalk.sources import (
     DiscreteSource,
@@ -356,6 +356,23 @@ def test_bound_rejects_bad_rates(capsys, rate):
     assert "--rate must be a finite nonnegative number" in err
 
 
+def test_bound_past_the_largest_float_exits_2(tmp_path, capsys):
+    # coefficient 2/3, slope 2: a rate of 1e308 puts the bound at inf, which is not JSON
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps({"model": "hypergraphical", "users": 4,
+                                 "edges": [{"name": "a", "subset": [1, 2, 3], "uniform": 2}]}))
+    code, out, err = run_cli(capsys, "bound", str(model), "--rate", "1e308", "--json")
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err == "error: --rate 1e+308 puts the bound past the largest float\n"
+    code, out, _ = run_cli(capsys, "bound", str(model), "--rate", "8e307", "--json")
+    assert code == EXIT_OK
+    assert json.loads(out, parse_constant=_reject_constant)["bound_bits"] == 1.6e308
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
 def test_bound_negative_zero_rate_prints_zero(capsys):
     code, out, _ = run_cli(capsys, "bound", SHARED_BIT, "--rate", "-0.0")
     assert code == 0
@@ -641,7 +658,7 @@ class _DisagreeingWitness(CommonFunctionWitness):
 
     def key_map(self, s):
         decoders = [lambda obs, n, i=i: [i] * n for i in range(1, s.user_count + 1)]
-        return s, decoders, 0.0, 1, lambda code: code
+        return KeyExtractor(s, tuple(decoders), 0.0, 0.0, 1, lambda code: code)
 
 
 def test_simulate_reports_users_that_disagree(capsys, monkeypatch):

@@ -10,6 +10,7 @@ brute force, the key's surprisal variance and the samplers' cdfs.
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import product
 
@@ -95,7 +96,7 @@ def assert_consumers_match_the_fraction_path(d: DiscreteSource, pmf: dict) -> No
     masses = fraction_label_masses(pmf, w.payload)
     assert w.entropy_bits == fraction_shannon_bits(masses.values())
     assert w.brute_force_bits(d) == w.entropy_bits
-    assert w.key_map(d)[2] == _surprisal_variance(masses.values())
+    assert w.key_map(d).surprise_var == _surprisal_variance(masses.values())
     assert _cdf(d.weights.values(), d.total) == fraction_cdf(pmf[r] for r in d.support())
 
 
@@ -176,3 +177,8 @@ def test_pmf_is_a_read_only_view():
     with pytest.raises(TypeError):
         d.pmf[(0, 0)] = Fraction(1)  # type: ignore[index]
     assert len(d.pmf) == 2 and (1, 1) in d.pmf and (0, 1) not in d.pmf
+    mixed = {(0, 0): Fraction(1, 4), (0, 1): 0.5, (1, 1): Fraction(1, 4)}
+    d = DiscreteSource((2, 2), mixed)
+    assert dict(d.pmf) == mixed and list(d.pmf) == list(mixed)
+    assert [type(p) for p in d.pmf.values()] == [Fraction, float, Fraction]
+    assert isinstance(d.pmf, Mapping)

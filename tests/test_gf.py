@@ -7,6 +7,7 @@ checks.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from functools import reduce
@@ -20,6 +21,7 @@ from zerotalk.errors import ModelError, SubspaceNotContained
 from zerotalk.gf import (
     FieldOrder,
     FiniteMatrix,
+    codes,
     cols_mat,
     column_space_intersection,
     columns_subset,
@@ -36,6 +38,7 @@ from zerotalk.gf import (
 )
 
 from helpers import (
+    _digits,
     greedy_extend_basis,
     identity,
     list_rref,
@@ -490,6 +493,18 @@ def test_cols_mat_is_vec_mat_row_by_row(q):
 def test_cols_mat_rejects_wrong_column_count():
     with pytest.raises(ValueError):
         cols_mat([[0, 1]], identity(2, 2), 2)
+
+
+# radix products 1 (no columns), 255 and 256 take the byte path; 257 and 272 the list path
+@pytest.mark.parametrize("radices", [(), (3, 5, 17), (2,) * 8, (257,), (16, 17)])
+@pytest.mark.parametrize("n", [1, 1000])
+def test_codes_is_the_mixed_radix_index_most_significant_first(radices, n):
+    rng = random.Random(f"{radices}-{n}")
+    cols = [[rng.randrange(r) for _ in range(n)] for r in radices]
+    cols = [[r - 1] + col[1:] for r, col in zip(radices, cols)]  # the largest code in round 0
+    want = [_digits([col[i] for col in cols], radices) for i in range(n)]
+    assert codes(cols, radices, n) == want
+    assert want[0] == math.prod(radices) - 1
 
 
 GF2_2x2, GF2_3x1, GF3_2x2 = identity(2, 2), zeros(2, 3, 1), identity(3, 2)
