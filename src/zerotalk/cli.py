@@ -76,6 +76,14 @@ _EXIT_CODES = {ParseError: EXIT_PARSE, UnsupportedModel: EXIT_UNSUPPORTED,
 
 # --- model file parsing ---
 
+_INT = frozenset({int})
+
+
+def _all_ints(values) -> bool:
+    """Every value an int and none a bool; a list of plain ints passes on its types alone."""
+    return _INT.issuperset(map(type, values)) or all(
+        isinstance(v, int) and not isinstance(v, bool) for v in values)
+
 
 def _require(doc: dict, key: str, kind, where: str):
     if not isinstance(doc, dict) or key not in doc:
@@ -89,15 +97,22 @@ def _require(doc: dict, key: str, kind, where: str):
 
 
 def _parse_probability(value, where: str):
+    """A probability as a reduced (numerator, denominator) int pair, or a float.  An
+    "a/b" string of ASCII digits is read by int, any other by Fraction: both accept it
+    exactly when Fraction(str) does."""
     if isinstance(value, str):
+        num, _, den = value.partition("/")
+        ascii_ratio = value.isascii() and num.isdigit() and den.isdigit()
         try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError)  as exc:
+            n, d = (int(num), int(den)) if ascii_ratio else Fraction(value).as_integer_ratio()
+            g = math.gcd(n, d) if d else 0  # "a/0" divides by zero, as in Fraction
+            return n // g, d // g
+        except (ValueError, ZeroDivisionError) as exc:  # int's digit limit is a ValueError in both
             raise ParseError(f"{where}: bad fraction string {value!r}") from exc
     if isinstance(value, bool):
         raise ParseError(f"{where}: probability must be a number or 'a/b' string")
     if isinstance(value, int):
-        return Fraction(value)
+        return value, 1
     if isinstance(value, float):
         return value
     raise ParseError(f"{where}: probability must be a number or 'a/b' string")
@@ -111,7 +126,7 @@ def _parse_hypergraphical(doc: dict) -> HypergraphicalSource:
         where = f"edge #{i}"
         name = _require(item, "name", str, where)
         subset = _require(item, "subset", list, where)
-        if not all(isinstance(u, int) and not isinstance(u, bool) for u in subset):
+        if not _all_ints(subset):
             raise ParseError(f"{where}: subset must be a list of integers")
         if "uniform" in item and "pmf" in item:
             raise ParseError(f"{where}: give either 'uniform' or 'pmf', not both")
@@ -122,10 +137,8 @@ def _parse_hypergraphical(doc: dict) -> HypergraphicalSource:
             edges.append(Edge.uniform(name, subset, size))
         elif "pmf" in item:
             pmf = _require(item, "pmf", list, where)
-            edges.append(
-                Edge(name, frozenset(subset),
-                     tuple(_parse_probability(p, where) for p in pmf))
-            )
+            probs = [_parse_probability(p, where) for p in pmf]
+            edges.append(Edge(name, subset, [p if isinstance(p, float) else Fraction(*p) for p in probs]))
         else:
             raise ParseError(f"{where}: needs 'uniform' or 'pmf'")
     return HypergraphicalSource(users, tuple(edges))
@@ -148,9 +161,7 @@ def _parse_finite_linear(doc: dict) -> FiniteLinearSource:
         if not isinstance(rows, list):
             raise ParseError(f"{where}: must be a list of rows")
         for row in rows:
-            if not isinstance(row, list) or not all(
-                isinstance(v, int) and not isinstance(v, bool) for v in row
-            ):
+            if not isinstance(row, list) or not _all_ints(row):
                 raise ParseError(f"{where}: rows must be lists of integers")
         widths = {len(row) for row in rows}
         if len(widths) > 1:
@@ -161,27 +172,34 @@ def _parse_finite_linear(doc: dict) -> FiniteLinearSource:
 
 
 def _parse_discrete(doc: dict) -> DiscreteSource:
+    """One pass over the entries, each checked once: every parse error (exit
+    2) in the file comes before any model error (exit 3)."""
     alphabets = _require(doc, "alphabets", list, "discrete model")
-    if not all(isinstance(a, int) and not isinstance(a, bool) for a in alphabets):
+    if not _all_ints(alphabets):
         raise ParseError("discrete model: alphabets must be a list of integers")
     raw = _require(doc, "pmf", list, "discrete model")
-    pmf = {}
+    m = len(alphabets)
+    masses = {}  # realization -> (numerator, denominator) or float
     for i, item in enumerate(raw):
-        where = f"pmf entry #{i}"
-        symbols = _require(item, "symbols", list, where)
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in symbols):
-            raise ParseError(f"{where}: symbols must be integers")
-        if len(symbols) != len(alphabets):
-            raise ParseError(
-                f"{where}: {len(symbols)} symbols for {len(alphabets)} users"
-            )
-        key = tuple(symbols)
-        if key in pmf:
-            raise ParseError(f"{where}: duplicate realization {key}")
+        if not isinstance(item, dict) or "symbols" not in item:
+            raise ParseError(f"pmf entry #{i}: missing key 'symbols'")
+        key = item["symbols"]
+        if not isinstance(key, list):
+            raise ParseError(f"pmf entry #{i}: 'symbols' has the wrong type")
+        key = tuple(key)
+        if not _all_ints(key):
+            raise ParseError(f"pmf entry #{i}: symbols must be integers")
+        if len(key) != m:
+            raise ParseError(f"pmf entry #{i}: {len(key)} symbols for {m} users")
+        if key in masses:
+            raise ParseError(f"pmf entry #{i}: duplicate realization {key}")
         if "p" not in item:
-            raise ParseError(f"{where}: missing key 'p'")
-        pmf[key] = _parse_probability(item["p"], where)
-    return DiscreteSource(tuple(alphabets), pmf)
+            raise ParseError(f"pmf entry #{i}: missing key 'p'")
+        masses[key] = _parse_probability(item["p"], f"pmf entry #{i}")
+    if any(isinstance(p, float) for p in masses.values()):  # masses over 1, as pmf_weights keeps them
+        return DiscreteSource(alphabets, {k: p if isinstance(p, float) else Fraction(*p)
+                                          for k, p in masses.items()})
+    return DiscreteSource._from_ratios(alphabets, masses)
 
 
 _PARSERS = {
@@ -429,13 +447,13 @@ def _verify_one(s) -> list:
     w = common_function(s)
     closed = w.entropy_bits
 
-    d = to_discrete(s)
-    oracle = gk_oracle(d).entropy_bits
+    d = to_discrete(s)  # a discrete model is its own expansion: reuse its oracle and profile
+    oracle = closed if d is s else gk_oracle(d).entropy_bits
     checks.append(_agree("closed_form_vs_oracle", closed, oracle))
     checks.append(_agree("witness_entropy_brute_force", closed, evaluate_witness(s, w)))
 
     profile = entropy_profile(s)
-    profile_ok = profile.matches(entropy_profile(d))
+    profile_ok = profile.matches(profile if d is s else entropy_profile(d))
     checks.append(
         (
             "expansion_preserves_profile",

@@ -157,8 +157,8 @@ class Edge:
     def __init__(self, name: str, subset, pmf):
         probs = tuple(pmf)
         self._store(name, subset, len(probs), probs)
-        _check_pmf(probs, f"edge {name!r}")
-        if all(isinstance(p, Fraction) and p * len(probs) == 1 for p in probs):
+        weights, _ = _check_pmf(probs, f"edge {name!r}")
+        if isinstance(weights[0], int) and weights.count(weights[0]) == len(weights):  # exact, all equal
             object.__setattr__(self, "probs", None)
 
     @classmethod
@@ -245,29 +245,21 @@ class FiniteLinearSource:
         return len(self.matrices)
 
 
-def _realizations(sizes: tuple[int, ...], masses: dict) -> dict:
-    """The positive-mass entries of masses, keys checked against the
-    alphabets (int symbols only, as the profile packs them into bit fields)
-    and sorted lexicographically."""
+def _check_alphabets(sizes: tuple[int, ...]) -> None:
     if len(sizes) < 2:
         raise ModelError(f"need at least 2 users, got {len(sizes)}")
     if any(a < 1 for a in sizes):
         raise ModelError("alphabet sizes must be positive")
-    m = len(sizes)
-    cleaned = {}
-    for key, w in masses.items():
-        key = tuple(key)
-        if len(key) != m:
-            raise ModelError(f"realization {key} has {len(key)} symbols, expected {m}")
-        for i, (sym, size) in enumerate(zip(key, sizes), start=1):
-            # FiniteMatrix's test, after the cheap one that passes a plain int
-            if type(sym) is not int and (not isinstance(sym, int) or isinstance(sym, bool)):
-                raise ModelError(f"realization {key}: symbol {sym!r} of user {i} is not an integer")
-            if not 0 <= sym < size:
-                raise ModelError(f"realization {key}: symbol {sym} outside alphabet of user {i}")
-        if w != 0:
-            cleaned[key] = w
-    return {key: cleaned[key] for key in sorted(cleaned)}
+
+
+def _check_symbols(sizes: tuple[int, ...], keys) -> None:
+    """Check realizations, int tuples of one symbol per user, against the
+    alphabets by each user's min and max; name the first symbol outside."""
+    if all(0 <= min(col) and max(col) < a for a, col in zip(sizes, zip(*keys))):
+        return
+    key, i, sym = next((key, i, sym) for key in keys
+                       for i, (sym, a) in enumerate(zip(key, sizes), start=1) if not 0 <= sym < a)
+    raise ModelError(f"realization {key}: symbol {sym} outside alphabet of user {i}")
 
 
 @dataclass(frozen=True, init=False)
@@ -286,9 +278,19 @@ class DiscreteSource:
 
     def __init__(self, alphabet_sizes, pmf: dict[tuple[int, ...], Probability]):
         sizes = tuple(alphabet_sizes)
-        cleaned = _realizations(sizes, pmf)
-        weights, total = _check_pmf(tuple(cleaned.values()), "joint pmf")
-        self._store(sizes, dict(zip(cleaned, weights)), total)
+        _check_alphabets(sizes)
+        masses = {tuple(key): p for key, p in pmf.items()}
+        for key in masses:  # int symbols only, as the profile packs them into bit fields
+            if len(key) != len(sizes):
+                raise ModelError(f"realization {key} has {len(key)} symbols, expected {len(sizes)}")
+            for i, sym in enumerate(key, start=1):
+                # FiniteMatrix's test, after the cheap one that passes a plain int
+                if type(sym) is not int and (not isinstance(sym, int) or isinstance(sym, bool)):
+                    raise ModelError(f"realization {key}: symbol {sym!r} of user {i} is not an integer")
+        _check_symbols(sizes, masses)
+        keys = sorted(k for k, p in masses.items() if p != 0)
+        weights, total = _check_pmf(tuple(map(masses.get, keys)), "joint pmf")
+        self._store(sizes, dict(zip(keys, weights)), total)
 
     @classmethod
     def _from_weights(cls, alphabet_sizes, weights: dict, total: int) -> "DiscreteSource":
@@ -299,6 +301,19 @@ class DiscreteSource:
         d = cls.__new__(cls)
         d._store(tuple(alphabet_sizes), dict(sorted(weights.items())), total)
         return d
+
+    @classmethod
+    def _from_ratios(cls, alphabet_sizes, masses: dict) -> "DiscreteSource":
+        """A source from exact masses as reduced (numerator, denominator) int
+        pairs on ``_check_symbols`` keys, with the constructor's errors."""
+        sizes = tuple(alphabet_sizes)
+        _check_alphabets(sizes)
+        _check_symbols(sizes, masses)
+        negative = [k for k, (n, _) in masses.items() if n < 0]
+        if negative:  # the first in sorted order, where _check_pmf meets it
+            raise ModelError(f"joint pmf: negative probability {Fraction(*masses[min(negative)])}")
+        total = math.lcm(*(d for _, d in masses.values()))
+        return cls._from_weights(sizes, {k: n * (total // d) for k, (n, d) in masses.items() if n}, total)
 
     def _store(self, sizes: tuple[int, ...], weights: dict, total: int) -> None:
         object.__setattr__(self, "alphabet_sizes", sizes)

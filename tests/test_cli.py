@@ -29,7 +29,7 @@ from zerotalk.cli import (
     parse_partition_text,
     render_hypergraphical,
 )
-from zerotalk.errors import ParseError
+from zerotalk.errors import ModelError, ParseError
 from zerotalk.mcf import CommonFunctionWitness, KeyExtractor, LabelingWitness
 from zerotalk.sim import run
 from zerotalk.sources import (
@@ -124,6 +124,58 @@ def test_parse_discrete_document():
 def test_parse_rejects_malformed_documents(doc):
     with pytest.raises(ParseError):
         parse_model(doc)
+
+
+# "a/b" strings of ASCII digits take the int reader; every other string is
+# Fraction's to accept or refuse, whatever the running Python's Fraction does
+_PROBABILITY_STRINGS = [
+    "1/2", "01/02", "0/5", "1/0", "0/0", "1/1", "07/7", "3",
+    " 1/2", "+1/2", "-1/2", "1_0/40", "1.5/2", "1e2/300", "1 /2", "\t1/1\n",
+    "\u00b2/3", "\u0661/\u0662", "\u00bd",
+    "", "/", "1/", "/2", "1//2", "1/2/3",
+    "1" * 5000 + "/3", "1" * 5000 + "/" + "1" * 5000,
+]
+
+
+@pytest.mark.parametrize("text", _PROBABILITY_STRINGS,
+                         ids=[repr(t) if len(t) < 20 else f"{len(t)}-chars" for t in _PROBABILITY_STRINGS])
+def test_probability_strings_read_as_fraction_reads_them(tmp_path, capsys, text):
+    model = tmp_path / "one.json"
+    model.write_text(json.dumps({"model": "discrete", "alphabets": [2, 2],
+                                 "pmf": [{"symbols": [1, 0], "p": text}]}))
+    try:
+        reference = DiscreteSource((2, 2), {(1, 0): Fraction(text)})
+    except (ValueError, ZeroDivisionError):
+        expected = (EXIT_PARSE, "", f"error: pmf entry #0: bad fraction string {text!r}\n")
+    except ModelError as exc:  # the mass read, in the sum or sign message
+        expected = (EXIT_MODEL, "", f"error: {exc}\n")
+    else:
+        loaded = load_model(str(model))
+        assert (loaded.weights, loaded.total) == (reference.weights, reference.total)
+        expected = (EXIT_OK, "support size: 1\nconnected components: 1\nJ_GK = 0.000000 bits\n", "")
+    code, out, err = run_cli(capsys, "oracle", str(model))
+    assert (code, out.partition("\n")[2], err) == expected
+
+
+def test_discrete_file_weights_are_the_fraction_constructors():
+    pmf = [((0, 0), "1/6"), ((2, 1), "02/12"), ((1, 0), 0), ((0, 1), "1/4"), ((1, 1), "0/7"),
+           ((2, 0), " 1/4 "), ((1, 2), "1/6")]
+    loaded = parse_model({"model": "discrete", "alphabets": [3, 3],
+                          "pmf": [{"symbols": list(k), "p": p} for k, p in pmf]})
+    reference = DiscreteSource((3, 3), {k: Fraction(p) for k, p in pmf})
+    assert loaded == reference and list(loaded.weights) == list(reference.weights)
+    assert (loaded.weights, loaded.total) == ({(0, 0): 2, (0, 1): 3, (1, 2): 2, (2, 0): 3, (2, 1): 2}, 12)
+
+
+def test_edge_pmf_strings_read_as_fractions():
+    doc = {"model": "hypergraphical", "users": 2, "edges": [
+        {"name": "u", "subset": [1, 2], "pmf": ["1/3", "02/6", " 1/3"]},
+        {"name": "p", "subset": [1], "pmf": ["1/4", "+3/4"]},
+        {"name": "z", "subset": [2], "pmf": ["0/1", "1/2", 0.5]}]}
+    u, p, z = parse_model(doc).edges
+    assert u == Edge.uniform("u", {1, 2}, 3) and u.probs is None
+    assert p.probs == (Fraction(1, 4), Fraction(3, 4))
+    assert z.probs == (Fraction(0), Fraction(1, 2), 0.5) and type(z.probs[1]) is Fraction
 
 
 @pytest.mark.parametrize("key", ["01", " 1", "+1"])
@@ -451,6 +503,26 @@ def test_verify_builds_each_entropy_profile_once(capsys, monkeypatch):
     assert calls == ["FiniteLinearSource", "DiscreteSource", "HypergraphicalSource"]
 
 
+def test_verify_on_a_discrete_model_runs_its_oracle_and_profile_once(capsys, monkeypatch):
+    calls = []
+
+    def counting(name, original):
+        def wrapper(s):
+            calls.append(name)
+            return original(s)
+        return wrapper
+
+    for name, module in list(sys.modules.items()):
+        for fn in ("gk_oracle", "entropy_profile"):
+            if name.split(".")[0] == "zerotalk" and hasattr(module, fn):
+                monkeypatch.setattr(module, fn, counting(fn, getattr(module, fn)))
+    code, out, _ = run_cli(capsys, "verify", TWO_COINS)
+    # the model is its own expansion: both rows are still checked and printed
+    assert (code, calls) == (0, ["gk_oracle", "entropy_profile"])
+    assert out.splitlines()[0] == "closed_form_vs_oracle: ok (1.000000 vs 1.000000)"
+    assert out.splitlines()[2] == "expansion_preserves_profile: ok (all subset entropies within tolerance)"
+
+
 def test_verify_profile_budget_exits_5_before_building(tmp_path, capsys, monkeypatch):
     import zerotalk.sources as sources_module
 
@@ -690,6 +762,14 @@ def test_expansion_limit_exit_code(capsys, monkeypatch):
     assert run_cli(capsys, "oracle", SHARED_BIT)[0] == EXIT_RESOURCE
 
 
+def _discrete(*symbols, p=None) -> dict:
+    """A two-user discrete model file: one entry per symbol list, masses "1/n"
+    or p (None leaves out the entry's "p")."""
+    masses = p or [f"1/{len(symbols)}"] * len(symbols)
+    entries = [{"symbols": list(k)} if m is None else {"symbols": list(k), "p": m} for k, m in zip(symbols, masses)]
+    return {"model": "discrete", "alphabets": [2, 2], "pmf": entries}
+
+
 @pytest.mark.parametrize(
     "doc, code, message",
     [
@@ -708,12 +788,47 @@ def test_expansion_limit_exit_code(capsys, monkeypatch):
                      EXIT_MODEL, "need at least 2 users, got 1", id="one-user-discrete"),
         pytest.param({"model": "discrete", "alphabets": [2, 2], "pmf": [{"symbols": [0, 0], "p": True}]},
                      EXIT_PARSE, "pmf entry #0: probability must be a number or 'a/b' string", id="bool-p"),
+        # every parse error in the file comes before any model error
+        pytest.param(_discrete([5, 0], [0, 1], [1, 0], [1, "1"]),
+                     EXIT_PARSE, "pmf entry #3: symbols must be integers", id="range-then-symbol-type"),
+        pytest.param(_discrete([5, 0], [0, 1], [0, 1]),
+                     EXIT_PARSE, "pmf entry #2: duplicate realization (0, 1)", id="range-then-duplicate"),
+        pytest.param(_discrete([0, 0], [1, 1], [1, 0], p=["-1/2", "3/2", None]),
+                     EXIT_PARSE, "pmf entry #2: missing key 'p'", id="negative-then-missing-p"),
+        pytest.param(_discrete([5, 0], [1, 1], p=["1/2", False]),
+                     EXIT_PARSE, "pmf entry #1: probability must be a number or 'a/b' string",
+                     id="range-then-bool-p"),
+        pytest.param(_discrete([0, 0], [0, 1], [1, 1], p=["1/2", "1/2", "x"]),
+                     EXIT_PARSE, "pmf entry #2: bad fraction string 'x'", id="sum-then-bad-string"),
+        pytest.param(_discrete([0, 0], [1, 1], p=["-1/2", "3/2"]),
+                     EXIT_MODEL, "joint pmf: negative probability -1/2", id="negative-probability-string"),
+        # the first negative mass in sorted realization order, after every symbol check
+        pytest.param(_discrete([1, 1], [0, 1], [0, 0], p=["-1/4", "-1/3", "19/12"]),
+                     EXIT_MODEL, "joint pmf: negative probability -1/3", id="first-negative-in-sorted-order"),
+        pytest.param(_discrete([0, 0], [1, 1], [1, 2], p=["-1/2", "3/2", "0/1"]),
+                     EXIT_MODEL, "realization (1, 2): symbol 2 outside alphabet of user 2", id="range-then-negative"),
+        pytest.param({"model": "discrete", "alphabets": [2], "pmf": [{"symbols": [5], "p": "-1"}]},
+                     EXIT_MODEL, "need at least 2 users, got 1", id="one-user-then-range"),
+        pytest.param(_discrete([0, 0], [1, 1], p=["1/2", "1/4"]),
+                     EXIT_MODEL, "joint pmf: exact probabilities sum to 3/4, not 1", id="sum-not-1"),
+        pytest.param(_discrete([0, 0], [1, 1], p=["1/2", 0.25]),
+                     EXIT_MODEL, "joint pmf: probabilities sum to 0.75, not 1", id="float-sum-not-1"),
+        pytest.param(_discrete([0, 0], p=["0/1"]),
+                     EXIT_MODEL, "joint pmf: empty distribution", id="only-zero-mass"),
     ],
 )
 def test_invalid_model_file_exits_with_its_message(tmp_path, capsys, doc, code, message):
     model = tmp_path / "bad.json"
     model.write_text(json.dumps(doc))
     assert run_cli(capsys, "jgk", str(model)) == (code, "", f"error: {message}\n")
+
+
+def test_zero_mass_entries_leave_the_support(tmp_path, capsys):
+    model = tmp_path / "zero.json"
+    model.write_text(json.dumps(_discrete([0, 0], [0, 1], [1, 1], p=["1/2", "0/1", "1/2"])))
+    assert load_model(str(model)).support() == ((0, 0), (1, 1))
+    code, out, _ = run_cli(capsys, "oracle", str(model), "--json")
+    assert code == 0 and json.loads(out)["support"] == 2
 
 
 def test_model_error_exit_code(tmp_path, capsys):

@@ -15,9 +15,12 @@ import io
 import json
 import random
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 from zerotalk import cli
+from zerotalk.errors import ModelError, ParseError
+from zerotalk.sources import DiscreteSource
 
 SPECS = sorted((Path(__file__).resolve().parent.parent / "specs").glob("*.json"))
 MUTANTS = 600
@@ -96,3 +99,36 @@ def test_mutated_specs_exit_with_a_documented_code(tmp_path, monkeypatch):
     # and most well-formed mutants get past it
     calls = sum(codes[reshape].values())
     assert codes[reshape][2] < calls / 2, codes[reshape]
+
+
+# wider than the spec's two coins: 3 users, 12 points, masses (i + 1)/78
+WIDE_DISCRETE = {"model": "discrete", "alphabets": [3, 4, 2], "pmf": [
+    {"symbols": [i % 3, i % 4, i % 2], "p": f"{i + 1}/78"} for i in range(12)]}
+
+
+def test_discrete_mutants_load_as_the_fraction_constructor_builds_them():
+    """A discrete mutant that parses is the source that the public constructor
+    builds from Fraction(str) of its strings, in the same key order, or fails
+    with the constructor's message."""
+    rng = random.Random(20261019)
+    docs = [d for d in (json.loads(p.read_text(encoding="utf-8")) for p in SPECS) if d["model"] == "discrete"]
+    docs.append(WIDE_DISCRETE)
+    outcomes = Counter()
+    for i in range(MUTANTS):
+        doc = (mutate, reshape)[i % 2](rng, rng.choice(docs))
+        try:
+            loaded = cli.parse_model(doc)
+        except ParseError:
+            continue  # a malformed file has no constructor reading
+        except ModelError as exc:
+            loaded = str(exc)
+        masses = {tuple(e["symbols"]): e["p"] if isinstance(e["p"], float) else Fraction(e["p"]) for e in doc["pmf"]}
+        try:
+            reference = DiscreteSource(doc["alphabets"], masses)
+        except ModelError as exc:
+            reference = str(exc)
+        assert loaded == reference, doc
+        if isinstance(loaded, DiscreteSource):
+            assert list(loaded.weights) == list(reference.weights)
+        outcomes[type(loaded)] += 1
+    assert outcomes[DiscreteSource] > 50 and outcomes[str] > 50, outcomes
