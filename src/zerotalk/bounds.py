@@ -13,18 +13,16 @@ Two families:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
 
-from .errors import PartitionInvalid, UnsupportedModel
+from .errors import PartitionInvalid, UnsupportedModel, Value
 from .gf import FiniteMatrix, column_space_intersection
 from .mcf import gk_hypergraphical
 from .sources import FiniteLinearSource, HypergraphicalSource, check_budget, expansion_limit
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Value):
     """A partition of users 1..m into disjoint nonempty blocks.
 
     Blocks are canonicalized: each block sorted ascending, blocks ordered by
@@ -39,11 +37,9 @@ class Partition:
         canonical = tuple(
             sorted(tuple(sorted(set(b))) for b in blocks)
         )
-        object.__setattr__(self, "user_count", user_count)
-        object.__setattr__(self, "blocks", canonical)
-        self._validate()
+        Value.__init__(self, user_count, canonical)
 
-    def _validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.user_count < 1:
             raise PartitionInvalid("user count must be positive")
         seen = set()
@@ -118,8 +114,7 @@ def alpha(h: HypergraphicalSource, p: Partition) -> Fraction:
     return Fraction(worst - 1, len(p) - 1)
 
 
-@dataclass(frozen=True)
-class LaminationBound:
+class LaminationBound(Value):
     """A line R -> intercept + slope*R upper-bounding the secrecy rate.
 
     intercept_bits is the common-function entropy; the slope is

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import itertools
 import json
 import math
@@ -546,6 +545,7 @@ def cmd_verify(args) -> int:
 
 def _key_digest(codes, label) -> str:
     """sha256 of the codes' label reprs joined by commas; each distinct code is labelled once."""
+    import hashlib  # here, not at the top: only simulate pays for loading it
     reprs = {code: repr(label(code)) for code in set(codes)}
     return hashlib.sha256(",".join(map(reprs.__getitem__, codes)).encode()).hexdigest()
 

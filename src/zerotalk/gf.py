@@ -23,16 +23,20 @@ matrices and golden tests stay stable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain
 from operator import xor
 from typing import Iterable, Iterator, Sequence
 
-from .errors import ModelError, SubspaceNotContained
+from .errors import ModelError, SubspaceNotContained, Value
 
 MAX_FIELD_ORDER = 2**31
 _CHUNK = 1024  # most points row_space_keys holds at once
+
+
+def is_int(x) -> bool:
+    """An int and not a bool: the test of every matrix entry, shape and size."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _is_prime(n: int) -> bool:
@@ -64,8 +68,7 @@ class FieldOrder(int):
         return super().__new__(cls, value)
 
 
-@dataclass(frozen=True)
-class FiniteMatrix:
+class FiniteMatrix(Value):
     """Dense matrix over GF(q), row-major, entries reduced into [0, q)."""
 
     q: FieldOrder
@@ -75,6 +78,8 @@ class FiniteMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "q", FieldOrder(self.q))
+        if not (is_int(self.rows) and is_int(self.cols)):
+            raise ModelError(f"matrix shape must be integers, got {self.rows!r}x{self.cols!r}")
         if self.rows < 0 or self.cols < 0:
             raise ModelError(f"matrix shape must be nonnegative, got {self.rows}x{self.cols}")
         if len(self.entries) != self.rows * self.cols:
@@ -83,7 +88,7 @@ class FiniteMatrix:
                 f"{self.rows}x{self.cols} matrix, got {len(self.entries)}"
             )
         for e in self.entries:
-            if not isinstance(e, int) or isinstance(e, bool):
+            if not isinstance(e, int) or isinstance(e, bool):  # is_int, inline in this loop
                 raise ModelError(f"matrix entries must be integers, got {e!r}")
         object.__setattr__(self, "entries", tuple(e % self.q for e in self.entries))
 

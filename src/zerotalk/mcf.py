@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import partial, reduce
 from typing import Callable, ClassVar
 
-from .errors import ModelError, SubspaceNotContained, WitnessInvalid
+from .errors import ModelError, SubspaceNotContained, Value, WitnessInvalid
 from .gf import (FiniteMatrix, codes, cols_mat, column_space_intersection, hstack,
                  row_space_basis, row_space_keys, solve)
 # Unused here; perfbench's test_instrument_patches_every_namespace_and_restores_it
@@ -70,8 +69,7 @@ def _digits(radices: tuple, code: int) -> tuple:
     return tuple(reversed(digits + [code])) if radices else ()
 
 
-@dataclass(frozen=True)
-class KeyExtractor:
+class KeyExtractor(Value):
     """Per-user deterministic key maps realizing a common-function witness.
 
     source is the model the decoders read observations of (a discrete view of
@@ -94,8 +92,7 @@ class KeyExtractor:
     label: Callable
 
 
-@dataclass(frozen=True)
-class CommonFunctionWitness:
+class CommonFunctionWitness(Value):
     """A common function realized as an explicit, checkable object.
 
     One subclass per model family, named by ``kind`` in reports.  payload is

@@ -25,12 +25,11 @@ import math
 import random
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field, fields
 from functools import cached_property
 from struct import unpack, unpack_from
 from typing import Callable, ClassVar, Optional
 
-from .errors import ModelError
+from .errors import ModelError, Value
 from .gf import cols_mat
 # Unused here; perfbench's test_instrument_patches_every_namespace_and_restores_it
 # reads sim.vec_mat.
@@ -176,8 +175,7 @@ def _observation_columns(s: AnySource, rng: random.Random, n: int) -> list:
     return [(list(col),) for col in zip(*draws)]
 
 
-@dataclass(frozen=True)
-class SimulationRun:
+class SimulationRun(Value, compared=6):
     """Outcome of n zero-discussion key-extraction rounds: each user's list of
     n key codes and label(code), a code's key label.  Runs compare by labels."""
 
@@ -187,9 +185,10 @@ class SimulationRun:
     empirical_rate_bits: float
     expected_rate_bits: float
     rate_ok: bool
-    codes: tuple = field(repr=False, compare=False)
-    label: Callable = field(repr=False, compare=False)
+    codes: tuple
+    label: Callable
     discussion_bits: ClassVar[int] = 0
+    __hash__ = Value.__hash__  # defining __eq__ below would clear it
 
     @cached_property
     def per_user_keys(self) -> tuple:
@@ -197,9 +196,7 @@ class SimulationRun:
         return tuple(tuple(map(self.label, stream)) for stream in self.codes)
 
     def __eq__(self, other):
-        return (isinstance(other, SimulationRun) and self.per_user_keys == other.per_user_keys
-                and all(getattr(self, f.name) == getattr(other, f.name)
-                        for f in fields(self) if f.compare))
+        return Value.__eq__(self, other) is True and self.per_user_keys == other.per_user_keys
 
 
 def rate_tolerance(surprise_var: float, label_count: int, n: int) -> float:

@@ -37,14 +37,13 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter, lshift
 from types import MappingProxyType
 from typing import ClassVar, Optional, Union
 
 from . import gf
-from .errors import ExpansionTooLarge, ModelError, NotTwoUsers
+from .errors import ExpansionTooLarge, ModelError, NotTwoUsers, Value
 
 Probability = Union[Fraction, float]
 Weight = Union[int, Fraction, float]  # an int over a common total, or a mass over 1
@@ -139,8 +138,7 @@ def shannon_bits(probs, total: int = 1) -> float:
     return bits
 
 
-@dataclass(frozen=True, init=False)
-class Edge:
+class Edge(Value):
     """One hyperedge: its name, the users observing it, and its value pmf.
 
     A uniform edge holds only its alphabet size (``probs`` is None); ``pmf``
@@ -163,6 +161,8 @@ class Edge:
 
     @classmethod
     def uniform(cls, name: str, subset, size: int) -> "Edge":
+        if not gf.is_int(size):
+            raise ModelError(f"edge {name!r}: alphabet size must be an integer, got {size!r}")
         if size < 1:
             raise ModelError(f"edge {name!r}: alphabet size must be positive, got {size}")
         check_budget(f"edge {name!r}", size, "uniform values")
@@ -171,6 +171,7 @@ class Edge:
         return e
 
     def _store(self, name: str, subset, size: int, probs) -> None:
+        """Set the fields directly: Value's generic constructor is slower on this hot path."""
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "subset", frozenset(subset))
         object.__setattr__(self, "alphabet_size", size)
@@ -189,8 +190,7 @@ class Edge:
         return math.log2(self.alphabet_size) if self.probs is None else shannon_bits(self.probs)
 
 
-@dataclass(frozen=True)
-class HypergraphicalSource:
+class HypergraphicalSource(Value):
     """Independent edge variables; user i observes every edge whose subset contains i."""
 
     model: ClassVar[str] = "hypergraphical"
@@ -199,6 +199,8 @@ class HypergraphicalSource:
 
     def __post_init__(self):
         object.__setattr__(self, "edges", tuple(self.edges))
+        if not gf.is_int(self.user_count):
+            raise ModelError(f"user count must be an integer, got {self.user_count!r}")
         if self.user_count < 2:
             raise ModelError(f"need at least 2 users, got {self.user_count}")
         check_budget("hypergraphical model", self.user_count, "users")
@@ -218,8 +220,7 @@ class HypergraphicalSource:
         return tuple(k for k, e in enumerate(self.edges) if user in e.subset)
 
 
-@dataclass(frozen=True)
-class FiniteLinearSource:
+class FiniteLinearSource(Value):
     """Shared uniform vector over GF(q); user i observes x @ matrices[i]."""
 
     model: ClassVar[str] = "finite_linear"
@@ -230,6 +231,8 @@ class FiniteLinearSource:
     def __post_init__(self):
         object.__setattr__(self, "q", gf.FieldOrder(self.q))
         object.__setattr__(self, "matrices", tuple(self.matrices))
+        if not gf.is_int(self.dim):
+            raise ModelError(f"ambient dimension must be an integer, got {self.dim!r}")
         if self.dim < 1:
             raise ModelError(f"ambient dimension must be positive, got {self.dim}")
         if len(self.matrices) < 2:
@@ -248,8 +251,8 @@ class FiniteLinearSource:
 def _check_alphabets(sizes: tuple[int, ...]) -> None:
     if len(sizes) < 2:
         raise ModelError(f"need at least 2 users, got {len(sizes)}")
-    if any(a < 1 for a in sizes):
-        raise ModelError("alphabet sizes must be positive")
+    if not all(gf.is_int(a) and a >= 1 for a in sizes):
+        raise ModelError(f"alphabet sizes must be positive integers, got {sizes}")
 
 
 def _check_symbols(sizes: tuple[int, ...], keys) -> None:
@@ -262,8 +265,7 @@ def _check_symbols(sizes: tuple[int, ...], keys) -> None:
     raise ModelError(f"realization {key}: symbol {sym} outside alphabet of user {i}")
 
 
-@dataclass(frozen=True, init=False)
-class DiscreteSource:
+class DiscreteSource(Value):
     """Explicit joint pmf over per-user finite alphabets (0-based symbol indices).
 
     The pmf is held as ``weights`` over one ``total``: realization r has
@@ -284,13 +286,12 @@ class DiscreteSource:
             if len(key) != len(sizes):
                 raise ModelError(f"realization {key} has {len(key)} symbols, expected {len(sizes)}")
             for i, sym in enumerate(key, start=1):
-                # FiniteMatrix's test, after the cheap one that passes a plain int
-                if type(sym) is not int and (not isinstance(sym, int) or isinstance(sym, bool)):
+                if type(sym) is not int and not gf.is_int(sym):  # a plain int passes the cheap test
                     raise ModelError(f"realization {key}: symbol {sym!r} of user {i} is not an integer")
         _check_symbols(sizes, masses)
         keys = sorted(k for k, p in masses.items() if p != 0)
         weights, total = _check_pmf(tuple(map(masses.get, keys)), "joint pmf")
-        self._store(sizes, dict(zip(keys, weights)), total)
+        Value.__init__(self, sizes, dict(zip(keys, weights)), total)
 
     @classmethod
     def _from_weights(cls, alphabet_sizes, weights: dict, total: int) -> "DiscreteSource":
@@ -299,7 +300,7 @@ class DiscreteSource:
         sorted as the constructor sorts them but not checked again."""
         _check_sum(tuple(weights.values()), total, "joint pmf")
         d = cls.__new__(cls)
-        d._store(tuple(alphabet_sizes), dict(sorted(weights.items())), total)
+        Value.__init__(d, tuple(alphabet_sizes), dict(sorted(weights.items())), total)
         return d
 
     @classmethod
@@ -314,11 +315,6 @@ class DiscreteSource:
             raise ModelError(f"joint pmf: negative probability {Fraction(*masses[min(negative)])}")
         total = math.lcm(*(d for _, d in masses.values()))
         return cls._from_weights(sizes, {k: n * (total // d) for k, (n, d) in masses.items() if n}, total)
-
-    def _store(self, sizes: tuple[int, ...], weights: dict, total: int) -> None:
-        object.__setattr__(self, "alphabet_sizes", sizes)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "total", total)
 
     @property
     def pmf(self) -> Mapping[tuple[int, ...], Probability]:

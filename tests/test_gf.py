@@ -123,6 +123,11 @@ def test_matrix_shape_validation():
         FiniteMatrix(2, 2, 2, (1, 0, 1))
     with pytest.raises(ModelError, match="^matrix shape must be nonnegative, got -1x0$"):
         FiniteMatrix(2, -1, 0, ())
+    # a float or bool shape would fail later, in rank or to_discrete, with a TypeError
+    with pytest.raises(ModelError, match=r"^matrix shape must be integers, got 1\.0x1$"):
+        FiniteMatrix(2, 1.0, 1, (1,))
+    with pytest.raises(ModelError, match="^matrix shape must be integers, got 1xTrue$"):
+        FiniteMatrix(2, 1, True, (1,))
     with pytest.raises(ModelError, match="^all matrix rows must have the same length$"):
         FiniteMatrix.from_rows(2, [[1, 0], [1]])
     with pytest.raises(ModelError, match="^all matrix columns must have the same length$"):

@@ -123,6 +123,18 @@ def test_discrete_requires_unit_mass():
                      id="edge-int-probability"),
         pytest.param(lambda: Edge.uniform("e", {1}, 0), "edge 'e': alphabet size must be positive, got 0",
                      id="edge-uniform-size"),
+        pytest.param(lambda: Edge.uniform("e", {1}, 2.0), "edge 'e': alphabet size must be an integer, got 2.0",
+                     id="edge-uniform-float-size"),
+        pytest.param(lambda: Edge.uniform("e", {1}, True), "edge 'e': alphabet size must be an integer, got True",
+                     id="edge-uniform-bool-size"),
+        pytest.param(lambda: HypergraphicalSource(2.0, ()), "user count must be an integer, got 2.0",
+                     id="hypergraphical-float-users"),
+        pytest.param(lambda: FiniteLinearSource(2, 2.0, (identity(2, 2),) * 2),
+                     "ambient dimension must be an integer, got 2.0", id="linear-float-dim"),
+        pytest.param(lambda: DiscreteSource((2.0, 2), {(0, 0): Fraction(1)}),
+                     "alphabet sizes must be positive integers, got (2.0, 2)", id="discrete-float-alphabet"),
+        pytest.param(lambda: DiscreteSource((2, False), {(0, 0): Fraction(1)}),
+                     "alphabet sizes must be positive integers, got (2, False)", id="discrete-bool-alphabet"),
         pytest.param(lambda: HypergraphicalSource(1, ()), "need at least 2 users, got 1", id="hypergraphical-one-user"),
         pytest.param(lambda: FiniteLinearSource(2, 2, (identity(2, 2),)), "need at least 2 users, got 1",
                      id="linear-one-user"),
