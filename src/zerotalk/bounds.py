@@ -34,9 +34,8 @@ class Partition(Value):
     blocks: tuple
 
     def __init__(self, user_count: int, blocks):
-        canonical = tuple(
-            sorted(tuple(sorted(set(b))) for b in blocks)
-        )
+        # repeats are kept, so __post_init__ rejects a user twice in one block as in two
+        canonical = tuple(sorted(tuple(sorted(b)) for b in blocks))
         Value.__init__(self, user_count, canonical)
 
     def __post_init__(self) -> None:
@@ -50,7 +49,7 @@ class Partition(Value):
                 if not 1 <= u <= self.user_count:
                     raise PartitionInvalid(f"user {u} outside 1..{self.user_count}")
                 if u in seen:
-                    raise PartitionInvalid(f"user {u} appears in two blocks")
+                    raise PartitionInvalid(f"user {u} appears more than once")
                 seen.add(u)
         if len(seen) != self.user_count:
             missing = sorted(set(range(1, self.user_count + 1)) - seen)

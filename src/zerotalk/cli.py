@@ -37,7 +37,6 @@ import math
 import random
 import sys
 from fractions import Fraction
-from typing import Optional
 
 from . import __version__
 from .bounds import (
@@ -440,61 +439,48 @@ def _agree(name: str, a: float, b: float) -> tuple:
     return (name, abs(a - b) <= ENTROPY_TOLERANCE, f"{_bits(a)} vs {_bits(b)}")
 
 
+def _profiles_agree(name: str, a, b, detail: str) -> tuple:
+    """Check that two entropy profiles agree within ENTROPY_TOLERANCE."""
+    ok = a.matches(b)
+    return (name, ok, detail if ok else "profile drift")
+
+
 def _verify_one(s) -> list:
     """Cross-checks for one model; returns (name, ok, detail) triples."""
-    checks = []
     w = common_function(s)
     closed = w.entropy_bits
-
     d = to_discrete(s)  # a discrete model is its own expansion: reuse its oracle and profile
     oracle = closed if d is s else gk_oracle(d).entropy_bits
-    checks.append(_agree("closed_form_vs_oracle", closed, oracle))
-    checks.append(_agree("witness_entropy_brute_force", closed, evaluate_witness(s, w)))
-
+    checks = [_agree("closed_form_vs_oracle", closed, oracle),
+              _agree("witness_entropy_brute_force", closed, evaluate_witness(s, w))]
     profile = entropy_profile(s)
-    profile_ok = profile.matches(profile if d is s else entropy_profile(d))
-    checks.append(
-        (
-            "expansion_preserves_profile",
-            profile_ok,
-            "all subset entropies within tolerance" if profile_ok else "profile drift",
-        )
-    )
+    checks.append(_profiles_agree("expansion_preserves_profile", profile,
+                                  profile if d is s else entropy_profile(d),
+                                  "all subset entropies within tolerance"))
+    if isinstance(s, DiscreteSource):
+        return checks
 
-    if not isinstance(s, DiscreteSource):
-        m = s.user_count
-        identity = tuple(range(1, m + 1))
-        # permutations yields the identity ordering first
-        orders = list(itertools.permutations(identity)) if m <= 4 else [identity]
-        chains = [chain_bound(s, order) for order in orders]
-        checks.append(_agree("chain_vs_closed_form", chains[0], closed))
-        if m <= 4:
-            values = {round(c, 12) for c in chains}
-            checks.append(
-                (
-                    "chain_ordering_invariance",
-                    len(values) == 1,
-                    f"{len(values)} distinct value(s) over {math.factorial(m)} orderings",
-                )
-            )
+    m = s.user_count
+    identity = tuple(range(1, m + 1))
+    # permutations yields the identity ordering first
+    orders = list(itertools.permutations(identity)) if m <= 4 else [identity]
+    chains = [chain_bound(s, order) for order in orders]
+    checks.append(_agree("chain_vs_closed_form", chains[0], closed))
+    if m <= 4:
+        values = {round(c, 12) for c in chains}
+        checks.append(("chain_ordering_invariance", len(values) == 1,
+                       f"{len(values)} distinct value(s) over {math.factorial(m)} orderings"))
 
-    lam_target: Optional[HypergraphicalSource] = None
-    if isinstance(s, HypergraphicalSource):
-        lam_target = s
-    elif isinstance(s, FiniteLinearSource) and s.user_count == 2:
-        lam_target = fls_to_hypergraphical(s)
-        conv_ok = profile.matches(entropy_profile(lam_target))
-        checks.append(
-            (
-                "conversion_preserves_profile",
-                conv_ok,
-                "converted model matches" if conv_ok else "profile drift",
-            )
-        )
-    if lam_target is not None:
-        # never vacuous: the singleton partition's coefficient is at most (m-2)/(m-1) < 1
-        at_zero = best_partition(lam_target).bound_at(0.0)
-        checks.append(_agree("lamination_at_zero", at_zero, oracle))
+    if isinstance(s, FiniteLinearSource) and m > 2:  # only a two-user linear model converts
+        return checks
+    target = s if isinstance(s, HypergraphicalSource) else fls_to_hypergraphical(s)
+    if target is not s:
+        checks.append(_profiles_agree("conversion_preserves_profile", profile,
+                                      entropy_profile(target), "converted model matches"))
+    # at rate 0 a line that is not vacuous reads its intercept, J_GK, whatever the
+    # partition; the singleton line never is: its coefficient is at most (m-2)/(m-1)
+    at_zero = lamination_bound(target, singleton_partition(m)).bound_at(0.0)
+    checks.append(_agree("lamination_at_zero", at_zero, oracle))
     return checks
 
 

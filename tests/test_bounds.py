@@ -22,8 +22,8 @@ from zerotalk.bounds import (
     singleton_partition,
 )
 from zerotalk.errors import ExpansionTooLarge, PartitionInvalid, UnsupportedModel
-from zerotalk.mcf import jgk
-from zerotalk.sources import Edge, HypergraphicalSource, to_discrete
+from zerotalk.mcf import gk_hypergraphical, jgk
+from zerotalk.sources import Edge, HypergraphicalSource, fls_to_hypergraphical, to_discrete
 from helpers import block_of, exhaustive_best_partition, random_fls, random_hypergraphical
 
 
@@ -63,6 +63,12 @@ def test_partition_rejects_overlap_and_gaps():
         Partition(3, [[1], [2], [3], []])
     with pytest.raises(PartitionInvalid, match="^user count must be positive$"):
         Partition(0, [])
+
+
+@pytest.mark.parametrize("blocks", [[[1, 1], [2], [3]], [[1], [1, 2], [3]]], ids=["one-block", "two-blocks"])
+def test_partition_rejects_a_repeated_user_in_one_block_or_two(blocks):
+    with pytest.raises(PartitionInvalid, match="^user 1 appears more than once$"):
+        Partition(3, blocks)
 
 
 def test_singleton_partition():
@@ -202,8 +208,14 @@ def test_alpha_always_in_unit_interval(seed, users, edge_count):
 @given(st.integers(0, 2**30), st.integers(2, 4), st.integers(0, 4))
 @settings(max_examples=40, deadline=None)
 def test_best_partition_never_worse_than_singletons(seed, users, edge_count):
-    h = random_hypergraphical(random.Random(seed), users, edge_count)
-    assert best_partition(h).coefficient <= alpha(h, singleton_partition(users))
+    rng = random.Random(seed)
+    for h in (random_hypergraphical(rng, users, edge_count), fls_to_hypergraphical(random_fls(rng, 2))):
+        searched = best_partition(h)
+        singletons = lamination_bound(h, singleton_partition(h.user_count))
+        assert searched.coefficient <= singletons.coefficient
+        # neither line is vacuous, so at rate 0 both read J_GK exactly: verify's
+        # lamination_at_zero reads the singleton line and runs no search
+        assert singletons.bound_at(0.0) == searched.bound_at(0.0) == gk_hypergraphical(h).entropy_bits
 
 
 # --- bound lines ---

@@ -312,6 +312,12 @@ def test_bound_search_on_one_global_edge(tmp_path, capsys, monkeypatch, users):
         assert err == "error: partition search: 1000002 search steps exceed the limit of 1000000\n"
 
 
+@pytest.mark.parametrize("text", ["1,1/2/3", "1/1,2/3"], ids=["one-block", "two-blocks"])
+def test_bound_partition_with_a_repeated_user_exits_3(capsys, text):
+    code, out, err = run_cli(capsys, "bound", SHARED_BIT, "--partition", text)
+    assert (code, out, err) == (EXIT_MODEL, "", "error: user 1 appears more than once\n")
+
+
 def test_bound_partition_errors(capsys):
     code, _, err = run_cli(capsys, "bound", SHARED_BIT, "--partition", "1&2")
     assert code == EXIT_PARSE
@@ -464,6 +470,27 @@ def test_verify_lamination_at_zero_is_checked_against_oracle(capsys, monkeypatch
     assert "lamination_at_zero: mismatch (2.000000 vs 1.000000)" in out
 
 
+def test_verify_runs_no_partition_search(tmp_path, capsys, monkeypatch):
+    # lamination_at_zero reads the singleton line: at rate 0 every line that is
+    # not vacuous reads J_GK, so the search would decide nothing
+    import zerotalk.bounds as bounds_module
+    import zerotalk.cli as cli_module
+
+    def refuse(h):
+        raise AssertionError("verify ran the partition search")
+
+    monkeypatch.setattr(cli_module, "best_partition", refuse)
+    monkeypatch.setattr(bounds_module, "best_partition", refuse)
+    converted = str(tmp_path / "converted.json")
+    assert run_cli(capsys, "convert", OVERLAP_PAIR, "--to", "hypergraphical", "--out", converted)[0] == EXIT_OK
+    runs = [[str(p)] for p in sorted(SPECS.glob("*.json"))] + [[converted], ["--random", "200", "--seed", "1"]]
+    for argv in runs:
+        code, out, _ = run_cli(capsys, "verify", *argv, "--json")
+        checks = json.loads(out)["checks"]
+        assert code == EXIT_OK, argv
+        assert checks and {c["status"] for c in checks} == {"ok"}, argv
+
+
 def test_verify_reports_mismatch(capsys, monkeypatch):
     import zerotalk.cli as cli_module
 
@@ -543,7 +570,7 @@ def test_verify_profile_budget_exits_5_before_building(tmp_path, capsys, monkeyp
 @pytest.mark.parametrize(
     "doc, code",
     [
-        # 12 users: the profile is built and the best-partition search finishes
+        # 12 users: the profile is built
         ({"model": "hypergraphical", "users": 12,
           "edges": [{"name": "g", "subset": list(range(1, 13)), "uniform": 2}]}, EXIT_OK),
         # 13 users, each seeing the one hidden GF(2) coordinate
