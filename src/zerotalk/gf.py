@@ -8,12 +8,13 @@ they come from outside: the public constructor, ``from_rows`` and
 Every matrix this module builds from entries it has already reduced goes
 through ``FiniteMatrix._of``, which checks nothing.
 
-Gauss-Jordan elimination over GF(2) packs each row into one int, column 0
-the most significant bit, so clearing a column from a row is one XOR
-(M4RI's bit-packing: Albrecht, Bard and Hart, "Algorithm 898", ACM TOMS
-37(1), 2010); ``row_space_keys`` walks GF(2) row spaces the same way.
-Odd q keeps one list per row.  ``codes`` is the one mixed-radix encoder:
-it folds value columns into keys for that walk and for the simulator's
+For q < 128, elimination packs each vector into one int, coordinate 0 the
+most significant field (M4RI's packing: Albrecht, Bard and Hart, "Algorithm
+898", ACM TOMS 37(1), 2010): a bit over GF(2), where a row operation is one
+XOR, and a byte for odd q, where it is an int add between byte translates.
+Only q >= 128 keeps one list per row.  ``row_space_keys`` walks GF(2) row
+spaces as packed ints too.  ``codes`` is the one mixed-radix encoder: it
+folds value columns into keys for that walk and for the simulator's
 decoders.  Subspaces are handled through their spanning column sets; every
 routine that returns a basis returns the canonical one, the RREF basis of
 the span read as columns, so span-equal inputs produce identical output
@@ -248,20 +249,71 @@ _BITS = bytes.maketrans(b"\x00\x01", b"01")
 _UNBITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _pack2(m: FiniteMatrix) -> list[int]:
-    """The rows of a GF(2) matrix as ints, column 0 the most significant bit."""
-    c = m.cols
-    if not c:
-        return [0] * m.rows
-    bits = bytes(m.entries).translate(_BITS)
-    return [int(bits[i : i + c], 2) for i in range(0, len(bits), c)]
+def _pack(q: int, values: bytes) -> int:
+    """Values in [0, q), q < 128, as one int of fields, the first most significant."""
+    return int(values.translate(_BITS) or b"0", 2) if q == 2 else int.from_bytes(values, "big")
+
+
+def _unpack(q: int, vecs: Iterable[int], size: int) -> bytes:
+    """The values of _pack'ed vectors of size > 0 coordinates, one per byte."""
+    if q == 2:
+        return "".join([format(v, f"0{size}b") for v in vecs]).encode().translate(_UNBITS)
+    return b"".join([v.to_bytes(size, "big") for v in vecs])
+
+
+def _packed_rows(m: FiniteMatrix) -> list[int]:
+    """The rows of a matrix over GF(q), q < 128, each packed by _pack."""
+    width = m.cols if m.q == 2 else 8 * m.cols
+    whole, mask = _pack(m.q, bytes(m.entries)), (1 << width) - 1
+    return [whole >> (width * i) & mask for i in range(m.rows - 1, -1, -1)]
+
+
+def _eliminate(q: int, vecs: Iterable[int], size: int, start: int) -> list[tuple[int, int]]:
+    """Row-reduce _pack'ed vectors of size coordinates over GF(q), q < 128.
+
+    A vector takes one row operation per leading field (from bit_length())
+    until it is zero or leads where no pivot does; then it is scaled to a
+    leading 1 and becomes a pivot.  A row operation is one XOR over GF(2),
+    and over odd q one int add of the pivot scaled by a translate (no byte
+    passes 2q - 2 < 256, so nothing carries) and one reducing translate.
+    Pivots leading at coordinate start or later are then back-substituted.
+    Returns the (lead, pivot) pairs by increasing lead: an echelon form,
+    reduced from start on (with start 0, the RREF's nonzero rows).
+    """
+    two, (reduce, scale) = q == 2, _byte_tables(q)
+    shift, mask = (0, 1) if two else (3, 255)
+
+    def minus(v: int, p: int, f: int) -> int:  # v - f * p over odd q
+        v += int.from_bytes(p.to_bytes(size, "big").translate(scale[q - f]), "big")
+        return int.from_bytes(v.to_bytes(size, "big").translate(reduce), "big")
+
+    pivots: dict[int, int] = {}  # by the place of the leading field, counted from the last
+    for v in vecs:
+        while v:
+            k = (v.bit_length() - 1) >> shift
+            p = pivots.get(k)
+            f = v >> (k << shift)
+            if p is None:  # scaled to a leading 1 (over GF(2), f is 1)
+                pivots[k] = v if f == 1 else minus(0, v, q - pow(f, -1, q))
+                break
+            v = v ^ p if two else minus(v, p, f)
+    done: list[tuple[int, int]] = []  # (shift to the leading field, back-substituted pivot)
+    for k in sorted(k for k in pivots if k < size - start):
+        v = pivots[k]
+        for s, p in done:
+            f = v >> s & mask
+            if f:
+                v = v ^ p if two else minus(v, p, f)
+        pivots[k] = v
+        done.append((k << shift, v))
+    return [(size - 1 - k, pivots[k]) for k in sorted(pivots, reverse=True)]
 
 
 def rref(m: FiniteMatrix) -> tuple[FiniteMatrix, tuple[int, ...]]:
     """Reduced row echelon form via Gauss-Jordan elimination mod q.
 
-    Over GF(2) the rows are packed into ints (``_pack2``) and a row is
-    cleared by one XOR; the result is unpacked once at the end.
+    For q < 128 the rows are packed into ints and reduced by ``_eliminate``
+    with full back-substitution; for larger q each row is a list.
 
     Returns:
         (R, pivot_cols): R is the RREF of m (same shape, row space
@@ -271,44 +323,24 @@ def rref(m: FiniteMatrix) -> tuple[FiniteMatrix, tuple[int, ...]]:
     if not m.rows or not m.cols:
         return m, ()
     q, n, c = m.q, m.rows, m.cols
-    pivots: list[int] = []
-    pr = 0
-    if q == 2:
-        rows = _pack2(m)
-        for col in range(c):
-            bit = 1 << (c - 1 - col)
-            for sel in range(pr, n):
-                if rows[sel] & bit:
-                    break
-            else:
-                continue
-            pivot = rows[sel]
-            rows[sel] = rows[pr]
-            rows = [r ^ pivot if r & bit else r for r in rows]
-            rows[pr] = pivot
-            pivots.append(col)
-            pr += 1
-            if pr == n:
-                break
-        bits = "".join(format(r, f"0{c}b") for r in rows).encode().translate(_UNBITS)
-        return FiniteMatrix._of(q, n, c, tuple(bits)), tuple(pivots)
-    work = m.row_list()
+    if q < 128:
+        rows = _eliminate(q, _packed_rows(m), c, 0)
+        body = _unpack(q, (v for _, v in rows), c) + bytes((n - len(rows)) * c)
+        return FiniteMatrix._of(q, n, c, tuple(body)), tuple(p for p, _ in rows)
+    work, pivots = m.row_list(), []
     for col in range(c):
-        for sel in range(pr, n):
-            if work[sel][col]:
-                break
-        else:
+        pr = len(pivots)
+        sel = next((r for r in range(pr, n) if work[r][col]), None)
+        if sel is None:
             continue
-        work[pr], work[sel] = work[sel], work[pr]
-        inv = pow(work[pr][col], -1, q)
-        work[pr] = [(x * inv) % q for x in work[pr]]
+        inv = pow(work[sel][col], -1, q)
+        work[sel], work[pr] = work[pr], [x * inv % q for x in work[sel]]
         for r in range(n):
-            if r != pr and work[r][col]:
-                f = work[r][col]
+            f = work[r][col]
+            if f and r != pr:
                 work[r] = [(a - f * b) % q for a, b in zip(work[r], work[pr])]
         pivots.append(col)
-        pr += 1
-        if pr == n:
+        if pr + 1 == n:
             break
     return FiniteMatrix._of(q, n, c, tuple(chain.from_iterable(work))), tuple(pivots)
 
@@ -349,7 +381,7 @@ def row_space_keys(basis: FiniteMatrix, widths: Sequence[int]) -> Iterator[tuple
     ends = list(accumulate(widths))
     if q == 2:
         cuts = [(basis.cols - end, (1 << w) - 1) for end, w in zip(ends, widths)]
-        rows = _pack2(basis)
+        rows = _packed_rows(basis)
         chunk = [0]
         for row in rows[:low]:
             chunk += [p ^ row for p in chunk]
@@ -372,20 +404,21 @@ def row_space_keys(basis: FiniteMatrix, widths: Sequence[int]) -> Iterator[tuple
 
 
 def rank(m: FiniteMatrix) -> int:
-    """Rank of m over GF(q)."""
-    return len(rref(m)[1])
+    """Rank of m over GF(q); for q < 128, _eliminate's pivots with no back-substitution."""
+    return len(_eliminate(m.q, _packed_rows(m), m.cols, m.cols) if m.q < 128 else rref(m)[1])
 
 
 def column_space_intersection(a: FiniteMatrix, b: FiniteMatrix) -> FiniteMatrix:
     """Canonical basis of the intersection of two column spaces.
 
-    Zassenhaus's algorithm, one RREF: row-reduce the block whose rows are
-    [a_j | a_j] for each column a_j of a and [b_j | 0] for each column b_j
-    of b.  The block's row space is {[u + v | u] : u in span(a), v in
-    span(b)}, fixed by the two spans alone, and so is its RREF.  The rows
-    whose pivot falls in the right half are [0 | w], and their right halves
-    w are the RREF basis of span(a) & span(b), read as columns: span-equal
-    inputs give the identical matrix.
+    Zassenhaus's algorithm, one elimination: row-reduce the block whose
+    rows are [a_j | a_j] for each column a_j of a and [b_j | 0] for each
+    column b_j of b, packed from the entries (for q >= 128, through rref).
+    The block's row space is {[u + v | u] : u in span(a), v in span(b)}.  In
+    any echelon form of it the rows that lead in the right half are [0 | w],
+    and their w span span(a) & span(b).  Only they are back-substituted, to
+    the RREF basis of the meet, read as columns: span-equal inputs give the
+    identical matrix.
 
     Args:
         a, b: matrices with the same row count over the same field.
@@ -398,11 +431,18 @@ def column_space_intersection(a: FiniteMatrix, b: FiniteMatrix) -> FiniteMatrix:
         raise ValueError(f"field mismatch: GF({int(a.q)}) vs GF({int(b.q)})")
     if a.rows != b.rows:
         raise ValueError(f"row-count mismatch: {a.rows} vs {b.rows}")
-    n = a.rows
+    q, n = a.q, a.rows
+    if q < 128:
+        ea, eb, w = bytes(a.entries), bytes(b.entries), n if q == 2 else 8 * n
+        vecs = [v << w | v for v in (_pack(q, ea[j :: a.cols]) for j in range(a.cols))]
+        vecs += [_pack(q, eb[j :: b.cols]) << w for j in range(b.cols)]
+        meet = [v for p, v in _eliminate(q, vecs, 2 * n, n) if p >= n]
+        body = _unpack(q, meet, n)  # column after column
+        return FiniteMatrix._of(q, n, len(meet), tuple(b"".join([body[i::n] for i in range(n)])))
     block = [a.col(j) * 2 for j in range(a.cols)] + [b.col(j) + (0,) * n for j in range(b.cols)]
-    reduced, pivots = rref(FiniteMatrix._of(a.q, len(block), 2 * n, tuple(chain.from_iterable(block))))
+    reduced, pivots = rref(FiniteMatrix._of(q, len(block), 2 * n, tuple(chain.from_iterable(block))))
     meet = [reduced.row(i)[n:] for i, p in enumerate(pivots) if p >= n]
-    return FiniteMatrix._of(a.q, len(meet), n, tuple(chain.from_iterable(meet))).transpose()
+    return FiniteMatrix._of(q, len(meet), n, tuple(chain.from_iterable(meet))).transpose()
 
 
 def reduce_to_full_column_rank(m: FiniteMatrix) -> FiniteMatrix:

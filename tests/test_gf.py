@@ -322,22 +322,23 @@ def test_intersection_is_canonical_basis_of_brute_force_meet(q, rows, ca, cb, se
     assert meet == reference_column_space_basis(meet)
 
 
-def test_intersection_is_one_rref(monkeypatch):
+def test_intersection_is_one_elimination(monkeypatch):
     import zerotalk.gf as gf_module
 
     shapes = []
-    real_rref = gf_module.rref
+    real_eliminate = gf_module._eliminate
 
-    def counting_rref(m):
-        shapes.append((m.rows, m.cols))
-        return real_rref(m)
+    def counting_eliminate(q, vecs, size, start):
+        vecs = list(vecs)
+        shapes.append((len(vecs), size))
+        return real_eliminate(q, vecs, size, start)
 
-    monkeypatch.setattr(gf_module, "rref", counting_rref)
+    monkeypatch.setattr(gf_module, "_eliminate", counting_eliminate)
     a = FiniteMatrix.from_rows(2, [[1, 0, 1], [0, 1, 1], [0, 0, 0]])
     b = FiniteMatrix.from_rows(2, [[0, 1], [0, 1], [1, 1]])
     meet = column_space_intersection(a, b)
     assert meet.col(0) == (1, 1, 0)
-    # one (a.cols + b.cols) x 2n block
+    # one block of a.cols + b.cols vectors of 2n coordinates
     assert shapes == [(5, 6)]
 
 
@@ -545,15 +546,16 @@ def test_operations_reject_mismatched_fields_and_shapes(call, message):
     assert str(info.value) == message
 
 
-# --- GF(2) int rows and unchecked builds against the list-row references ---
+# --- packed rows and unchecked builds against the list-row references ---
 
 
 def differential_cases(seed: int):
-    """Seeded matrices over GF(2), GF(3) and GF(5): dense, sparse and
-    rank-deficient, empty shapes included."""
+    """Seeded matrices over GF(2), GF(3), GF(5), GF(7) and GF(127), the
+    last field packed a byte per entry, and GF(131), the first kept in list
+    rows: dense, sparse and rank-deficient, empty shapes included."""
     rng = random.Random(seed)
     shapes = [(0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (5, 2), (4, 4), (6, 9), (9, 6), (12, 12)]
-    for q in (2, 3, 5):
+    for q in (2, 3, 5, 7, 127, 131):
         for rows, cols in shapes:
             yield random_matrix(rng, q, rows, cols)
             sparse = tuple(rng.randrange(1, q) if rng.random() < 0.2 else 0 for _ in range(rows * cols))
@@ -576,6 +578,12 @@ def test_rref_transpose_and_bases_match_the_list_references(seed):
         assert t == reference_transpose(m) and plain(t)
         basis = column_space_intersection(m, m)
         assert basis == reference_column_space_basis(m) and plain(basis)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rank_is_the_pivot_count_of_the_list_reference(seed):
+    for m in differential_cases(930 + seed):
+        assert rank(m) == len(list_rref(m)[1])
 
 
 @pytest.mark.parametrize("seed", range(4))
