@@ -8,12 +8,13 @@ they come from outside: the public constructor, ``from_rows`` and
 Every matrix this module builds from entries it has already reduced goes
 through ``FiniteMatrix._of``, which checks nothing.
 
-For q < 128, elimination packs each vector into one int, coordinate 0 the
-most significant field (M4RI's packing: Albrecht, Bard and Hart, "Algorithm
+Elimination packs each vector into one int, coordinate 0 the most
+significant field (M4RI's packing: Albrecht, Bard and Hart, "Algorithm
 898", ACM TOMS 37(1), 2010): a bit over GF(2), where a row operation is one
-XOR, and a byte for odd q, where it is an int add between byte translates.
-Only q >= 128 keeps one list per row.  ``row_space_keys`` walks GF(2) row
-spaces as packed ints too.  ``codes`` is the one mixed-radix encoder: it
+XOR, a byte for odd q < 128, where it is an int add between byte
+translates, and 32 bits for larger q, where it is one pass over the
+struct-unpacked fields.  ``row_space_keys`` walks GF(2) row spaces as
+packed ints too.  ``codes`` is the one mixed-radix encoder: it
 folds value columns into keys for that walk and for the simulator's
 decoders.  Subspaces are handled through their spanning column sets; every
 routine that returns a basis returns the canonical one, the RREF basis of
@@ -24,6 +25,7 @@ matrices and golden tests stay stable.
 from __future__ import annotations
 
 import math
+import struct
 from functools import lru_cache
 from itertools import accumulate, chain
 from operator import xor
@@ -128,13 +130,6 @@ class FiniteMatrix(Value):
 
     def col(self, j: int) -> tuple[int, ...]:
         return self.entries[j :: self.cols]
-
-    def row_list(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> "FiniteMatrix":
-        cols = chain.from_iterable(self.col(j) for j in range(self.cols))
-        return FiniteMatrix._of(self.q, self.cols, self.rows, tuple(cols))
 
 
 def matmul(a: FiniteMatrix, b: FiniteMatrix) -> FiniteMatrix:
@@ -249,43 +244,69 @@ _BITS = bytes.maketrans(b"\x00\x01", b"01")
 _UNBITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _pack(q: int, values: bytes) -> int:
-    """Values in [0, q), q < 128, as one int of fields, the first most significant."""
-    return int(values.translate(_BITS) or b"0", 2) if q == 2 else int.from_bytes(values, "big")
+def _field_bits(q: int) -> int:
+    """Bits per coordinate of a _pack'ed vector over GF(q): one over GF(2), a
+    byte for odd q < 128 (see _eliminate), and for larger q the whole bytes
+    that hold every value below MAX_FIELD_ORDER, 32 bits."""
+    if q == 2:
+        return 1
+    return 8 if q < 128 else -(-(MAX_FIELD_ORDER - 1).bit_length() // 8) * 8
 
 
-def _unpack(q: int, vecs: Iterable[int], size: int) -> bytes:
-    """The values of _pack'ed vectors of size > 0 coordinates, one per byte."""
+def _pack(q: int, values: Sequence[int]) -> int:
+    """Values in [0, q) as one int of _field_bits(q) fields, the first most significant."""
+    if q == 2:
+        return int(bytes(values).translate(_BITS) or b"0", 2)
+    if q < 128:
+        return int.from_bytes(bytes(values), "big")
+    return int.from_bytes(struct.pack(f">{len(values)}I", *values), "big")
+
+
+def _unpack(q: int, vecs: Iterable[int], size: int) -> Sequence[int]:
+    """The values of _pack'ed vectors of size > 0 coordinates, in order."""
     if q == 2:
         return "".join([format(v, f"0{size}b") for v in vecs]).encode().translate(_UNBITS)
-    return b"".join([v.to_bytes(size, "big") for v in vecs])
+    width = _field_bits(q) // 8 * size
+    data = b"".join([v.to_bytes(width, "big") for v in vecs])
+    return data if q < 128 else struct.unpack(f">{len(data) // 4}I", data)
 
 
 def _packed_rows(m: FiniteMatrix) -> list[int]:
-    """The rows of a matrix over GF(q), q < 128, each packed by _pack."""
-    width = m.cols if m.q == 2 else 8 * m.cols
-    whole, mask = _pack(m.q, bytes(m.entries)), (1 << width) - 1
+    """The rows of a matrix over GF(q), each packed by _pack."""
+    width = _field_bits(m.q) * m.cols
+    whole, mask = _pack(m.q, m.entries), (1 << width) - 1
     return [whole >> (width * i) & mask for i in range(m.rows - 1, -1, -1)]
 
 
 def _eliminate(q: int, vecs: Iterable[int], size: int, start: int) -> list[tuple[int, int]]:
-    """Row-reduce _pack'ed vectors of size coordinates over GF(q), q < 128.
+    """Row-reduce _pack'ed vectors of size coordinates over GF(q).
 
     A vector takes one row operation per leading field (from bit_length())
     until it is zero or leads where no pivot does; then it is scaled to a
-    leading 1 and becomes a pivot.  A row operation is one XOR over GF(2),
-    and over odd q one int add of the pivot scaled by a translate (no byte
-    passes 2q - 2 < 256, so nothing carries) and one reducing translate.
+    leading 1 and becomes a pivot.  A row operation is one XOR over GF(2).
+    For odd q < 128 it is one int add of the pivot scaled by a translate (no
+    byte passes 2q - 2 < 256, so nothing carries) and one reducing
+    translate; for larger q, one pass over both vectors' 32-bit fields.
     Pivots leading at coordinate start or later are then back-substituted.
     Returns the (lead, pivot) pairs by increasing lead: an echelon form,
     reduced from start on (with start 0, the RREF's nonzero rows).
     """
-    two, (reduce, scale) = q == 2, _byte_tables(q)
-    shift, mask = (0, 1) if two else (3, 255)
+    bits = _field_bits(q)
+    two, shift, mask = q == 2, bits.bit_length() - 1, (1 << bits) - 1
+    if bits == 8:
+        reduce, scale = _byte_tables(q)
 
-    def minus(v: int, p: int, f: int) -> int:  # v - f * p over odd q
-        v += int.from_bytes(p.to_bytes(size, "big").translate(scale[q - f]), "big")
-        return int.from_bytes(v.to_bytes(size, "big").translate(reduce), "big")
+        def minus(v: int, p: int, f: int) -> int:  # v - f * p
+            v += int.from_bytes(p.to_bytes(size, "big").translate(scale[q - f]), "big")
+            return int.from_bytes(v.to_bytes(size, "big").translate(reduce), "big")
+
+    elif bits == 32:
+        fields = struct.Struct(f">{size}I")
+        pack, unpack, width = fields.pack, fields.unpack, fields.size
+
+        def minus(v: int, p: int, f: int) -> int:  # v - f * p
+            x, y = unpack(v.to_bytes(width, "big")), unpack(p.to_bytes(width, "big"))
+            return int.from_bytes(pack(*[(a - f * b) % q for a, b in zip(x, y)]), "big")
 
     pivots: dict[int, int] = {}  # by the place of the leading field, counted from the last
     for v in vecs:
@@ -310,10 +331,8 @@ def _eliminate(q: int, vecs: Iterable[int], size: int, start: int) -> list[tuple
 
 
 def rref(m: FiniteMatrix) -> tuple[FiniteMatrix, tuple[int, ...]]:
-    """Reduced row echelon form via Gauss-Jordan elimination mod q.
-
-    For q < 128 the rows are packed into ints and reduced by ``_eliminate``
-    with full back-substitution; for larger q each row is a list.
+    """Reduced row echelon form: the rows packed and reduced by ``_eliminate``
+    with full back-substitution.
 
     Returns:
         (R, pivot_cols): R is the RREF of m (same shape, row space
@@ -323,26 +342,9 @@ def rref(m: FiniteMatrix) -> tuple[FiniteMatrix, tuple[int, ...]]:
     if not m.rows or not m.cols:
         return m, ()
     q, n, c = m.q, m.rows, m.cols
-    if q < 128:
-        rows = _eliminate(q, _packed_rows(m), c, 0)
-        body = _unpack(q, (v for _, v in rows), c) + bytes((n - len(rows)) * c)
-        return FiniteMatrix._of(q, n, c, tuple(body)), tuple(p for p, _ in rows)
-    work, pivots = m.row_list(), []
-    for col in range(c):
-        pr = len(pivots)
-        sel = next((r for r in range(pr, n) if work[r][col]), None)
-        if sel is None:
-            continue
-        inv = pow(work[sel][col], -1, q)
-        work[sel], work[pr] = work[pr], [x * inv % q for x in work[sel]]
-        for r in range(n):
-            f = work[r][col]
-            if f and r != pr:
-                work[r] = [(a - f * b) % q for a, b in zip(work[r], work[pr])]
-        pivots.append(col)
-        if pr + 1 == n:
-            break
-    return FiniteMatrix._of(q, n, c, tuple(chain.from_iterable(work))), tuple(pivots)
+    rows = _eliminate(q, _packed_rows(m), c, 0)
+    body = tuple(_unpack(q, (v for _, v in rows), c)) + (0,) * ((n - len(rows)) * c)
+    return FiniteMatrix._of(q, n, c, body), tuple(p for p, _ in rows)
 
 
 def row_space_basis(m: FiniteMatrix) -> FiniteMatrix:
@@ -404,8 +406,8 @@ def row_space_keys(basis: FiniteMatrix, widths: Sequence[int]) -> Iterator[tuple
 
 
 def rank(m: FiniteMatrix) -> int:
-    """Rank of m over GF(q); for q < 128, _eliminate's pivots with no back-substitution."""
-    return len(_eliminate(m.q, _packed_rows(m), m.cols, m.cols) if m.q < 128 else rref(m)[1])
+    """Rank of m over GF(q): _eliminate's pivots with no back-substitution."""
+    return len(_eliminate(m.q, _packed_rows(m), m.cols, m.cols))
 
 
 def column_space_intersection(a: FiniteMatrix, b: FiniteMatrix) -> FiniteMatrix:
@@ -413,7 +415,7 @@ def column_space_intersection(a: FiniteMatrix, b: FiniteMatrix) -> FiniteMatrix:
 
     Zassenhaus's algorithm, one elimination: row-reduce the block whose
     rows are [a_j | a_j] for each column a_j of a and [b_j | 0] for each
-    column b_j of b, packed from the entries (for q >= 128, through rref).
+    column b_j of b, packed from the entries.
     The block's row space is {[u + v | u] : u in span(a), v in span(b)}.  In
     any echelon form of it the rows that lead in the right half are [0 | w],
     and their w span span(a) & span(b).  Only they are back-substituted, to
@@ -432,17 +434,12 @@ def column_space_intersection(a: FiniteMatrix, b: FiniteMatrix) -> FiniteMatrix:
     if a.rows != b.rows:
         raise ValueError(f"row-count mismatch: {a.rows} vs {b.rows}")
     q, n = a.q, a.rows
-    if q < 128:
-        ea, eb, w = bytes(a.entries), bytes(b.entries), n if q == 2 else 8 * n
-        vecs = [v << w | v for v in (_pack(q, ea[j :: a.cols]) for j in range(a.cols))]
-        vecs += [_pack(q, eb[j :: b.cols]) << w for j in range(b.cols)]
-        meet = [v for p, v in _eliminate(q, vecs, 2 * n, n) if p >= n]
-        body = _unpack(q, meet, n)  # column after column
-        return FiniteMatrix._of(q, n, len(meet), tuple(b"".join([body[i::n] for i in range(n)])))
-    block = [a.col(j) * 2 for j in range(a.cols)] + [b.col(j) + (0,) * n for j in range(b.cols)]
-    reduced, pivots = rref(FiniteMatrix._of(q, len(block), 2 * n, tuple(chain.from_iterable(block))))
-    meet = [reduced.row(i)[n:] for i, p in enumerate(pivots) if p >= n]
-    return FiniteMatrix._of(q, len(meet), n, tuple(chain.from_iterable(meet))).transpose()
+    w = _field_bits(q) * n
+    vecs = [v << w | v for v in (_pack(q, a.col(j)) for j in range(a.cols))]
+    vecs += [_pack(q, b.col(j)) << w for j in range(b.cols)]
+    meet = [v for p, v in _eliminate(q, vecs, 2 * n, n) if p >= n]
+    body = _unpack(q, meet, n)  # column after column
+    return FiniteMatrix._of(q, n, len(meet), tuple(chain.from_iterable(body[i::n] for i in range(n))))
 
 
 def reduce_to_full_column_rank(m: FiniteMatrix) -> FiniteMatrix:

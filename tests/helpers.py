@@ -171,10 +171,14 @@ def reference_row_space_keys(basis: FiniteMatrix, widths) -> list:
 # --- GF(2) int rows and FiniteMatrix._of
 
 
+def row_list(m: FiniteMatrix) -> list[list[int]]:
+    return [list(m.row(i)) for i in range(m.rows)]
+
+
 def list_rref(m: FiniteMatrix) -> tuple[FiniteMatrix, tuple[int, ...]]:
     """Gauss-Jordan on list rows for every q, the result built by from_rows."""
     q = m.q
-    work = m.row_list()
+    work = row_list(m)
     pivots: list[int] = []
     pr = 0
     for col in range(m.cols):
@@ -196,7 +200,7 @@ def list_rref(m: FiniteMatrix) -> tuple[FiniteMatrix, tuple[int, ...]]:
 
 
 def reference_transpose(m: FiniteMatrix) -> FiniteMatrix:
-    return FiniteMatrix.from_cols(m.q, m.row_list(), rows=m.cols)
+    return FiniteMatrix.from_cols(m.q, row_list(m), rows=m.cols)
 
 
 def reference_hstack(*mats: FiniteMatrix) -> FiniteMatrix:

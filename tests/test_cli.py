@@ -704,7 +704,8 @@ def test_simulate_digest_is_sha256_of_joined_labels(capsys, model):
 
 # Models whose keys take the simulator's less common paths: two global edges of
 # 16 and 17 values (272 labels, past a byte), a GF(131) key (the q > 127
-# column product) and a 40-point discrete model (39 cuts, past MAX_TABLE_CUTS).
+# column product), a GF(2**31 - 1) key (the largest field, 32 bits per packed
+# entry) and a 40-point discrete model (39 cuts, past MAX_TABLE_CUTS).
 # The digests are of `simulate --n 2000 --seed 5 --json` stdout, recorded
 # before simulator keys became int codes; the CI workflow runs the same models.
 _WIDE_KEY = {"model": "hypergraphical", "users": 3, "edges": [
@@ -713,6 +714,8 @@ _WIDE_KEY = {"model": "hypergraphical", "users": 3, "edges": [
     {"name": "c", "subset": [1, 2], "uniform": 2}]}
 _GF131_KEY = {"model": "finite_linear", "q": 131, "dim": 3,
               "matrices": {"1": [[1, 0], [2, 0], [0, 1]], "2": [[1, 0], [2, 1], [0, 5]]}}
+_GF_WIDEST_KEY = {"model": "finite_linear", "q": 2147483647, "dim": 2,
+                  "matrices": {"1": [[1, 0], [3, 1]], "2": [[2], [6]]}}
 _POINTS_40 = {"model": "discrete", "alphabets": [40, 8], "pmf": [
     {"symbols": [i, i % 8], "p": f"{i % 7 + 1}/155"} for i in range(40)]}
 
@@ -720,8 +723,9 @@ _POINTS_40 = {"model": "discrete", "alphabets": [40, 8], "pmf": [
 @pytest.mark.parametrize("doc, digest", [
     (_WIDE_KEY, "e202dd17973fd6f9e7e3b44fe370c4707be2cf188faf731a0f4d5c1919f039f4"),
     (_GF131_KEY, "87774af3dbe66c3f30e94c615dec281efccb4a9c922dfe5c4d35529559645594"),
+    (_GF_WIDEST_KEY, "767e571291c70b513e071f09710fc75b453a2a61bed986760c77d2fab2455473"),
     (_POINTS_40, "6d2a4c168e58aec2de6d0e61c25eb65514c5e932ed74e7d2f537c033d42c38ed"),
-], ids=["edges-16x17", "gf131", "discrete-40"])
+], ids=["edges-16x17", "gf131", "gf2147483647", "discrete-40"])
 def test_simulate_output_is_pinned_on_wide_keys_and_draws(capsys, tmp_path, doc, digest):
     model = tmp_path / "model.json"
     model.write_text(json.dumps(doc))

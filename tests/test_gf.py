@@ -48,6 +48,7 @@ from helpers import (
     reference_row_space_keys,
     reference_solve,
     reference_transpose,
+    row_list,
     row_space,
     zeros,
 )
@@ -68,7 +69,7 @@ def det_mod(rows: list[list[int]], q: int) -> int:
 
 def minor_rank(m: FiniteMatrix) -> int:
     """Rank as the largest k with a nonvanishing k-by-k minor (oracle only)."""
-    grid = m.row_list()
+    grid = row_list(m)
     for k in range(min(m.rows, m.cols), 0, -1):
         for rs in combinations(range(m.rows), k):
             for cs in combinations(range(m.cols), k):
@@ -104,7 +105,8 @@ matrix_strategy = st.builds(
 
 def test_field_order_accepts_primes():
     assert FieldOrder(2) == 2
-    assert FieldOrder(2147483629) == 2147483629  # largest prime below 2**31
+    assert FieldOrder(2147483629) == 2147483629
+    assert FieldOrder(2**31 - 1) == 2**31 - 1  # the largest prime below 2**31
 
 
 @pytest.mark.parametrize("bad", [0, 1, 4, 9, 15, 2**31, -3, "x"])
@@ -185,7 +187,7 @@ def test_rank_matches_minor_oracle_gf3_rectangular():
 @given(matrix_strategy)
 def test_rref_preserves_row_space(m):
     reduced, pivots = rref(m)
-    stacked = FiniteMatrix.from_rows(m.q, m.row_list() + reduced.row_list(), cols=m.cols)
+    stacked = FiniteMatrix.from_rows(m.q, row_list(m) + row_list(reduced), cols=m.cols)
     assert rank(stacked) == rank(m) == len(pivots)
 
 
@@ -315,14 +317,15 @@ def test_intersection_is_canonical_basis_of_brute_force_meet(q, rows, ca, cb, se
     meet = column_space_intersection(a, b)
 
     def span(m):
-        return set(row_space(m.transpose()))
+        return set(row_space(reference_transpose(m)))
 
     assert meet.rows == rows
     assert span(meet) == span(a) & span(b)
     assert meet == reference_column_space_basis(meet)
 
 
-def test_intersection_is_one_elimination(monkeypatch):
+@pytest.mark.parametrize("q", [2, 3, 131, 2**31 - 1])
+def test_intersection_rref_and_rank_are_one_elimination_each(monkeypatch, q):
     import zerotalk.gf as gf_module
 
     shapes = []
@@ -334,12 +337,16 @@ def test_intersection_is_one_elimination(monkeypatch):
         return real_eliminate(q, vecs, size, start)
 
     monkeypatch.setattr(gf_module, "_eliminate", counting_eliminate)
-    a = FiniteMatrix.from_rows(2, [[1, 0, 1], [0, 1, 1], [0, 0, 0]])
-    b = FiniteMatrix.from_rows(2, [[0, 1], [0, 1], [1, 1]])
+    a = FiniteMatrix.from_rows(q, [[1, 0, 1], [0, 1, 1], [0, 0, 0]])
+    b = FiniteMatrix.from_rows(q, [[0, 1], [0, 1], [1, 1]])
     meet = column_space_intersection(a, b)
     assert meet.col(0) == (1, 1, 0)
     # one block of a.cols + b.cols vectors of 2n coordinates
     assert shapes == [(5, 6)]
+    # and one pass over the rows for rref and for rank
+    assert rref(a)[1] == (0, 1)
+    assert rank(a) == 2
+    assert shapes == [(5, 6), (3, 3), (3, 3)]
 
 
 def test_intersect_all_is_order_invariant():
@@ -551,11 +558,12 @@ def test_operations_reject_mismatched_fields_and_shapes(call, message):
 
 def differential_cases(seed: int):
     """Seeded matrices over GF(2), GF(3), GF(5), GF(7) and GF(127), the
-    last field packed a byte per entry, and GF(131), the first kept in list
-    rows: dense, sparse and rank-deficient, empty shapes included."""
+    last field packed a byte per entry, GF(131), the first packed 32 bits
+    per entry, and GF(2**31 - 1), the largest field: dense, sparse and
+    rank-deficient, empty shapes included."""
     rng = random.Random(seed)
     shapes = [(0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (5, 2), (4, 4), (6, 9), (9, 6), (12, 12)]
-    for q in (2, 3, 5, 7, 127, 131):
+    for q in map(FieldOrder, (2, 3, 5, 7, 127, 131, 2**31 - 1)):  # primality checked once
         for rows, cols in shapes:
             yield random_matrix(rng, q, rows, cols)
             sparse = tuple(rng.randrange(1, q) if rng.random() < 0.2 else 0 for _ in range(rows * cols))
@@ -569,13 +577,11 @@ def plain(m: FiniteMatrix) -> bool:
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_rref_transpose_and_bases_match_the_list_references(seed):
+def test_rref_and_bases_match_the_list_references(seed):
     for m in differential_cases(900 + seed):
         reduced, pivots = rref(m)
         assert (reduced, pivots) == list_rref(m)
         assert plain(reduced)
-        t = m.transpose()
-        assert t == reference_transpose(m) and plain(t)
         basis = column_space_intersection(m, m)
         assert basis == reference_column_space_basis(m) and plain(basis)
 
