@@ -42,6 +42,7 @@ def is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+@lru_cache(maxsize=64)  # a model file names its field once per matrix
 def _is_prime(n: int) -> bool:
     """Primality of an n >= 2 by trial division."""
     if n % 2 == 0:

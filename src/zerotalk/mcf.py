@@ -72,19 +72,17 @@ def _digits(radices: tuple, code: int) -> tuple:
 class KeyExtractor(Value):
     """Per-user deterministic key maps realizing a common-function witness.
 
-    source is the model the decoders read observations of (a discrete view of
-    the original model when the witness is a support labeling).  decoders[i]
-    is user (i+1)'s column decoder: decoders[i](obs, n) takes that user's
-    observations of n rounds of source as a tuple of coordinate columns, each
-    n values long, and returns the list of the n keys as int codes; one
-    observation is the case n = 1.  expected_bits is the witness entropy.
+    decoders[i] is user (i+1)'s column decoder: decoders[i](obs, n) takes that
+    user's observations of n rounds of the source given to ``key_map`` as a
+    tuple of coordinate columns, each n values long, and returns the list of
+    the n keys as int codes; one observation is the case n = 1.  expected_bits
+    is the witness entropy.
     surprise_var is the variance of the key's surprisal in bits^2, used for
     the empirical-rate tolerance; label_count the number of possible keys.
     label(code) is the key's label: the tuple of the chosen edges' values, the
     tuple of the subspace coordinates, or the support component.
     """
 
-    source: AnySource
     decoders: tuple
     expected_bits: float
     surprise_var: float
@@ -161,7 +159,7 @@ class EdgeSubsetWitness(CommonFunctionWitness):
         # a uniform edge's surprisal is constant: its variance is zero
         var = math.fsum(_surprisal_variance(s.edges[k].probs) for k in chosen
                         if s.edges[k].probs is not None)
-        return KeyExtractor(s, tuple(decoders), self.entropy_bits, var, math.prod(radices),
+        return KeyExtractor(tuple(decoders), self.entropy_bits, var, math.prod(radices),
                             partial(_digits, radices))
 
     def summary(self) -> dict:
@@ -200,7 +198,7 @@ class SubspaceWitness(CommonFunctionWitness):
         for mat in s.matrices:
             try:
                 coeffs = solve(mat, basis)
-            except (SubspaceNotContained, ModelError) as exc:
+            except SubspaceNotContained as exc:
                 raise WitnessInvalid("witness subspace is not computable from every observation") from exc
 
             def decode(obs, n, coeffs=coeffs):
@@ -208,7 +206,7 @@ class SubspaceWitness(CommonFunctionWitness):
 
             decoders.append(decode)
         # the key is uniform over the image: surprisal is constant, variance zero
-        return KeyExtractor(s, tuple(decoders), self.entropy_bits, 0.0, math.prod(radices),
+        return KeyExtractor(tuple(decoders), self.entropy_bits, 0.0, math.prod(radices),
                             partial(_digits, radices))
 
     def _columns(self) -> list:
@@ -229,12 +227,13 @@ class LabelingWitness(CommonFunctionWitness):
         return shannon_bits(_label_masses(d.weights, self.payload).values(), d.total)
 
     def key_map(self, s: AnySource) -> KeyExtractor:
-        d = to_discrete(s)
-        masses = _label_masses(d.weights, self.payload)
+        if not isinstance(s, DiscreteSource):
+            raise WitnessInvalid("support-labeling witness needs a discrete source")
+        masses = _label_masses(s.weights, self.payload)
         decoders = []
-        for coord in range(d.user_count):
+        for coord in range(s.user_count):
             fiber: dict = {}
-            for realization in d.weights:
+            for realization in s.weights:
                 v = realization[coord]
                 label = self.payload[realization]
                 if fiber.setdefault(v, label) != label:
@@ -247,8 +246,8 @@ class LabelingWitness(CommonFunctionWitness):
                 return list(map(lookup, obs[0]))
 
             decoders.append(decode)
-        variance = _surprisal_variance(m / d.total for m in masses.values())
-        return KeyExtractor(d, tuple(decoders), self.entropy_bits, variance, len(masses),
+        variance = _surprisal_variance(m / s.total for m in masses.values())
+        return KeyExtractor(tuple(decoders), self.entropy_bits, variance, len(masses),
                             lambda code: code)  # codes are the labels
 
     def summary(self) -> dict:

@@ -1,10 +1,10 @@
 """Zero-discussion agreement simulator.
 
 Draws n i.i.d. realizations of a source, has every user apply a deterministic
-decoder (derived from a common-function witness) to its own observations
-only, and checks that all users produce the identical key stream with no
-messages exchanged.  The empirical key rate is compared against the witness
-entropy with a concentration-style tolerance.
+decoder (the key map of the source's own maximum common function) to its own
+observations only, and checks that all users produce the identical key stream
+with no messages exchanged.  The empirical key rate is compared against the
+witness entropy with a concentration-style tolerance.
 
 The simulation is column-wise: the sampler draws every coordinate for all n
 rounds at once (one column per edge, hidden coordinate or discrete draw), and
@@ -27,14 +27,14 @@ from bisect import bisect_right
 from collections import Counter
 from functools import cached_property
 from struct import unpack, unpack_from
-from typing import Callable, ClassVar, Optional
+from typing import Callable, ClassVar
 
 from .errors import ModelError, Value
 from .gf import cols_mat
 # Unused here; perfbench's test_instrument_patches_every_namespace_and_restores_it
 # reads sim.vec_mat.
 from .gf import vec_mat  # noqa: F401
-from .mcf import CommonFunctionWitness, KeyExtractor, LabelingWitness, common_function
+from .mcf import KeyExtractor, common_function
 from .sources import (
     AnySource,
     FiniteLinearSource,
@@ -45,8 +45,8 @@ from .sources import (
 )
 
 
-def build_extractor(s: AnySource, witness: Optional[CommonFunctionWitness] = None) -> KeyExtractor:
-    return (witness if witness is not None else common_function(s)).key_map(s)
+def build_extractor(s: AnySource) -> KeyExtractor:
+    return common_function(s).key_map(s)
 
 
 def _cdf(weights, total: int) -> list:
@@ -145,12 +145,9 @@ def _uniform_columns(rng: random.Random, q: int, n: int, count: int) -> list:
 VALUES_PER_POINT = 100
 
 
-def _columns_drawn(s: AnySource, witness: Optional[CommonFunctionWitness]) -> int:
+def _columns_drawn(s: AnySource) -> int:
     """Columns of n values the sampler draws: one per edge (at least one),
-    hidden coordinate or discrete user.  A labeling witness is drawn from the
-    discrete view of s, one column per user."""
-    if isinstance(witness, LabelingWitness):
-        return s.user_count
+    hidden coordinate or discrete user."""
     if isinstance(s, HypergraphicalSource):
         return max(len(s.edges), 1)
     if isinstance(s, FiniteLinearSource):
@@ -205,18 +202,13 @@ def rate_tolerance(surprise_var: float, label_count: int, n: int) -> float:
     return 3.0 * math.sqrt(surprise_var / n) + 3.0 * label_count / n
 
 
-def run(
-    s: AnySource,
-    n: int,
-    seed: int,
-    witness: Optional[CommonFunctionWitness] = None,
-) -> SimulationRun:
+def run(s: AnySource, n: int, seed: int) -> SimulationRun:
     if n < 1:
         raise ModelError("need at least one round")
-    per_round = _columns_drawn(s, witness) + s.user_count  # and one label per user
+    per_round = _columns_drawn(s) + s.user_count  # and one label per user
     check_budget("simulation", n * per_round, "values", VALUES_PER_POINT)
-    ext = build_extractor(s, witness)
-    observations = _observation_columns(ext.source, random.Random(seed), n)
+    ext = build_extractor(s)
+    observations = _observation_columns(s, random.Random(seed), n)
     codes = tuple(decode(obs, n) for decode, obs in zip(ext.decoders, observations))
     first = codes[0]
     agreement = all(stream == first for stream in codes[1:])

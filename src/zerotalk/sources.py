@@ -23,10 +23,11 @@ cap counts the points an expansion enumerates, checked before it starts:
 edge assignments for a hypergraphical source, and the q**rank support points
 of a finite linear source, whose expansion walks the row space of the
 stacked observation matrix rather than all q**dim hidden vectors.  The same
-cap refuses a hypergraphical user count, a uniform edge size or the
-elemental inequalities of an entropy profile before anything of that size
-is built; ``check_budget`` is the one check.  A uniform edge holds only its
-size: only an expansion, under its cap, or ``Edge.pmf`` builds its values.
+cap refuses a hypergraphical user count, a uniform edge size, and an entropy
+profile's elemental inequalities and (``PROJECTIONS_PER_POINT`` per point)
+subset projections before anything of that size is built; ``check_budget``
+is the one check.  A uniform edge holds only its size: only an expansion,
+under its cap, or ``Edge.pmf`` builds its values.
 The entropy profile of a discrete source packs each realization once into
 an int, a bit field per user, and projects it onto a subset with one AND;
 ``DiscreteSource.marginal`` is the tuple form of the same marginal.
@@ -49,6 +50,7 @@ Probability = Union[Fraction, float]
 Weight = Union[int, Fraction, float]  # an int over a common total, or a mass over 1
 
 DEFAULT_EXPANSION_LIMIT = 10**6
+PROJECTIONS_PER_POINT = 100  # 10**8 profile projections, ~210 ns each: ~20 s (2-vCPU VM, CPython 3.11)
 PROBABILITY_TOLERANCE = 1e-9
 ENTROPY_TOLERANCE = 1e-9
 
@@ -509,8 +511,9 @@ def entropy_profile(s: AnySource) -> EntropyProfile:
 
     Raises:
         ExpansionTooLarge: if the m + C(m,2)*2**(m-2) elemental inequalities
-            of an m-user profile exceed the enumeration limit (checked
-            before any subset entropy is computed).
+            of an m-user profile exceed the enumeration limit, or its 2**m *
+            edges terms (closed form) or 2**m * points projections (discrete)
+            exceed PROJECTIONS_PER_POINT times it, before any subset entropy.
     """
     if not isinstance(s, (HypergraphicalSource, FiniteLinearSource, DiscreteSource)):
         raise ModelError(f"not a source model: {type(s).__name__}")
@@ -518,6 +521,7 @@ def entropy_profile(s: AnySource) -> EntropyProfile:
     check_budget("entropy profile", m + math.comb(m, 2) * 2 ** (m - 2), "elemental inequalities")
     masks = range(2**m)
     if isinstance(s, HypergraphicalSource):
+        check_budget("entropy profile", 2**m * len(s.edges), "edge terms", PROJECTIONS_PER_POINT)
         edges = [(sum(1 << (u - 1) for u in e.subset), e.entropy_bits()) for e in s.edges]
         h = [math.fsum(bits for edge, bits in edges if edge & mask) for mask in masks]
         return EntropyProfile(m, h)
@@ -529,6 +533,7 @@ def entropy_profile(s: AnySource) -> EntropyProfile:
         ]
         return EntropyProfile(m, h)
     to_discrete(s)  # enforce the support cap
+    check_budget("entropy profile", 2**m * len(s.weights), "subset projections", PROJECTIONS_PER_POINT)
     # one int per realization: a bit field per user, user 1 most significant
     widths = [(a - 1).bit_length() for a in s.alphabet_sizes]
     offsets = [sum(widths[i + 1:]) for i in range(m)]

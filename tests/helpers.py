@@ -29,7 +29,6 @@ from zerotalk.sources import (
     FiniteLinearSource,
     HypergraphicalSource,
     shannon_bits,
-    to_discrete,
 )
 
 
@@ -333,34 +332,29 @@ def round_sampler(s):
 
 
 def round_decoders(s, w):
-    """(source the decoders read, per-user maps from one observation to the
-    label) for a witness already checked against s."""
+    """Per-user maps from one observation of s to the label, for a witness
+    already checked against s."""
     if isinstance(w, EdgeSubsetWitness):
         chosen = [k for k, e in enumerate(s.edges) if e.name in w.payload]
         decoders = []
         for user in range(1, s.user_count + 1):
             positions = tuple(s.incident(user).index(k) for k in chosen)
             decoders.append(lambda obs, positions=positions: tuple(obs[p] for p in positions))
-        return s, decoders
+        return decoders
     if isinstance(w, SubspaceWitness):
         decoders = []
         for mat in s.matrices:
             coeffs = solve(mat, w.payload)
             decoders.append(lambda obs, coeffs=coeffs: tuple(vec_mat(list(obs), coeffs)))
-        return s, decoders
+        return decoders
     assert isinstance(w, LabelingWitness)
-    d = to_discrete(s)
-    decoders = []
-    for coord in range(d.user_count):
-        fiber = {r[coord]: w.payload[r] for r in d.pmf}
-        decoders.append(fiber.__getitem__)
-    return d, decoders
+    return [{r[coord]: w.payload[r] for r in s.pmf}.__getitem__ for coord in range(s.user_count)]
 
 
 def round_key_streams(s, w, n: int, seed: int) -> tuple:
     """Per-user key streams of n rounds, one draw and one decode per round."""
-    source, decoders = round_decoders(s, w)
-    draw = round_sampler(source)
+    decoders = round_decoders(s, w)
+    draw = round_sampler(s)
     rng = random.Random(seed)
     keys = [[] for _ in decoders]
     for _ in range(n):

@@ -568,27 +568,34 @@ def test_verify_profile_budget_exits_5_before_building(tmp_path, capsys, monkeyp
 
 
 @pytest.mark.parametrize(
-    "doc, code",
+    "doc, code, err",
     [
         # 12 users: the profile is built
         ({"model": "hypergraphical", "users": 12,
-          "edges": [{"name": "g", "subset": list(range(1, 13)), "uniform": 2}]}, EXIT_OK),
+          "edges": [{"name": "g", "subset": list(range(1, 13)), "uniform": 2}]}, EXIT_OK, ""),
         # 13 users, each seeing the one hidden GF(2) coordinate
         ({"model": "finite_linear", "q": 2, "dim": 1,
-          "matrices": {str(u): [[1]] for u in range(1, 14)}}, EXIT_OK),
+          "matrices": {str(u): [[1]] for u in range(1, 14)}}, EXIT_OK, ""),
+        # 15 users on a ring of 19 binary edges, inside every size cap: the
+        # discrete profile's 2**19 points times 2**15 subsets, about an hour
+        ({"model": "hypergraphical", "users": 15,
+          "edges": [{"name": f"e{i}", "subset": sorted({i % 15 + 1, (i + 1) % 15 + 1}), "uniform": 2}
+                    for i in range(19)]}, EXIT_RESOURCE,
+         "error: entropy profile: 17179869184 subset projections exceed the limit of 100000000\n"),
     ],
-    ids=["hypergraphical-12", "gf2-13"],
+    ids=["hypergraphical-12", "gf2-13", "ring-15"],
 )
-def test_verify_on_wide_models_finishes(tmp_path, doc, code):
-    # a cold run takes well under a second; the pairwise profile check and
-    # the Bell(m) partition walk took more than the 60 s timeout
+def test_verify_on_wide_models_finishes(tmp_path, doc, code, err):
+    # a cold run takes well under a second (the ring about 5 s, for its
+    # expansion and oracle); the pairwise profile check and the Bell(m)
+    # partition walk took more than the 60 s timeout
     model = tmp_path / "wide.json"
     model.write_text(json.dumps(doc))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
     env.pop("ZEROTALK_EXPANSION_LIMIT", None)
     proc = subprocess.run([sys.executable, "-m", "zerotalk", "verify", str(model)],
                           capture_output=True, env=env, timeout=60)
-    assert proc.returncode == code, proc.stderr
+    assert (proc.returncode, proc.stderr.decode()) == (code, err)
 
 
 def _one_global_edge(users: int) -> dict:
@@ -761,7 +768,7 @@ class _DisagreeingWitness(CommonFunctionWitness):
 
     def key_map(self, s):
         decoders = [lambda obs, n, i=i: [i] * n for i in range(1, s.user_count + 1)]
-        return KeyExtractor(s, tuple(decoders), 0.0, 0.0, 1, lambda code: code)
+        return KeyExtractor(tuple(decoders), 0.0, 0.0, 1, lambda code: code)
 
 
 def test_simulate_reports_users_that_disagree(capsys, monkeypatch):

@@ -109,6 +109,21 @@ def test_field_order_accepts_primes():
     assert FieldOrder(2**31 - 1) == 2**31 - 1  # the largest prime below 2**31
 
 
+def test_loading_a_wide_field_model_twice_divides_once(tmp_path):
+    # each load builds the field order of the source and of both matrices;
+    # trial division up to sqrt(2**31 - 1) took 1.6 ms a call
+    import zerotalk.gf as gf_module
+    from zerotalk.cli import load_model
+
+    model = tmp_path / "wide_field.json"
+    model.write_text('{"model": "finite_linear", "q": 2147483647, "dim": 2,'
+                     ' "matrices": {"1": [[1], [0]], "2": [[1], [1]]}}')
+    gf_module._is_prime.cache_clear()
+    assert load_model(str(model)) == load_model(str(model))
+    info = gf_module._is_prime.cache_info()
+    assert (info.misses, info.hits) == (1, 5)
+
+
 @pytest.mark.parametrize("bad", [0, 1, 4, 9, 15, 2**31, -3, "x"])
 def test_field_order_rejects_non_primes(bad):
     with pytest.raises(ModelError):

@@ -94,15 +94,6 @@ def test_run_discrete_oracle_witness(shared_bit_source):
     assert result.rate_ok
 
 
-def test_run_labeling_witness_on_structured_source(shared_bit_source):
-    # oracle witness applied to the hypergraphical model: simulated through
-    # the discrete view, still zero-discussion per-user decoding
-    w = gk_oracle(shared_bit_source)
-    result = run(shared_bit_source, n=300, seed=3, witness=w)
-    assert result.agreement
-    assert result.expected_rate_bits == pytest.approx(1.0, abs=1e-12)
-
-
 @pytest.mark.parametrize("seed", range(8))
 def test_agreement_on_random_models(seed):
     rng = random.Random(4000 + seed)
@@ -121,21 +112,15 @@ def test_rejects_nonpositive_rounds(shared_bit_source):
 
 @pytest.mark.parametrize(
     "source, columns",
-    [("shared_bit_source", 3), ("overlap_pair_source", 3), ("two_coins", 2), ("no_edges", 1),
-     ("overlap_pair_labeling", 2)],
+    [("shared_bit_source", 3), ("overlap_pair_source", 3), ("two_coins", 2), ("no_edges", 1)],
 )
 def test_round_budget_is_checked_before_drawing(request, monkeypatch, source, columns):
     import zerotalk.sim as sim_module
 
-    witness = None
     if source == "two_coins":
         s = load_model(str(TWO_COINS))
     elif source == "no_edges":
         s = HypergraphicalSource(2, ())
-    elif source == "overlap_pair_labeling":
-        # drawn from the discrete view: one column per user, not per hidden coordinate
-        s = request.getfixturevalue("overlap_pair_source")
-        witness = gk_oracle(s)
     else:
         s = request.getfixturevalue(source)
 
@@ -143,7 +128,7 @@ def test_round_budget_is_checked_before_drawing(request, monkeypatch, source, co
     per_round = columns + s.user_count
     # the limit of 10 points admits 1000 values
     monkeypatch.setenv("ZEROTALK_EXPANSION_LIMIT", "10")
-    assert run(s, n=1000 // per_round, seed=1, witness=witness).agreement
+    assert run(s, n=1000 // per_round, seed=1).agreement
 
     def refuse(*args):
         raise AssertionError("decoders were built or rounds drawn past the budget")
@@ -152,7 +137,7 @@ def test_round_budget_is_checked_before_drawing(request, monkeypatch, source, co
     monkeypatch.setattr(sim_module, "_observation_columns", refuse)
     over = 1000 // per_round + 1
     with pytest.raises(ExpansionTooLarge) as info:
-        run(s, n=over, seed=1, witness=witness)
+        run(s, n=over, seed=1)
     assert str(info.value) == f"simulation: {over * per_round} values exceed the limit of 1000"
 
 
@@ -202,55 +187,59 @@ def test_extractor_computes_hidden_sum(overlap_pair_source):
 def test_extractor_rejects_nonglobal_edge_witness(shared_bit_source):
     w = EdgeSubsetWitness(("a",), 1.0)
     with pytest.raises(WitnessInvalid):
-        build_extractor(shared_bit_source, w)
+        w.key_map(shared_bit_source)
 
 
 def test_extractor_rejects_unknown_edge(shared_bit_source):
     w = EdgeSubsetWitness(("zzz",), 1.0)
     with pytest.raises(WitnessInvalid):
-        build_extractor(shared_bit_source, w)
+        w.key_map(shared_bit_source)
 
 
 def test_extractor_rejects_repeated_edge(shared_bit_source):
     w = EdgeSubsetWitness(("c", "c"), 1.0)
     with pytest.raises(WitnessInvalid):
-        build_extractor(shared_bit_source, w)
+        w.key_map(shared_bit_source)
 
 
 def test_extractor_rejects_uncomputable_subspace(pairwise_xor_source):
     # the full hidden vector is not computable from any single observation
     w = SubspaceWitness(identity(2, 2), 2.0)
     with pytest.raises(WitnessInvalid):
-        build_extractor(pairwise_xor_source, w)
+        w.key_map(pairwise_xor_source)
 
 
 def test_extractor_rejects_wrong_field_subspace(overlap_pair_source):
     w = SubspaceWitness(identity(3, 3), 1.0)
     with pytest.raises(WitnessInvalid):
-        build_extractor(overlap_pair_source, w)
+        w.key_map(overlap_pair_source)
 
 
 def test_extractor_rejects_conflicting_labeling():
     d = DiscreteSource((1, 2), {(0, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)})
     w = LabelingWitness({(0, 0): 0, (0, 1): 1}, 1.0)
     with pytest.raises(WitnessInvalid):
-        build_extractor(d, w)
+        w.key_map(d)
 
 
 def test_extractor_rejects_partial_labeling():
     d = DiscreteSource((2, 2), {(0, 0): Fraction(1, 2), (1, 1): Fraction(1, 2)})
     w = LabelingWitness({(0, 0): 0}, 1.0)
     with pytest.raises(WitnessInvalid):
-        build_extractor(d, w)
+        w.key_map(d)
 
 
 def test_extractor_rejects_model_mismatch(shared_bit_source, overlap_pair_source):
     edge_witness = common_function(shared_bit_source)
     with pytest.raises(WitnessInvalid):
-        build_extractor(overlap_pair_source, edge_witness)
+        edge_witness.key_map(overlap_pair_source)
     basis_witness = common_function(overlap_pair_source)
     with pytest.raises(WitnessInvalid):
-        build_extractor(shared_bit_source, basis_witness)
+        basis_witness.key_map(shared_bit_source)
+    # a support labeling is decoded on the discrete model it labels, not a structured one
+    labeling_witness = gk_oracle(shared_bit_source)
+    with pytest.raises(WitnessInvalid):
+        labeling_witness.key_map(shared_bit_source)
 
 
 # --- column decoders and sampler against the per-round reference ---
@@ -282,9 +271,9 @@ def _decoder_cases():
         d = random_discrete(rng, rng.randrange(2, 4))
         cases.append(pytest.param(d, common_function(d), id=f"discrete-{k}"))
     h = random_hypergraphical(rng, 3, 3)
-    cases.append(pytest.param(h, gk_oracle(h), id="labeling-on-edges"))
+    cases.append(pytest.param(to_discrete(h), gk_oracle(h), id="labeling-on-edges"))
     f = random_fls(rng, 3, 3)
-    cases.append(pytest.param(f, gk_oracle(f), id="labeling-on-linear"))
+    cases.append(pytest.param(to_discrete(f), gk_oracle(f), id="labeling-on-linear"))
     # chosen edges: none, one, several; radix products of 256 (every code a
     # byte) and 257 (the list combine), with private edges between them
     for name, sizes in [("none", []), ("one", [5]), ("several", [2, 3, 4, 2]),
@@ -315,14 +304,13 @@ def _user_columns(worlds, i, source):
 @pytest.mark.parametrize("s, w", _decoder_cases())
 def test_column_decoders_match_reference_round_by_round(s, w):
     # the decoders return int codes; label(code) is the reference's label
-    ext = build_extractor(s, w)
-    source, reference = round_decoders(s, w)
-    assert ext.source == source
+    ext = w.key_map(s)
+    reference = round_decoders(s, w)
     rng = random.Random(17)
-    draw = round_sampler(source)
+    draw = round_sampler(s)
     worlds = [draw(rng) for _ in range(80)]
     for i, (decode, ref) in enumerate(zip(ext.decoders, reference)):
-        labels = list(map(ext.label, decode(_user_columns(worlds, i, source), len(worlds))))
+        labels = list(map(ext.label, decode(_user_columns(worlds, i, s), len(worlds))))
         assert labels == [ref(world[i]) for world in worlds]
 
 
@@ -333,9 +321,6 @@ def test_discrete_key_stream_matches_reference(seed, shared_bit_source):
               to_discrete(shared_bit_source)):
         w = common_function(d)
         assert run(d, 300, seed).per_user_keys == round_key_streams(d, w, 300, seed)
-    w = gk_oracle(shared_bit_source)
-    keys = run(shared_bit_source, 300, seed, witness=w).per_user_keys
-    assert keys == round_key_streams(shared_bit_source, w, 300, seed)
 
 
 class _CyclingBytes:

@@ -378,6 +378,31 @@ def test_profile_budget_is_checked_before_anything_is_built(monkeypatch):
             entropy_profile(s)
 
 
+@pytest.mark.parametrize("kind, unit", [("hypergraphical", "edge terms"), ("discrete", "subset projections")])
+def test_profile_work_budget_at_and_past_the_cap(monkeypatch, kind, unit):
+    import zerotalk.sources as sources_module
+
+    # 7 users: 679 elemental inequalities and 2**7 * count terms, 100 a point
+    # of the limit of 800: 625 edges or points are at the cap, 626 past it
+    def model(count):
+        if kind == "hypergraphical":
+            return HypergraphicalSource(7, tuple(Edge.uniform(f"e{k}", {1}, 1) for k in range(count)))
+        return DiscreteSource((count,) + (1,) * 6, {(k,) + (0,) * 6: Fraction(1, count) for k in range(count)})
+
+    monkeypatch.setenv("ZEROTALK_EXPANSION_LIMIT", "800")
+    assert entropy_profile(model(625)).user_count == 7
+
+    def refuse(*args):
+        raise AssertionError("profile work started before the budget check")
+
+    past = model(626)
+    monkeypatch.setattr(sources_module, "EntropyProfile", refuse)
+    monkeypatch.setattr(Edge, "entropy_bits", refuse)
+    with pytest.raises(ExpansionTooLarge) as info:
+        entropy_profile(past)
+    assert str(info.value) == f"entropy profile: 80128 {unit} exceed the limit of 80000"
+
+
 def test_budget_error_prints_counts_past_the_int_digit_limit(monkeypatch):
     # 2**20000 has more decimal digits than str(int) allows by default
     monkeypatch.setenv("ZEROTALK_EXPANSION_LIMIT", "8")

@@ -62,8 +62,8 @@ VALUES = [
     pytest.param(LaminationBound, lambda: LaminationBound(_partition(), Fraction(1, 2), 1.0),
                  f"LaminationBound(partition={PARTITION}, coefficient=Fraction(1, 2), intercept_bits=1.0)",
                  id="LaminationBound"),
-    pytest.param(KeyExtractor, lambda: KeyExtractor(_hypergraph(), (), 1.0, 0.25, 2, str),
-                 f"KeyExtractor(source={HYPER}, decoders=(), expected_bits=1.0, surprise_var=0.25, "
+    pytest.param(KeyExtractor, lambda: KeyExtractor((), 1.0, 0.25, 2, str),
+                 "KeyExtractor(decoders=(), expected_bits=1.0, surprise_var=0.25, "
                  "label_count=2, label=<class 'str'>)", id="KeyExtractor"),
     pytest.param(CommonFunctionWitness, lambda: EdgeSubsetWitness(("a",), 0.5),
                  "EdgeSubsetWitness(payload=('a',), entropy_bits=0.5)", id="EdgeSubsetWitness"),
@@ -134,8 +134,8 @@ CONSTRUCTIONS = [  # (class, positional args, the same as keywords in another or
     (Partition, (3, [[3, 1], [2]]), dict(blocks=[[3, 1], [2]], user_count=3)),
     (LaminationBound, (_partition(), Fraction(1, 2), 1.0),
      dict(intercept_bits=1.0, coefficient=Fraction(1, 2), partition=_partition())),
-    (KeyExtractor, (_hypergraph(), (), 1.0, 0.25, 2, str),
-     dict(label=str, label_count=2, surprise_var=0.25, expected_bits=1.0, decoders=(), source=_hypergraph())),
+    (KeyExtractor, ((), 1.0, 0.25, 2, str),
+     dict(label=str, label_count=2, surprise_var=0.25, expected_bits=1.0, decoders=())),
     (EdgeSubsetWitness, (("a",), 0.5), dict(entropy_bits=0.5, payload=("a",))),
     (SimulationRun, (4, 7, True, 1.0, 1.0, True, ((0, 1),) * 2, str),
      dict(label=str, codes=((0, 1),) * 2, rate_ok=True, expected_rate_bits=1.0, empirical_rate_bits=1.0,
