@@ -56,8 +56,10 @@ from .sources import (
     Edge,
     FiniteLinearSource,
     HypergraphicalSource,
+    check_projections,
     entropy_profile,
     fls_to_hypergraphical,
+    support_size,
     to_discrete,
 )
 
@@ -435,8 +437,9 @@ def _random_model(rng: random.Random):
 
 
 def _agree(name: str, a: float, b: float) -> tuple:
-    """Check that two entropies agree within ENTROPY_TOLERANCE."""
-    return (name, abs(a - b) <= ENTROPY_TOLERANCE, f"{_bits(a)} vs {_bits(b)}")
+    """Check that two entropies agree within ENTROPY_TOLERANCE; a mismatch shows both in full."""
+    ok = abs(a - b) <= ENTROPY_TOLERANCE
+    return (name, ok, f"{_bits(a)} vs {_bits(b)}" if ok else f"{a!r} vs {b!r}")
 
 
 def _profiles_agree(name: str, a, b, detail: str) -> tuple:
@@ -449,11 +452,15 @@ def _verify_one(s) -> list:
     """Cross-checks for one model; returns (name, ok, detail) triples."""
     w = common_function(s)
     closed = w.entropy_bits
+    # every budget of the expansion and both profiles, in the order they would
+    # meet them, before the expansion is built
+    points = support_size(s)
+    profile = entropy_profile(s)
+    check_projections(s.user_count, points)
     d = to_discrete(s)  # a discrete model is its own expansion: reuse its oracle and profile
     oracle = closed if d is s else gk_oracle(d).entropy_bits
     checks = [_agree("closed_form_vs_oracle", closed, oracle),
               _agree("witness_entropy_brute_force", closed, evaluate_witness(s, w))]
-    profile = entropy_profile(s)
     checks.append(_profiles_agree("expansion_preserves_profile", profile,
                                   profile if d is s else entropy_profile(d),
                                   "all subset entropies within tolerance"))

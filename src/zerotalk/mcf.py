@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from functools import partial, reduce
-from typing import Callable, ClassVar
+from functools import reduce
+from typing import ClassVar
 
-from .errors import ModelError, SubspaceNotContained, Value, WitnessInvalid
-from .gf import (FiniteMatrix, codes, cols_mat, column_space_intersection, hstack,
-                 row_space_basis, row_space_keys, solve)
+from .errors import ModelError, Value, WitnessInvalid
+from .gf import FiniteMatrix, column_space_intersection, hstack, row_space_basis, row_space_keys
 # Unused here; perfbench's test_instrument_patches_every_namespace_and_restores_it
 # reads mcf.vec_mat.
 from .gf import vec_mat  # noqa: F401
@@ -40,14 +39,6 @@ from .sources import (
 )
 
 
-def _surprisal_variance(probs) -> float:
-    """Variance of -log2 p in bits^2 for a probability vector."""
-    ps = [float(p) for p in probs if p > 0]
-    surprises = [-math.log2(p) for p in ps]
-    mean = math.fsum(p * s for p, s in zip(ps, surprises))
-    return math.fsum(p * (s - mean) ** 2 for p, s in zip(ps, surprises))
-
-
 def _label_masses(weights: dict, labeling: dict) -> dict:
     """Weight of each label, in first-seen order, over the weights' total."""
     masses: dict = {}
@@ -60,36 +51,6 @@ def _label_masses(weights: dict, labeling: dict) -> dict:
     return masses
 
 
-def _digits(radices: tuple, code: int) -> tuple:
-    """The digits of a code of gf.codes; the first is what the lower radices leave."""
-    digits = []
-    for r in reversed(radices[1:]):
-        code, v = divmod(code, r)
-        digits.append(v)
-    return tuple(reversed(digits + [code])) if radices else ()
-
-
-class KeyExtractor(Value):
-    """Per-user deterministic key maps realizing a common-function witness.
-
-    decoders[i] is user (i+1)'s column decoder: decoders[i](obs, n) takes that
-    user's observations of n rounds of the source given to ``key_map`` as a
-    tuple of coordinate columns, each n values long, and returns the list of
-    the n keys as int codes; one observation is the case n = 1.  expected_bits
-    is the witness entropy.
-    surprise_var is the variance of the key's surprisal in bits^2, used for
-    the empirical-rate tolerance; label_count the number of possible keys.
-    label(code) is the key's label: the tuple of the chosen edges' values, the
-    tuple of the subspace coordinates, or the support component.
-    """
-
-    decoders: tuple
-    expected_bits: float
-    surprise_var: float
-    label_count: int
-    label: Callable
-
-
 class CommonFunctionWitness(Value):
     """A common function realized as an explicit, checkable object.
 
@@ -98,7 +59,6 @@ class CommonFunctionWitness(Value):
     columns span the common subspace (SubspaceWitness), or a dict from
     support realizations to component labels (LabelingWitness).
     entropy_bits is the entropy of the witness value under the source law.
-    key_map(s) turns the witness into the KeyExtractor each user runs on s.
     """
 
     kind: ClassVar[str]
@@ -107,10 +67,6 @@ class CommonFunctionWitness(Value):
 
     def brute_force_bits(self, s: AnySource) -> float:
         """Entropy of the witness value, recomputed on the source's distribution."""
-        raise NotImplementedError
-
-    def key_map(self, s: AnySource) -> KeyExtractor:
-        """The KeyExtractor of this witness on s."""
         raise NotImplementedError
 
     def summary(self) -> dict:
@@ -136,31 +92,6 @@ class EdgeSubsetWitness(CommonFunctionWitness):
 
     def brute_force_bits(self, s: AnySource) -> float:
         return math.fsum(s.edges[k].entropy_bits() for k in self._edges(s))
-
-    def key_map(self, s: AnySource) -> KeyExtractor:
-        chosen = self._edges(s)
-        everyone = s.users()
-        for k in chosen:
-            if s.edges[k].subset != everyone:
-                raise WitnessInvalid(
-                    f"edge {s.edges[k].name!r} is not observed by every user; "
-                    "some user cannot compute the key"
-                )
-        radices = tuple(s.edges[k].alphabet_size for k in chosen)
-        decoders = []
-        for user in range(1, s.user_count + 1):
-            incident = s.incident(user)
-            positions = tuple(incident.index(k) for k in chosen)
-
-            def decode(obs, n, positions=positions):
-                return codes([obs[p] for p in positions], radices, n)
-
-            decoders.append(decode)
-        # a uniform edge's surprisal is constant: its variance is zero
-        var = math.fsum(_surprisal_variance(s.edges[k].probs) for k in chosen
-                        if s.edges[k].probs is not None)
-        return KeyExtractor(tuple(decoders), self.entropy_bits, var, math.prod(radices),
-                            partial(_digits, radices))
 
     def summary(self) -> dict:
         return {"kind": self.kind, "edges": list(self.payload)}
@@ -191,24 +122,6 @@ class SubspaceWitness(CommonFunctionWitness):
         counts = Counter(label for _, label in walk)
         return shannon_bits(counts.values(), total)
 
-    def key_map(self, s: AnySource) -> KeyExtractor:
-        basis = self._basis(s)
-        radices = (int(s.q),) * basis.cols
-        decoders = []
-        for mat in s.matrices:
-            try:
-                coeffs = solve(mat, basis)
-            except SubspaceNotContained as exc:
-                raise WitnessInvalid("witness subspace is not computable from every observation") from exc
-
-            def decode(obs, n, coeffs=coeffs):
-                return codes(cols_mat(obs, coeffs, n), radices, n)
-
-            decoders.append(decode)
-        # the key is uniform over the image: surprisal is constant, variance zero
-        return KeyExtractor(tuple(decoders), self.entropy_bits, 0.0, math.prod(radices),
-                            partial(_digits, radices))
-
     def _columns(self) -> list:
         return [list(self.payload.col(j)) for j in range(self.payload.cols)]
 
@@ -225,30 +138,6 @@ class LabelingWitness(CommonFunctionWitness):
     def brute_force_bits(self, s: AnySource) -> float:
         d = to_discrete(s)
         return shannon_bits(_label_masses(d.weights, self.payload).values(), d.total)
-
-    def key_map(self, s: AnySource) -> KeyExtractor:
-        if not isinstance(s, DiscreteSource):
-            raise WitnessInvalid("support-labeling witness needs a discrete source")
-        masses = _label_masses(s.weights, self.payload)
-        decoders = []
-        for coord in range(s.user_count):
-            fiber: dict = {}
-            for realization in s.weights:
-                v = realization[coord]
-                label = self.payload[realization]
-                if fiber.setdefault(v, label) != label:
-                    raise WitnessInvalid(
-                        f"user {coord + 1} cannot compute the labeling: "
-                        f"symbol {v} belongs to two different labels"
-                    )
-
-            def decode(obs, n, lookup=fiber.__getitem__):
-                return list(map(lookup, obs[0]))
-
-            decoders.append(decode)
-        variance = _surprisal_variance(m / s.total for m in masses.values())
-        return KeyExtractor(tuple(decoders), self.entropy_bits, variance, len(masses),
-                            lambda code: code)  # codes are the labels
 
     def summary(self) -> dict:
         return {"kind": self.kind, "labels": len(set(self.payload.values()))}

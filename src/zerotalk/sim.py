@@ -1,22 +1,21 @@
 """Zero-discussion agreement simulator.
 
 Draws n i.i.d. realizations of a source, has every user apply a deterministic
-decoder (the key map of the source's own maximum common function) to its own
-observations only, and checks that all users produce the identical key stream
-with no messages exchanged.  The empirical key rate is compared against the
-witness entropy with a concentration-style tolerance.
+decoder of the source's own maximum common function to its own observations
+only, and checks that all users produce the identical key stream with no
+messages exchanged.  The empirical key rate is compared against the witness
+entropy with a concentration-style tolerance.
 
 The simulation is column-wise: the sampler draws every coordinate for all n
 rounds at once (one column per edge, hidden coordinate or discrete draw), and
-each user's decoder turns its own observation columns into its n keys in one
-call.  The witness's ``key_map`` returns those decoders as a KeyExtractor
-(defined in mcf, re-exported here); a key is an int code, turned into its
-label only where one is shown.  Edge and discrete columns are read off
-the generator's raw words through a table of the top byte or two of each
-round, the same draws as ``random.choices`` (``_draw``).  The n values of
-every column drawn and the n keys each user decodes are checked against
-``VALUES_PER_POINT`` times ``ZEROTALK_EXPANSION_LIMIT`` before any decoder is
-built or value drawn.
+each user's decoder, read off ``common_function(s).payload`` by
+``build_extractor``, turns its own observation columns into its n keys in one
+call.  A key is an int code, turned into its label only where one is shown.
+Edge and discrete columns are read off the generator's raw words through a
+table of the top byte or two of each round, the same draws as
+``random.choices`` (``_draw``).  The n values of every column drawn and the n
+keys each user decodes are checked against ``VALUES_PER_POINT`` times
+``ZEROTALK_EXPANSION_LIMIT`` before any decoder is built or value drawn.
 """
 
 from __future__ import annotations
@@ -25,16 +24,16 @@ import math
 import random
 from bisect import bisect_right
 from collections import Counter
-from functools import cached_property
+from functools import cached_property, partial
 from struct import unpack, unpack_from
 from typing import Callable, ClassVar
 
 from .errors import ModelError, Value
-from .gf import cols_mat
+from .gf import codes, cols_mat, solve
 # Unused here; perfbench's test_instrument_patches_every_namespace_and_restores_it
 # reads sim.vec_mat.
 from .gf import vec_mat  # noqa: F401
-from .mcf import KeyExtractor, common_function
+from .mcf import _label_masses, common_function
 from .sources import (
     AnySource,
     FiniteLinearSource,
@@ -45,8 +44,64 @@ from .sources import (
 )
 
 
+def _surprisal_variance(probs) -> float:
+    """Variance of -log2 p in bits^2 for a probability vector."""
+    ps = [float(p) for p in probs if p > 0]
+    surprises = [-math.log2(p) for p in ps]
+    mean = math.fsum(p * s for p, s in zip(ps, surprises))
+    return math.fsum(p * (s - mean) ** 2 for p, s in zip(ps, surprises))
+
+
+def _digits(radices: tuple, code: int) -> tuple:
+    """The digits of a code of gf.codes; the first is what the lower radices leave."""
+    digits = []
+    for r in reversed(radices[1:]):
+        code, v = divmod(code, r)
+        digits.append(v)
+    return tuple(reversed(digits + [code])) if radices else ()
+
+
+class KeyExtractor(Value):
+    """Each user's key decoder for the maximum common function of a source.
+
+    decoders[i](obs, n) takes user (i+1)'s observations of n rounds, a tuple of
+    coordinate columns n values long, and returns its n keys as int codes.
+    expected_bits is the witness entropy, surprise_var the variance of the
+    key's surprisal in bits^2 (for the rate tolerance), label_count the number
+    of possible keys, and label(code) the key's label: the chosen edges'
+    values, the subspace coordinates, or the support component.
+    """
+
+    decoders: tuple
+    expected_bits: float
+    surprise_var: float
+    label_count: int
+    label: Callable
+
+
 def build_extractor(s: AnySource) -> KeyExtractor:
-    return common_function(s).key_map(s)
+    """Each user's decoder of common_function(s), read off its payload: the
+    global edges, the basis of the common subspace or the support labeling."""
+    w = common_function(s)
+    if isinstance(s, HypergraphicalSource):
+        chosen = [k for k, e in enumerate(s.edges) if e.name in w.payload]
+        radices = tuple(s.edges[k].alphabet_size for k in chosen)
+        positions = [tuple(map(s.incident(u).index, chosen)) for u in range(1, s.user_count + 1)]
+        decoders = tuple(lambda obs, n, ps=ps: codes([obs[p] for p in ps], radices, n) for ps in positions)
+        # a uniform edge (probs None) has a constant surprisal: its variance is zero
+        var = math.fsum(_surprisal_variance(s.edges[k].probs or ()) for k in chosen)
+    elif isinstance(s, FiniteLinearSource):
+        radices = (int(s.q),) * w.payload.cols
+        coeffs = [solve(mat, w.payload) for mat in s.matrices]
+        decoders = tuple(lambda obs, n, c=c: codes(cols_mat(obs, c, n), radices, n) for c in coeffs)
+        var = 0.0  # the key is uniform over the image: its surprisal is constant
+    else:  # a DiscreteSource: each symbol lies in one component, whose label is the code
+        lookups = [{r[i]: label for r, label in w.payload.items()}.__getitem__ for i in range(s.user_count)]
+        decoders = tuple(lambda obs, n, lookup=lookup: list(map(lookup, obs[0])) for lookup in lookups)
+        masses = _label_masses(s.weights, w.payload)
+        var = _surprisal_variance(m / s.total for m in masses.values())
+        return KeyExtractor(decoders, w.entropy_bits, var, len(masses), lambda code: code)
+    return KeyExtractor(decoders, w.entropy_bits, var, math.prod(radices), partial(_digits, radices))
 
 
 def _cdf(weights, total: int) -> list:
@@ -166,7 +221,7 @@ def _observation_columns(s: AnySource, rng: random.Random, n: int) -> list:
     if isinstance(s, FiniteLinearSource):
         hidden = _uniform_columns(rng, int(s.q), n, s.dim)
         return [tuple(cols_mat(hidden, mat, n)) for mat in s.matrices]
-    # a DiscreteSource: key_map returns one of the three families
+    # a DiscreteSource
     support = s.support()
     draws = map(support.__getitem__, _draw(rng, len(support), n, _cdf(s.weights.values(), s.total)))
     return [(list(col),) for col in zip(*draws)]

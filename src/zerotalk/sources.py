@@ -131,13 +131,9 @@ def _check_pmf(probs: tuple[Probability, ...], what: str) -> tuple[list, int]:
 def shannon_bits(probs, total: int = 1) -> float:
     """Plug-in Shannon entropy in bits of the masses p / total; zero-mass
     entries are skipped.  For integer weights, p / total is the correctly
-    rounded float of the exact mass."""
-    bits = 0.0
-    for p in probs:
-        x = float(p / total)
-        if x > 0.0:
-            bits -= x * math.log2(x)
-    return bits
+    rounded float of the exact mass.  The terms are added exactly: from left
+    to right, 6 * 10**6 equal masses miss log2 n by 1.8e-9 bits."""
+    return 0.0 - math.fsum(x * math.log2(x) for p in probs if (x := float(p / total)) > 0.0)
 
 
 class Edge(Value):
@@ -448,8 +444,7 @@ def expand_hypergraphical(h: HypergraphicalSource) -> DiscreteSource:
         ExpansionTooLarge: if the product of edge alphabet sizes exceeds
             the enumeration limit (checked before the first edge).
     """
-    check_budget("hypergraphical expansion", math.prod(e.alphabet_size for e in h.edges),
-                 "edge assignments")
+    support_size(h)
     exact = all(isinstance(p, Fraction) for e in h.edges for p in e.probs or ())
     tables = [_edge_weights(e, exact) for e in h.edges]
     alphabets = [1] * h.user_count
@@ -479,18 +474,43 @@ def expand_finite_linear(f: FiniteLinearSource) -> DiscreteSource:
             enumeration limit (checked before the walk starts).
     """
     q = int(f.q)
-    basis = gf.row_space_basis(gf.hstack(*f.matrices))
-    total = q**basis.rows
-    check_budget("linear expansion", total, "support points")
+    basis = _stacked_row_space(f)
     widths = [m.cols for m in f.matrices]
     weights = dict.fromkeys(gf.row_space_keys(basis, widths), 1)
-    return DiscreteSource._from_weights(tuple(q**w for w in widths), weights, total)
+    return DiscreteSource._from_weights(tuple(q**w for w in widths), weights, q**basis.rows)
+
+
+def _stacked_row_space(f: FiniteLinearSource) -> gf.FiniteMatrix:
+    """A basis of the row space of [M_1 | ... | M_m], once its q**rank points pass the limit."""
+    basis = gf.row_space_basis(gf.hstack(*f.matrices))
+    check_budget("linear expansion", int(f.q) ** basis.rows, "support points")
+    return basis
+
+
+def support_size(s: AnySource) -> int:
+    """Points of the joint support of s, counted without building any, once the
+    points that ``to_discrete(s)`` enumerates pass the limit.  An edge product
+    of float masses that underflows to zero is still counted."""
+    if isinstance(s, HypergraphicalSource):
+        check_budget("hypergraphical expansion", math.prod(e.alphabet_size for e in s.edges),
+                     "edge assignments")
+        return math.prod(e.alphabet_size - (e.probs or ()).count(0) for e in s.edges)
+    if isinstance(s, FiniteLinearSource):
+        return int(s.q) ** _stacked_row_space(s).rows
+    check_budget("discrete support", len(s.weights), "points")
+    return len(s.weights)
+
+
+def check_projections(users: int, points: int) -> None:
+    """Refuse the discrete profile of points support points, 2**users subset
+    projections each, past PROJECTIONS_PER_POINT times the limit."""
+    check_budget("entropy profile", 2**users * points, "subset projections", PROJECTIONS_PER_POINT)
 
 
 def to_discrete(s: AnySource) -> DiscreteSource:
     """Expand any source model to its explicit joint pmf."""
     if isinstance(s, DiscreteSource):
-        check_budget("discrete support", len(s.weights), "points")
+        support_size(s)  # the support cap
         return s
     if isinstance(s, HypergraphicalSource):
         return expand_hypergraphical(s)
@@ -532,8 +552,7 @@ def entropy_profile(s: AnySource) -> EntropyProfile:
             for mask in masks[1:]
         ]
         return EntropyProfile(m, h)
-    to_discrete(s)  # enforce the support cap
-    check_budget("entropy profile", 2**m * len(s.weights), "subset projections", PROJECTIONS_PER_POINT)
+    check_projections(m, support_size(s))  # the support cap, then the projections
     # one int per realization: a bit field per user, user 1 most significant
     widths = [(a - 1).bit_length() for a in s.alphabet_sizes]
     offsets = [sum(widths[i + 1:]) for i in range(m)]

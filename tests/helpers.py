@@ -396,13 +396,9 @@ def pairwise_profile_ok(user_count: int, h: list) -> bool:
 
 
 def fraction_shannon_bits(probs) -> float:
-    """Plug-in entropy in bits of the masses themselves, Fraction or float."""
-    total = 0.0
-    for p in probs:
-        x = float(p)
-        if x > 0.0:
-            total -= x * math.log2(x)
-    return total
+    """Plug-in entropy in bits of the masses themselves, Fraction or float,
+    the terms added exactly as shannon_bits adds them."""
+    return 0.0 - math.fsum(x * math.log2(x) for x in map(float, probs) if x > 0.0)
 
 
 def fraction_marginal(pmf, subset) -> dict:

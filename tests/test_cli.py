@@ -30,8 +30,8 @@ from zerotalk.cli import (
     render_hypergraphical,
 )
 from zerotalk.errors import ModelError, ParseError
-from zerotalk.mcf import CommonFunctionWitness, KeyExtractor, LabelingWitness
-from zerotalk.sim import run
+from zerotalk.mcf import LabelingWitness
+from zerotalk.sim import KeyExtractor, run
 from zerotalk.sources import (
     DiscreteSource,
     Edge,
@@ -451,6 +451,37 @@ def test_verify_reports_conversion_mismatch(capsys, monkeypatch):
     assert "conversion_preserves_profile: mismatch (profile drift)" in out
 
 
+def test_verify_reports_a_profile_drift_of_a_millionth_of_a_bit(capsys, monkeypatch):
+    import zerotalk.cli as cli_module
+    from zerotalk.sources import fls_to_hypergraphical
+
+    def skew_own2(f):  # own2's entropy falls by about 1.04e-6 bits
+        h = fls_to_hypergraphical(f)
+        return HypergraphicalSource(2, tuple(Edge(e.name, e.subset, (0.5006, 0.4994)) if e.name == "own2" else e
+                                             for e in h.edges))
+
+    monkeypatch.setattr(cli_module, "fls_to_hypergraphical", skew_own2)
+    code, out, _ = run_cli(capsys, "verify", OVERLAP_PAIR)
+    assert code == EXIT_MISMATCH
+    assert "conversion_preserves_profile: mismatch (profile drift)" in out
+
+
+def test_verify_mismatch_shows_a_gap_past_the_sixth_decimal(capsys, monkeypatch):
+    import zerotalk.mcf as mcf_module
+
+    real = mcf_module.gk_hypergraphical
+
+    def two_nanobits_over(h):
+        w = real(h)
+        return type(w)(w.payload, w.entropy_bits + 2e-9)
+
+    monkeypatch.setattr(mcf_module, "gk_hypergraphical", two_nanobits_over)
+    code, out, _ = run_cli(capsys, "verify", SHARED_BIT)
+    assert code == EXIT_MISMATCH
+    assert "closed_form_vs_oracle: mismatch (1.000000002 vs 1.0)\n" in out
+    assert "chain_vs_closed_form: mismatch (1.0 vs 1.000000002)\n" in out
+
+
 def test_verify_lamination_at_zero_is_checked_against_oracle(capsys, monkeypatch):
     # one bit too many in the edge engine reaches the bound's intercept but
     # not the oracle, so lamination_at_zero must catch it
@@ -467,7 +498,7 @@ def test_verify_lamination_at_zero_is_checked_against_oracle(capsys, monkeypatch
     monkeypatch.setattr(bounds_module, "gk_hypergraphical", one_bit_over)
     code, out, _ = run_cli(capsys, "verify", OVERLAP_PAIR)
     assert code == EXIT_MISMATCH
-    assert "lamination_at_zero: mismatch (2.000000 vs 1.000000)" in out
+    assert "lamination_at_zero: mismatch (2.0 vs 1.0)" in out
 
 
 def test_verify_runs_no_partition_search(tmp_path, capsys, monkeypatch):
@@ -586,16 +617,65 @@ def test_verify_profile_budget_exits_5_before_building(tmp_path, capsys, monkeyp
     ids=["hypergraphical-12", "gf2-13", "ring-15"],
 )
 def test_verify_on_wide_models_finishes(tmp_path, doc, code, err):
-    # a cold run takes well under a second (the ring about 5 s, for its
-    # expansion and oracle); the pairwise profile check and the Bell(m)
-    # partition walk took more than the 60 s timeout
+    # a cold run takes well under a second: the ring's budgets are checked
+    # before its expansion is built; the pairwise profile check and the
+    # Bell(m) partition walk took more than a minute
     model = tmp_path / "wide.json"
     model.write_text(json.dumps(doc))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
     env.pop("ZEROTALK_EXPANSION_LIMIT", None)
     proc = subprocess.run([sys.executable, "-m", "zerotalk", "verify", str(model)],
-                          capture_output=True, env=env, timeout=60)
+                          capture_output=True, env=env, timeout=10)
     assert (proc.returncode, proc.stderr.decode()) == (code, err)
+
+
+@pytest.mark.parametrize(
+    "users, size, err",
+    [
+        (7, 400, "entropy profile: 102400 subset projections exceed the limit of 100000"),
+        (7, 501, "hypergraphical expansion: 1002 edge assignments exceed the limit of 1000"),
+        (8, 1, "entropy profile: 1800 elemental inequalities exceed the limit of 1000"),
+        (8, 501, "hypergraphical expansion: 1002 edge assignments exceed the limit of 1000"),
+    ],
+    ids=["projections", "expansion", "inequalities", "expansion-and-inequalities"],
+)
+def test_verify_checks_every_budget_before_the_expansion(tmp_path, capsys, monkeypatch, users, size, err):
+    # the first budget that the expansion and the two profiles would meet is
+    # reported, and nothing is expanded
+    import zerotalk.sources as sources_module
+
+    def refuse(*args):
+        raise AssertionError("the expansion was built past a budget")
+
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"model": "hypergraphical", "users": users,
+                                 "edges": [{"name": "e", "subset": [1, 2], "uniform": 2},
+                                           {"name": "f", "subset": [1], "uniform": size}]}))
+    monkeypatch.setattr(sources_module, "expand_hypergraphical", refuse)
+    monkeypatch.setenv("ZEROTALK_EXPANSION_LIMIT", "1000")
+    assert run_cli(capsys, "verify", str(model)) == (EXIT_RESOURCE, "", f"error: {err}\n")
+
+
+def test_verify_pins_the_checks_of_a_four_user_model(tmp_path, capsys):
+    # four users are the most whose chain bound verify compares over every ordering
+    model = tmp_path / "four.json"
+    model.write_text(json.dumps({"model": "hypergraphical", "users": 4, "edges": [
+        {"name": "g", "subset": [1, 2, 3, 4], "uniform": 2},
+        {"name": "a", "subset": [1, 2], "uniform": 3},
+        {"name": "b", "subset": [2, 3, 4], "pmf": ["1/4", "3/4"]},
+        {"name": "c", "subset": [4], "uniform": 2}]}))
+    code, out, _ = run_cli(capsys, "verify", str(model), "--json")
+    doc = json.loads(out)
+    assert code == EXIT_OK
+    assert [(c["name"], c["status"], c["detail"]) for c in doc["checks"]] == [
+        ("closed_form_vs_oracle", "ok", "1.000000 vs 1.000000"),
+        ("witness_entropy_brute_force", "ok", "1.000000 vs 1.000000"),
+        ("expansion_preserves_profile", "ok", "all subset entropies within tolerance"),
+        ("chain_vs_closed_form", "ok", "1.000000 vs 1.000000"),
+        ("chain_ordering_invariance", "ok", "1 distinct value(s) over 24 orderings"),
+        ("lamination_at_zero", "ok", "1.000000 vs 1.000000"),
+    ]
+    assert (doc["passed"], doc["total"], doc["all_ok"]) == (6, 6, True)
 
 
 def _one_global_edge(users: int) -> dict:
@@ -761,20 +841,14 @@ def test_simulate_budget_exits_5_before_drawing(capsys, monkeypatch):
     assert err == "error: simulation: 600000000 values exceed the limit of 100000000\n"
 
 
-class _DisagreeingWitness(CommonFunctionWitness):
-    """A test witness whose user i decodes every round as the label i."""
-
-    kind = "disagreeing"
-
-    def key_map(self, s):
-        decoders = [lambda obs, n, i=i: [i] * n for i in range(1, s.user_count + 1)]
-        return KeyExtractor(tuple(decoders), 0.0, 0.0, 1, lambda code: code)
-
-
 def test_simulate_reports_users_that_disagree(capsys, monkeypatch):
     import zerotalk.sim as sim_module
 
-    monkeypatch.setattr(sim_module, "common_function", lambda s: _DisagreeingWitness(None, 0.0))
+    def disagreeing(s):  # user i decodes every round as the label i
+        decoders = [lambda obs, n, i=i: [i] * n for i in range(1, s.user_count + 1)]
+        return KeyExtractor(tuple(decoders), 0.0, 0.0, 1, lambda code: code)
+
+    monkeypatch.setattr(sim_module, "build_extractor", disagreeing)
     digests = [hashlib.sha256(",".join(["1"] * 5).encode()).hexdigest(),
                hashlib.sha256(",".join(["2"] * 5).encode()).hexdigest()]
     code, out, _ = run_cli(capsys, "simulate", TWO_COINS, "--n", "5", "--json")

@@ -28,8 +28,8 @@ from helpers import (
 )
 from zerotalk.errors import ModelError
 from zerotalk.gf import FiniteMatrix
-from zerotalk.mcf import _surprisal_variance, gk_finite_linear, gk_oracle
-from zerotalk.sim import _cdf
+from zerotalk.mcf import gk_finite_linear, gk_oracle
+from zerotalk.sim import _cdf, _surprisal_variance, build_extractor
 from zerotalk.sources import (
     DiscreteSource,
     Edge,
@@ -96,7 +96,7 @@ def assert_consumers_match_the_fraction_path(d: DiscreteSource, pmf: dict) -> No
     masses = fraction_label_masses(pmf, w.payload)
     assert w.entropy_bits == fraction_shannon_bits(masses.values())
     assert w.brute_force_bits(d) == w.entropy_bits
-    assert w.key_map(d).surprise_var == _surprisal_variance(masses.values())
+    assert build_extractor(d).surprise_var == _surprisal_variance(masses.values())
     assert _cdf(d.weights.values(), d.total) == fraction_cdf(pmf[r] for r in d.support())
 
 

@@ -254,6 +254,11 @@ def test_witness_check_rejects_wrong_family(shared_bit_source, overlap_pair_sour
         evaluate_witness(shared_bit_source, SubspaceWitness(identity(2, 3), 1.0))
 
 
+def test_witness_check_rejects_wrong_field_subspace(overlap_pair_source):
+    with pytest.raises(WitnessInvalid):
+        evaluate_witness(overlap_pair_source, SubspaceWitness(identity(3, 3), 1.0))
+
+
 def test_witness_check_rejects_partial_labeling():
     d = DiscreteSource((2, 2), {(0, 0): Fraction(1, 2), (1, 1): Fraction(1, 2)})
     with pytest.raises(WitnessInvalid):

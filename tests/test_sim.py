@@ -11,18 +11,13 @@ from pathlib import Path
 
 import pytest
 
-from zerotalk.errors import ExpansionTooLarge, ModelError, WitnessInvalid
+from zerotalk.errors import ExpansionTooLarge, ModelError
 from zerotalk.gf import FiniteMatrix, vec_mat
-from zerotalk.mcf import (
-    EdgeSubsetWitness,
-    LabelingWitness,
-    SubspaceWitness,
-    common_function,
-    gk_oracle,
-)
+from zerotalk.mcf import common_function, gk_oracle
 from zerotalk.cli import load_model
 import zerotalk.sim as sim_module
 from zerotalk.sim import (
+    KeyExtractor,
     _cdf,
     _draw,
     _observation_columns,
@@ -184,64 +179,6 @@ def test_extractor_computes_hidden_sum(overlap_pair_source):
             assert list(map(ext.label, decode(obs, 1))) == [expected]
 
 
-def test_extractor_rejects_nonglobal_edge_witness(shared_bit_source):
-    w = EdgeSubsetWitness(("a",), 1.0)
-    with pytest.raises(WitnessInvalid):
-        w.key_map(shared_bit_source)
-
-
-def test_extractor_rejects_unknown_edge(shared_bit_source):
-    w = EdgeSubsetWitness(("zzz",), 1.0)
-    with pytest.raises(WitnessInvalid):
-        w.key_map(shared_bit_source)
-
-
-def test_extractor_rejects_repeated_edge(shared_bit_source):
-    w = EdgeSubsetWitness(("c", "c"), 1.0)
-    with pytest.raises(WitnessInvalid):
-        w.key_map(shared_bit_source)
-
-
-def test_extractor_rejects_uncomputable_subspace(pairwise_xor_source):
-    # the full hidden vector is not computable from any single observation
-    w = SubspaceWitness(identity(2, 2), 2.0)
-    with pytest.raises(WitnessInvalid):
-        w.key_map(pairwise_xor_source)
-
-
-def test_extractor_rejects_wrong_field_subspace(overlap_pair_source):
-    w = SubspaceWitness(identity(3, 3), 1.0)
-    with pytest.raises(WitnessInvalid):
-        w.key_map(overlap_pair_source)
-
-
-def test_extractor_rejects_conflicting_labeling():
-    d = DiscreteSource((1, 2), {(0, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)})
-    w = LabelingWitness({(0, 0): 0, (0, 1): 1}, 1.0)
-    with pytest.raises(WitnessInvalid):
-        w.key_map(d)
-
-
-def test_extractor_rejects_partial_labeling():
-    d = DiscreteSource((2, 2), {(0, 0): Fraction(1, 2), (1, 1): Fraction(1, 2)})
-    w = LabelingWitness({(0, 0): 0}, 1.0)
-    with pytest.raises(WitnessInvalid):
-        w.key_map(d)
-
-
-def test_extractor_rejects_model_mismatch(shared_bit_source, overlap_pair_source):
-    edge_witness = common_function(shared_bit_source)
-    with pytest.raises(WitnessInvalid):
-        edge_witness.key_map(overlap_pair_source)
-    basis_witness = common_function(overlap_pair_source)
-    with pytest.raises(WitnessInvalid):
-        basis_witness.key_map(shared_bit_source)
-    # a support labeling is decoded on the discrete model it labels, not a structured one
-    labeling_witness = gk_oracle(shared_bit_source)
-    with pytest.raises(WitnessInvalid):
-        labeling_witness.key_map(shared_bit_source)
-
-
 # --- column decoders and sampler against the per-round reference ---
 
 
@@ -304,7 +241,7 @@ def _user_columns(worlds, i, source):
 @pytest.mark.parametrize("s, w", _decoder_cases())
 def test_column_decoders_match_reference_round_by_round(s, w):
     # the decoders return int codes; label(code) is the reference's label
-    ext = w.key_map(s)
+    ext = build_extractor(s)
     reference = round_decoders(s, w)
     rng = random.Random(17)
     draw = round_sampler(s)
@@ -534,6 +471,20 @@ def test_rate_concentrates_on_biased_edge():
     assert result.agreement
     assert result.rate_ok
     assert result.expected_rate_bits == pytest.approx(0.8112781244591328, abs=1e-12)
+
+
+@pytest.mark.parametrize("errors, ok", [(0, True), (10, False)])
+def test_rate_gap_of_ten_standard_errors_is_out_of_tolerance(monkeypatch, errors, ok):
+    # the tolerance is three standard errors of the mean surprisal plus the
+    # bias allowance: an expected rate moved by ten of them is reported
+    h = HypergraphicalSource(2, (Edge("e", frozenset({1, 2}), (Fraction(3, 4), Fraction(1, 4))),))
+    ext = build_extractor(h)
+    n = 4000
+    moved = ext.expected_bits + errors * math.sqrt(ext.surprise_var / n)
+    shifted = KeyExtractor(ext.decoders, moved, ext.surprise_var, ext.label_count, ext.label)
+    monkeypatch.setattr(sim_module, "build_extractor", lambda s: shifted)
+    result = run(h, n=n, seed=99)
+    assert result.agreement and result.rate_ok is ok
 
 
 def test_keys_over_larger_alphabet(shared_bit_source):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +27,7 @@ from zerotalk.sources import (
     expansion_limit,
     fls_to_hypergraphical,
     shannon_bits,
+    support_size,
     to_discrete,
 )
 
@@ -222,6 +223,24 @@ def test_expand_zero_column_observations():
     d = expand_finite_linear(f)
     assert d.support() == ((0, 0),)
     assert shannon_bits(d.pmf.values()) == 0.0
+
+
+def test_entropy_of_six_million_equal_weights_is_log2_n():
+    # added from left to right the terms miss log2 n by about 1.8e-9 here,
+    # past ENTROPY_TOLERANCE
+    n = 6 * 10**6
+    assert abs(shannon_bits(repeat(1, n), n) - math.log2(n)) < 1e-12
+
+
+def test_support_size_counts_the_expansion_without_building_it():
+    rng = random.Random(7300)
+    zero_masses = HypergraphicalSource(3, (Edge("z", {1, 2}, (Fraction(1, 2), Fraction(0), Fraction(1, 2))),
+                                           Edge("f", {2, 3}, (0.0, 0.25, 0.75)),
+                                           Edge.uniform("u", {3}, 3)))
+    models = [zero_masses] + [random_hypergraphical(rng, 3, 3) for _ in range(5)]
+    models += [random_fls(rng, 3, q) for q in (2, 3, 5)] + [random_discrete(rng, 3) for _ in range(3)]
+    for s in models:
+        assert support_size(s) == len(to_discrete(s).weights)
 
 
 def test_expand_overlap_pair_entropies(overlap_pair_source):

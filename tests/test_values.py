@@ -19,8 +19,8 @@ import zerotalk
 from zerotalk.bounds import LaminationBound, Partition
 from zerotalk.errors import Value
 from zerotalk.gf import FiniteMatrix
-from zerotalk.mcf import CommonFunctionWitness, EdgeSubsetWitness, KeyExtractor, SubspaceWitness
-from zerotalk.sim import SimulationRun
+from zerotalk.mcf import CommonFunctionWitness, EdgeSubsetWitness, SubspaceWitness
+from zerotalk.sim import KeyExtractor, SimulationRun
 from zerotalk.sources import DiscreteSource, Edge, FiniteLinearSource, HypergraphicalSource
 
 EDGE_A = "Edge(name='a', subset=frozenset({1, 2}), alphabet_size=2, probs=(Fraction(1, 4), Fraction(3, 4)))"
