@@ -30,7 +30,10 @@ is the one check.  A uniform edge holds only its size: only an expansion,
 under its cap, or ``Edge.pmf`` builds its values.
 The entropy profile of a discrete source packs each realization once into
 an int, a bit field per user, and projects it onto a subset with one AND;
-``DiscreteSource.marginal`` is the tuple form of the same marginal.
+``DiscreteSource.marginal`` is the tuple form of the same marginal.  A
+subset that keeps every realization apart, and each of its supersets,
+takes the full entropy and projects nothing: the projection budget is a
+worst case.
 """
 
 from __future__ import annotations
@@ -528,6 +531,12 @@ def entropy_profile(s: AnySource) -> EntropyProfile:
     with user 1 most significant, and a subset's marginal keeps key & fields:
     the weights ``marginal`` adds, in its first-seen order, so each entropy
     is bit-identical to ``shannon_bits(s.marginal(users).values(), s.total)``.
+    ``shannon_bits`` sums exactly, so that order matters only to float
+    weights, whose additions into one entry round.  A subset whose marginal
+    keeps every point apart has the point weights as its masses and the
+    full entropy H(full), and so does every superset: in increasing mask
+    order, a subset one user larger than such a subset reuses H(full),
+    computed once, without projecting a point.
 
     Raises:
         ExpansionTooLarge: if the m + C(m,2)*2**(m-2) elemental inequalities
@@ -558,15 +567,25 @@ def entropy_profile(s: AnySource) -> EntropyProfile:
     offsets = [sum(widths[i + 1:]) for i in range(m)]
     user_fields = [(1 << w) - 1 << off for w, off in zip(widths, offsets)]
     points = [(sum(map(lshift, key, offsets)), w) for key, w in s.weights.items()]
-    fields, h = [0] * 2**m, [0.0] * 2**m
+    h_full = shannon_bits(s.weights.values(), s.total)
+    fields, h, apart = [0] * 2**m, [0.0] * 2**m, [False] * 2**m
     for mask in masks[1:]:
         low = mask & -mask
         fields[mask] = f = fields[mask ^ low] | user_fields[low.bit_length() - 1]
-        marginal: dict[int, Weight] = {}  # first-seen order, as s.marginal builds it
-        for key, w in points:
-            key &= f
-            marginal[key] = marginal.get(key, 0) + w
-        h[mask] = shannon_bits(marginal.values(), s.total)
+        rest = mask  # stops at a user whose removal leaves an apart subset, if there is one
+        while rest and not apart[mask ^ (bit := rest & -rest)]:
+            rest ^= bit
+        if not rest:
+            marginal: dict[int, Weight] = {}  # first-seen order, as s.marginal builds it
+            for key, w in points:
+                key &= f
+                marginal[key] = marginal.get(key, 0) + w
+            if len(marginal) < len(points):
+                h[mask] = shannon_bits(marginal.values(), s.total)
+                continue
+        # the mask keeps every point apart: its masses are the point weights,
+        # and fsum adds their terms exactly in any order
+        apart[mask], h[mask] = True, h_full
     return EntropyProfile(m, h)
 
 

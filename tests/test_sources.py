@@ -610,6 +610,73 @@ def test_packed_profile_of_float_mixed_and_wide_weights():
         }))
 
 
+def apart_masks(d: DiscreteSource) -> set:
+    """The user masks whose tuple marginal keeps every support point of d apart."""
+    users = range(1, d.user_count + 1)
+    return {mask for mask in range(1, 2**d.user_count)
+            if len(d.marginal([u for u in users if mask >> (u - 1) & 1])) == len(d.weights)}
+
+
+def weighted(rng: random.Random, alphabets, keys, kind: str, top: int) -> DiscreteSource:
+    """A source on the given distinct keys with random weights below top:
+    exact masses, float masses, or the two alternating."""
+    weights = [rng.randrange(1, top) for _ in keys]
+    t = sum(weights)
+    mass = {"exact": lambda i, w: Fraction(w, t), "float": lambda i, w: w / t,
+            "mixed": lambda i, w: w / t if i % 2 else Fraction(w, t)}[kind]
+    return DiscreteSource(alphabets, {k: mass(i, w) for i, (k, w) in enumerate(zip(keys, weights))})
+
+
+WEIGHT_KINDS = [pytest.param("exact", 10, id="exact"), pytest.param("float", 10, id="float"),
+                pytest.param("mixed", 10, id="mixed"), pytest.param("exact", 2**70, id="past-2**53")]
+
+
+@pytest.mark.parametrize("kind, top", WEIGHT_KINDS)
+def test_packed_profile_where_one_user_keeps_every_point_apart(kind, top):
+    # user 1 sees a symbol of its own at each point, so every mask holding
+    # it, from its singleton on, reuses the full entropy
+    rng = random.Random(2000)
+    for points, others in [(1, (2, 3)), (7, (3, 2, 4)), (40, (3, 2, 4, 2)), (30, (2**20, 2**30, 3))]:
+        keys = [(i, *(rng.randrange(a) for a in others)) for i in range(points)]
+        d = weighted(rng, (points, *others), keys, kind, top)
+        assert {mask for mask in range(2**d.user_count) if mask & 1} <= apart_masks(d)
+        assert_profile_is_the_tuple_path(d)
+
+
+@pytest.mark.parametrize("kind, top", WEIGHT_KINDS)
+@pytest.mark.parametrize("alphabets", [(2, 2, 2), (3, 2, 4, 2, 5), (2**14,) * 5],
+                         ids=["binary-3", "mixed-5", "70-bit-keys"])
+def test_packed_profile_where_only_the_full_set_keeps_the_points_apart(alphabets, kind, top):
+    # the zero point and one point per user, nonzero at that user alone:
+    # leaving out any user merges its point with the zero point
+    rng = random.Random(2100)
+    m = len(alphabets)
+    keys = [(0,) * m] + [tuple(rng.randrange(1, a) if j == i else 0 for j, a in enumerate(alphabets))
+                         for i in range(m)]
+    d = weighted(rng, alphabets, keys, kind, top)
+    assert apart_masks(d) == {2**m - 1}
+    assert_profile_is_the_tuple_path(d)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_packed_profile_of_expanded_hypergraphs_with_pmf_edges(seed):
+    # 3-8 users, a global edge in odd seeds and the rest on random proper
+    # subsets, every other edge a random exact pmf: a subset keeps the points
+    # apart once it sees every edge, at any level of the lattice
+    rng = random.Random(2200 + seed)
+    m = rng.randrange(3, 9)
+    edges = []
+    for k, size in enumerate(rng.choice([2, 3]) for _ in range(rng.randrange(2, 6))):
+        subset = range(1, m + 1) if k == 0 and seed % 2 else rng.sample(range(1, m + 1), rng.randrange(1, m))
+        weights = [rng.randrange(1, 10) for _ in range(size)]
+        edges.append(Edge(f"e{k}", subset, tuple(Fraction(w, sum(weights)) for w in weights)) if k % 2
+                     else Edge.uniform(f"e{k}", subset, size))
+    d = to_discrete(HypergraphicalSource(m, tuple(edges)))
+    seen = [sum(1 << (u - 1) for u in e.subset) for e in edges]
+    assert apart_masks(d) == {mask for mask in range(2**m) if all(mask & e for e in seen)}
+    assert_profile_is_the_tuple_path(d)
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_elemental_check_accepts_what_the_pairwise_check_accepts(seed):
     rng = random.Random(1600 + seed)
