@@ -537,10 +537,14 @@ def cmd_verify(args) -> int:
 
 
 def _key_digest(codes, label) -> str:
-    """sha256 of the codes' label reprs joined by commas; each distinct code is labelled once."""
+    """sha256 of the codes' label reprs joined by commas, hashed 2**16 rounds at a
+    time so the text is never held whole; each distinct code is labelled once."""
     import hashlib  # here, not at the top: only simulate pays for loading it
     reprs = {code: repr(label(code)) for code in set(codes)}
-    return hashlib.sha256(",".join(map(reprs.__getitem__, codes)).encode()).hexdigest()
+    digest, step = hashlib.sha256(), 1 << 16
+    for i in range(0, len(codes), step):
+        digest.update((("," if i else "") + ",".join(map(reprs.__getitem__, codes[i:i + step]))).encode())
+    return digest.hexdigest()
 
 
 def cmd_simulate(args) -> int:

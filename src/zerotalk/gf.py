@@ -164,13 +164,13 @@ def _byte_tables(q: int) -> tuple[bytes, tuple[bytes, ...]]:
     return reduce, tuple(bytes(c * b % q for b in range(256)) for c in range(q))
 
 
-def cols_mat(x_cols: Sequence[Sequence[int]], a: FiniteMatrix, n: int) -> list[list[int]]:
+def cols_mat(x_cols: Sequence[Sequence[int]], a: FiniteMatrix, n: int) -> list[Sequence[int]]:
     """Products x @ a for n row vectors x at once, given and returned by column.
 
-    x_cols holds a.rows columns of n values in [0, q) each: column k lists
-    coordinate k of every x.  Returns the a.cols columns of the products,
-    each a list of n values.  For q < 128 a column is one big integer with a
-    byte per value, so each term of a product column is a handful of
+    x_cols holds a.rows columns of n values in [0, q) each, lists or bytes:
+    column k lists coordinate k of every x.  Returns the a.cols product
+    columns, bytes for q < 128 and lists above.  There a column is one big
+    integer with a byte per value, so each term of a product column is a few
     whole-column byte and integer operations rather than n Python steps.
     (A byte must hold a reduced value plus one more term, 2(q-1) < 256.)
     """
@@ -202,22 +202,23 @@ def cols_mat(x_cols: Sequence[Sequence[int]], a: FiniteMatrix, n: int) -> list[l
                 terms = 1
             acc += int.from_bytes(col if c == 1 else col.translate(scale[c]), "little")
             terms += 1
-        out.append(list(acc.to_bytes(n, "little").translate(reduce)))
+        out.append(acc.to_bytes(n, "little").translate(reduce))
     return out
 
 
-def codes(cols: Sequence[Sequence[int]], radices: Sequence[int], n: int) -> list[int]:
+def codes(cols: Sequence[Sequence[int]], radices: Sequence[int], n: int) -> Sequence[int]:
     """The n mixed-radix codes of the columns, the first most significant.
 
-    Column k holds n values in [0, radices[k]).  While every code fits in a
-    byte, a column is a big int of bytes and acc * r + col carries nothing
-    from byte to byte, as in cols_mat.  No columns give n zeros.
+    Column k holds n values in [0, radices[k]) (a list or bytes).  While
+    every code fits in a byte, a column is a big int of bytes and
+    acc * r + col carries nothing from byte to byte, as in cols_mat, and the
+    codes are returned as bytes; otherwise as a list.  No columns give n zeros.
     """
     if math.prod(radices) <= 256:
         acc = 0
         for col, r in zip(cols, radices):
             acc = acc * r + int.from_bytes(bytes(col), "little")
-        return list(acc.to_bytes(n, "little"))
+        return acc.to_bytes(n, "little")
     out = [0] * n
     for col, r in zip(cols, radices):
         out = [c * r + v for c, v in zip(out, col)]

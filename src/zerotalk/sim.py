@@ -13,9 +13,11 @@ each user's decoder, read off ``common_function(s).payload`` by
 call.  A key is an int code, turned into its label only where one is shown.
 Edge and discrete columns are read off the generator's raw words through a
 table of the top byte or two of each round, the same draws as
-``random.choices`` (``_draw``).  The n values of every column drawn and the n
-keys each user decodes are checked against ``VALUES_PER_POINT`` times
-``ZEROTALK_EXPANSION_LIMIT`` before any decoder is built or value drawn.
+``random.choices`` (``_draw``).  A column or key stream is ``bytes`` on the
+byte paths (a table draw, q < 128, codes below 256) and a list otherwise.
+The n values of every column drawn and the n keys each user decodes are
+checked against ``VALUES_PER_POINT`` times ``ZEROTALK_EXPANSION_LIMIT``
+before any decoder is built or value drawn.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from bisect import bisect_right
 from collections import Counter
 from functools import cached_property, partial
 from struct import unpack, unpack_from
-from typing import Callable, ClassVar
+from typing import Callable, ClassVar, Sequence
 
 from .errors import ModelError, Value
 from .gf import codes, cols_mat, solve
@@ -65,7 +67,8 @@ class KeyExtractor(Value):
     """Each user's key decoder for the maximum common function of a source.
 
     decoders[i](obs, n) takes user (i+1)'s observations of n rounds, a tuple of
-    coordinate columns n values long, and returns its n keys as int codes.
+    coordinate columns n values long, and returns its n keys as int codes
+    (bytes on the byte paths, a list otherwise).
     expected_bits is the witness entropy, surprise_var the variance of the
     key's surprisal in bits^2 (for the rate tolerance), label_count the number
     of possible keys, and label(code) the key's label: the chosen edges'
@@ -121,7 +124,7 @@ def _cdf(weights, total: int) -> list:
 MAX_TABLE_CUTS = 16
 
 
-def _draw(rng: random.Random, size: int, n: int, cum=None) -> list:
+def _draw(rng: random.Random, size: int, n: int, cum=None) -> Sequence[int]:
     """rng.choices(range(size), cum_weights=cum, k=n), leaving rng where choices would.
 
     random() is m / 2**53, m = (a >> 5) << 26 | b >> 6 for its 32-bit words a,
@@ -130,7 +133,8 @@ def _draw(rng: random.Random, size: int, n: int, cum=None) -> list:
     monotone in m, so a table maps the top byte (past MAX_TABLE_CUTS cuts, the
     top two) to the index, and only rounds whose slice of m a cut falls inside
     (255) are picked from m by choices' own expression.  An index must be
-    below that mark, so past 254 cuts this is choices itself.
+    below that mark, so past 254 cuts this is choices itself.  The table
+    returns bytes, immutable as users' tuples share a column; choices a list.
     """
     if size > 255 or cum is None and size - 1 > MAX_TABLE_CUTS:
         return rng.choices(range(size), cum_weights=cum, k=n)
@@ -158,7 +162,7 @@ def _draw(rng: random.Random, size: int, n: int, cum=None) -> list:
         if inside:
             table[t:] = b"\xff"
     table += bytes((size - 1,)) * (end - len(table))
-    out = []
+    out = bytearray()
     while len(out) < n:  # 2**16 rounds at a time bounds the raw bytes held
         base, rounds = len(out), min(n - len(out), 1 << 16)
         raw = rng.getrandbits(64 * rounds).to_bytes(8 * rounds, "little")
@@ -174,7 +178,7 @@ def _draw(rng: random.Random, size: int, n: int, cum=None) -> list:
             a, b = unpack_from("<II", raw, 8 * i)
             out[base + i] = pick(a >> 5 << 26 | b >> 6)
             i = col.find(255, i + 1)
-    return out
+    return bytes(out)
 
 
 def _uniform_columns(rng: random.Random, q: int, n: int, count: int) -> list:
@@ -193,10 +197,10 @@ def _uniform_columns(rng: random.Random, q: int, n: int, count: int) -> list:
     return cols
 
 
-# A simulated value is one small int in a column or one key label a user
-# decodes; a run peaks at tens of bytes per value.  A realization of an
-# expansion is a tuple and a probability, so the simulation limit is 100
-# values per point of the expansion limit: 10**8 values (several GB) by default.
+# A simulated value is one small int in a column or one key code a user
+# decodes: a byte on the byte paths, up to tens of bytes in a list.  A
+# realization of an expansion is a tuple and a probability, so the simulation
+# limit is 100 values per point of the expansion limit: 10**8 values by default.
 VALUES_PER_POINT = 100
 
 
@@ -228,8 +232,9 @@ def _observation_columns(s: AnySource, rng: random.Random, n: int) -> list:
 
 
 class SimulationRun(Value, compared=6):
-    """Outcome of n zero-discussion key-extraction rounds: each user's list of
-    n key codes and label(code), a code's key label.  Runs compare by labels."""
+    """Outcome of n zero-discussion key-extraction rounds: each user's stream
+    of n key codes (bytes on the byte paths, a list otherwise; all users' of
+    one type) and label(code), a code's key label.  Runs compare by labels."""
 
     n: int
     seed: int

@@ -795,6 +795,18 @@ def test_simulate_digest_is_sha256_of_joined_labels(capsys, model):
     assert doc["key_digests"] == [doc["key_digests"][0]] * doc["users"]
 
 
+# the digest is hashed 2**16 rounds at a time and must still be the hash of the
+# whole joined text: byte key streams on shared_bit, lists on two_coins
+@pytest.mark.parametrize("model, n", [pytest.param(SHARED_BIT, (1 << 17) + 7, id="shared_bit-3-chunks"),
+                                      pytest.param(TWO_COINS, (1 << 16) + 1, id="two_coins-2-chunks")])
+def test_simulate_digest_past_one_chunk_is_sha256_of_joined_labels(capsys, model, n):
+    code, out, _ = run_cli(capsys, "simulate", model, "--n", str(n), "--seed", "2", "--json")
+    assert code == 0
+    stream = run(load_model(model), n=n, seed=2).per_user_keys[0]
+    joined = ",".join(map(repr, stream))
+    assert json.loads(out)["key_digests"][0] == hashlib.sha256(joined.encode()).hexdigest()
+
+
 # Models whose keys take the simulator's less common paths: two global edges of
 # 16 and 17 values (272 labels, past a byte), a GF(131) key (the q > 127
 # column product), a GF(2**31 - 1) key (the largest field, 32 bits per packed

@@ -515,7 +515,7 @@ def test_cols_mat_is_vec_mat_row_by_row(q):
         xs = [[rng.randrange(q) for _ in range(rows)] for _ in range(n)]
         x_cols = [[x[k] for x in xs] for k in range(rows)]
         products = [vec_mat(x, a) for x in xs]
-        assert cols_mat(x_cols, a, n) == [[p[j] for p in products] for j in range(cols)]
+        assert [list(col) for col in cols_mat(x_cols, a, n)] == [[p[j] for p in products] for j in range(cols)]
 
 
 def test_cols_mat_rejects_wrong_column_count():
@@ -531,8 +531,28 @@ def test_codes_is_the_mixed_radix_index_most_significant_first(radices, n):
     cols = [[rng.randrange(r) for _ in range(n)] for r in radices]
     cols = [[r - 1] + col[1:] for r, col in zip(radices, cols)]  # the largest code in round 0
     want = [_digits([col[i] for col in cols], radices) for i in range(n)]
-    assert codes(cols, radices, n) == want
+    assert list(codes(cols, radices, n)) == want
     assert want[0] == math.prod(radices) - 1
+
+
+# a byte path returns bytes and the other path a list; bytes columns read as their lists
+@pytest.mark.parametrize("radices, kind", [((16, 16), bytes), ((257,), list), ((16, 17), list)])
+def test_codes_returns_bytes_while_every_code_fits_a_byte(radices, kind):
+    rng = random.Random(f"{radices}-type")
+    cols = [[rng.randrange(min(r, 256)) for _ in range(300)] for r in radices]
+    out = codes(cols, radices, 300)
+    assert type(out) is kind
+    assert codes([bytes(col) for col in cols], radices, 300) == out
+
+
+@pytest.mark.parametrize("q, kind", [(127, bytes), (131, list)])
+def test_cols_mat_returns_bytes_below_q_128(q, kind):
+    rng = random.Random(q)
+    a = FiniteMatrix(q, 3, 2, tuple(rng.randrange(q) for _ in range(6)))
+    x_cols = [[rng.randrange(q) for _ in range(300)] for _ in range(3)]
+    out = cols_mat(x_cols, a, 300)
+    assert [type(col) for col in out] == [kind, kind]
+    assert cols_mat([bytes(col) for col in x_cols], a, 300) == out
 
 
 GF2_2x2, GF2_3x1, GF3_2x2 = identity(2, 2), zeros(2, 3, 1), identity(3, 2)

@@ -18,6 +18,7 @@ from zerotalk.cli import load_model
 import zerotalk.sim as sim_module
 from zerotalk.sim import (
     KeyExtractor,
+    SimulationRun,
     _cdf,
     _draw,
     _observation_columns,
@@ -288,13 +289,13 @@ def test_uniform_edge_column_is_the_cdf_draw(seed):
     for n in range(2, 65):
         h = HypergraphicalSource(2, (Edge.uniform("e", {1, 2}, n),))
         cdf_draw = random.Random(seed).choices(range(n), cum_weights=_cdf([1] * n, n), k=1000)
-        assert _observation_columns(h, random.Random(seed), 1000)[0] == (cdf_draw,)
+        assert tuple(map(list, _observation_columns(h, random.Random(seed), 1000)[0])) == (cdf_draw,)
 
 
 def _same_draw(size, n, seed, cum=None):
-    """_draw returns random.choices' list and leaves the generator where it does."""
+    """_draw returns random.choices' values and leaves the generator where it does."""
     a, b = random.Random(seed), random.Random(seed)
-    assert _draw(a, size, n, cum) == b.choices(range(size), cum_weights=cum, k=n)
+    assert list(_draw(a, size, n, cum)) == b.choices(range(size), cum_weights=cum, k=n)
     assert a.random() == b.random()
 
 
@@ -386,7 +387,7 @@ def _check_crafted(size, cum=None):
     else:
         pick = lambda m: bisect_right(cum, m * 2**-53 * (cum[-1] + 0.0), 0, size - 1)
     ms = _edge_rounds(pick, size)
-    got = _draw(_CraftedRounds(ms), size, len(ms), cum)
+    got = list(_draw(_CraftedRounds(ms), size, len(ms), cum))
     assert got == _CraftedRounds(ms).choices(range(size), cum_weights=cum, k=len(ms))
     assert got == [pick(m) for m in ms]
 
@@ -424,7 +425,7 @@ def test_two_byte_table_is_random_choices(cuts):
     _check_crafted(size, cum)
     for n in (1, 7, 1000, (1 << 16) + 1000):
         seed = rng.randrange(10**6)
-        assert _draw(_NoChoices(seed), size, n, cum) == random.Random(seed).choices(
+        assert list(_draw(_NoChoices(seed), size, n, cum)) == random.Random(seed).choices(
             range(size), cum_weights=cum, k=n)
         _same_draw(size, n, seed, cum)
 
@@ -436,6 +437,15 @@ def test_draw_is_random_choices_itself_past_the_tables(size, weighted):
         _draw(_NoChoices(1), size, 10, cum)
 
 
+@pytest.mark.parametrize("size, weighted, kind", [(255, True, bytes), (18, False, list), (256, False, list),
+                                                   (256, True, list)])
+def test_draw_returns_bytes_on_the_table_path(size, weighted, kind):
+    # table indices stay below 255, so the table path's column is immutable bytes
+    cum = _cdf(range(1, size + 1), size * (size + 1) // 2) if weighted else None
+    assert type(_draw(random.Random(2), size, 1000, cum)) is kind
+    _same_draw(size, 1000, 2, cum)
+
+
 def test_draw_of_a_huge_uniform_edge_builds_nothing_per_value():
     # a 10**6-value edge goes to random.choices before any per-cut list is made
     tracemalloc.start()
@@ -445,6 +455,17 @@ def test_draw_of_a_huge_uniform_edge_builds_nothing_per_value():
     finally:
         tracemalloc.stop()
     assert peak < 10**6
+
+
+@pytest.mark.parametrize("labels, kind", [(256, bytes), (257, list)])
+def test_run_streams_share_one_type_and_compare_by_labels(labels, kind):
+    h = HypergraphicalSource(3, (Edge.uniform("g", {1, 2, 3}, labels), Edge.uniform("p", {1, 2}, 3)))
+    result = run(h, 1000, 6)
+    assert result.agreement and [type(stream) for stream in result.codes] == [kind] * 3
+    as_lists = SimulationRun(*[getattr(result, f) for f in SimulationRun._fields[:6]],
+                             tuple(map(list, result.codes)), result.label)
+    assert as_lists == result and as_lists.per_user_keys == result.per_user_keys
+    assert result.per_user_keys[0] == tuple((code,) for code in list(result.codes[0]))
 
 
 def test_large_field_run_agrees():
