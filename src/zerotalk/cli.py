@@ -261,8 +261,6 @@ def _round6(x: float) -> float:
 
 
 def _jsonable(x):
-    if isinstance(x, bool) or x is None:
-        return x
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
     if isinstance(x, float):
@@ -587,7 +585,7 @@ def cmd_simulate(args) -> int:
     else:
         for i, digest in enumerate(digests, start=1):
             lines.append(f"user {i} key digest: {digest}")
-    lines.append(f"first labels: {' '.join(preview) if preview else '(none)'}")
+    lines.append(f"first labels: {' '.join(preview)}")
     _emit(report, lines, args.json)
     return EXIT_OK
 
@@ -668,7 +666,3 @@ def main(argv=None) -> int:
     except ZerotalkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(_EXIT_CODES[c] for c in type(exc).__mro__ if c in _EXIT_CODES)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -341,8 +341,6 @@ def rref(m: FiniteMatrix) -> tuple[FiniteMatrix, tuple[int, ...]]:
         preserved) and pivot_cols lists the pivot column indices in
         increasing order; their count is the rank.
     """
-    if not m.rows or not m.cols:
-        return m, ()
     q, n, c = m.q, m.rows, m.cols
     rows = _eliminate(q, _packed_rows(m), c, 0)
     body = tuple(_unpack(q, (v for _, v in rows), c)) + (0,) * ((n - len(rows)) * c)

@@ -7,7 +7,8 @@ messages exchanged.  The empirical key rate is compared against the witness
 entropy with a concentration-style tolerance.
 
 The simulation is column-wise: the sampler draws every coordinate for all n
-rounds at once (one column per edge, hidden coordinate or discrete draw), and
+rounds at once (one column per edge or hidden coordinate; a discrete run draws
+one column of support indices, off which each user reads its own symbols), and
 each user's decoder, read off ``common_function(s).payload`` by
 ``build_extractor``, turns its own observation columns into its n keys in one
 call.  A key is an int code, turned into its label only where one is shown.
@@ -225,10 +226,9 @@ def _observation_columns(s: AnySource, rng: random.Random, n: int) -> list:
     if isinstance(s, FiniteLinearSource):
         hidden = _uniform_columns(rng, int(s.q), n, s.dim)
         return [tuple(cols_mat(hidden, mat, n)) for mat in s.matrices]
-    # a DiscreteSource
-    support = s.support()
-    draws = map(support.__getitem__, _draw(rng, len(support), n, _cdf(s.weights.values(), s.total)))
-    return [(list(col),) for col in zip(*draws)]
+    # a DiscreteSource: one column of support indices, off which each user reads its symbols
+    picks = _draw(rng, len(s.weights), n, _cdf(s.weights.values(), s.total))
+    return [(list(map(symbols.__getitem__, picks)),) for symbols in zip(*s.weights)]
 
 
 class SimulationRun(Value, compared=6):

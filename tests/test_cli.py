@@ -27,6 +27,7 @@ from zerotalk.cli import (
     main,
     parse_model,
     parse_partition_text,
+    _jsonable,
     render_hypergraphical,
 )
 from zerotalk.errors import ModelError, ParseError
@@ -288,6 +289,8 @@ def test_bound_explicit_partition_vacuous(capsys):
     doc = json.loads(out)
     assert doc["vacuous"] is True
     assert doc["bound_bits"] is None
+    assert run_cli(capsys, "bound", SHARED_BIT, "--partition", "1/2,3") == (
+        EXIT_OK, "partition: 1/2,3\nspread coefficient: 1\nbound: vacuous (coefficient is 1)\n", "")
 
 
 def test_bound_search(capsys):
@@ -365,6 +368,14 @@ def test_convert_out_file(tmp_path, capsys):
     assert doc["model"] == "hypergraphical"
 
 
+@pytest.mark.parametrize("flags, printed", [([], "wrote {}\n"), (["--json"], "")], ids=["text", "json"])
+def test_convert_out_says_where_it_wrote_in_text_mode_only(tmp_path, capsys, flags, printed):
+    target = tmp_path / "converted.json"
+    code, out, _ = run_cli(capsys, "convert", OVERLAP_PAIR, "--to", "hypergraphical", "--out", str(target), *flags)
+    assert (code, out) == (EXIT_OK, printed.format(target))
+    assert target.read_text() == run_cli(capsys, "convert", OVERLAP_PAIR, "--to", "hypergraphical")[1]
+
+
 @pytest.mark.parametrize("where", ["missing/x.json", "."], ids=["no-such-directory", "a-directory"])
 def test_convert_out_path_that_cannot_be_written_exits_2(tmp_path, capsys, where):
     target = tmp_path / where
@@ -391,6 +402,18 @@ def test_verify_random_models(capsys):
     doc = json.loads(out)
     assert doc["all_ok"] is True
     assert doc["total"] > 0
+
+
+# sha256 of the stdout of `verify --random 40 --seed 1`: it pins the models
+# drawn and, in text mode, the "[index] " prefix of every row
+@pytest.mark.parametrize("flags, digest", [
+    ([], "a39c9003b28952763e0275663dc7866e14ac7e1666dc78735b8a3176938da1b7"),
+    (["--json"], "9808846145ecb5d1f77ae3a9bdd103ff64375298e97eb664f7a2656973b8495f"),
+], ids=["text", "json"])
+def test_verify_random_output_is_pinned(capsys, flags, digest):
+    code, out, _ = run_cli(capsys, "verify", "--random", "40", "--seed", "1", *flags)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_argument_validation(capsys):
@@ -429,6 +452,13 @@ def test_bound_past_the_largest_float_exits_2(tmp_path, capsys):
 
 def _reject_constant(token):
     raise ValueError(f"{token} is not JSON")
+
+
+def test_jsonable_spells_fractions_and_rounds_floats_inside_lists_and_dicts():
+    doc = {"a": [Fraction(1, 3), (-1e-9, 0.1234567)], "b": True, "c": None, "d": 7}
+    assert _jsonable(doc) == {"a": ["1/3", [0.0, 0.123457]], "b": True, "c": None, "d": 7}
+    # a float that rounds to zero is 0.0, never -0.0
+    assert json.dumps(_jsonable([-1e-9])) == "[0.0]"
 
 
 def test_bound_negative_zero_rate_prints_zero(capsys):
@@ -533,6 +563,29 @@ def test_verify_reports_mismatch(capsys, monkeypatch):
     assert code == EXIT_MISMATCH
     doc = json.loads(out)
     assert any(c["status"] == "mismatch" for c in doc["checks"])
+
+
+def test_verify_text_of_models_that_mismatch(capsys, monkeypatch):
+    import zerotalk.cli as cli_module
+
+    monkeypatch.setattr(cli_module, "gk_oracle", lambda s: LabelingWitness({}, 123.0))
+    code, out, _ = run_cli(capsys, "verify", "--random", "2", "--seed", "1")
+    assert code == EXIT_MISMATCH
+    assert out == (
+        "[0] closed_form_vs_oracle: mismatch (1.0 vs 123.0)\n"
+        "[0] witness_entropy_brute_force: ok (1.000000 vs 1.000000)\n"
+        "[0] expansion_preserves_profile: ok (all subset entropies within tolerance)\n"
+        "[0] chain_vs_closed_form: ok (1.000000 vs 1.000000)\n"
+        "[0] chain_ordering_invariance: ok (1 distinct value(s) over 2 orderings)\n"
+        "[0] lamination_at_zero: mismatch (1.0 vs 123.0)\n"
+        "[1] closed_form_vs_oracle: mismatch (1.584962500721156 vs 123.0)\n"
+        "[1] witness_entropy_brute_force: ok (1.584963 vs 1.584963)\n"
+        "[1] expansion_preserves_profile: ok (all subset entropies within tolerance)\n"
+        "[1] chain_vs_closed_form: ok (1.584963 vs 1.584963)\n"
+        "[1] chain_ordering_invariance: ok (1 distinct value(s) over 6 orderings)\n"
+        "[1] lamination_at_zero: mismatch (1.584962500721156 vs 123.0)\n"
+        "8/12 checks passed\n"
+    )
 
 
 def test_verify_over_expansion_limit_exits_5(tmp_path, capsys, monkeypatch):
@@ -662,14 +715,17 @@ def test_verify_checks_every_budget_before_the_expansion(tmp_path, capsys, monke
     assert run_cli(capsys, "verify", str(model)) == (EXIT_RESOURCE, "", f"error: {err}\n")
 
 
+_FOUR_USERS = {"model": "hypergraphical", "users": 4, "edges": [
+    {"name": "g", "subset": [1, 2, 3, 4], "uniform": 2},
+    {"name": "a", "subset": [1, 2], "uniform": 3},
+    {"name": "b", "subset": [2, 3, 4], "pmf": ["1/4", "3/4"]},
+    {"name": "c", "subset": [4], "uniform": 2}]}
+
+
 def test_verify_pins_the_checks_of_a_four_user_model(tmp_path, capsys):
     # four users are the most whose chain bound verify compares over every ordering
     model = tmp_path / "four.json"
-    model.write_text(json.dumps({"model": "hypergraphical", "users": 4, "edges": [
-        {"name": "g", "subset": [1, 2, 3, 4], "uniform": 2},
-        {"name": "a", "subset": [1, 2], "uniform": 3},
-        {"name": "b", "subset": [2, 3, 4], "pmf": ["1/4", "3/4"]},
-        {"name": "c", "subset": [4], "uniform": 2}]}))
+    model.write_text(json.dumps(_FOUR_USERS))
     code, out, _ = run_cli(capsys, "verify", str(model), "--json")
     doc = json.loads(out)
     assert code == EXIT_OK
@@ -682,6 +738,41 @@ def test_verify_pins_the_checks_of_a_four_user_model(tmp_path, capsys):
         ("lamination_at_zero", "ok", "1.000000 vs 1.000000"),
     ]
     assert (doc["passed"], doc["total"], doc["all_ok"]) == (6, 6, True)
+
+
+def test_verify_pins_the_checks_of_a_five_user_model(tmp_path, capsys):
+    # past four users verify compares the chain bound of the identity ordering only
+    model = tmp_path / "five.json"
+    model.write_text(json.dumps({"model": "hypergraphical", "users": 5, "edges": [
+        {"name": "g", "subset": [1, 2, 3, 4, 5], "uniform": 2},
+        {"name": "a", "subset": [1, 2], "uniform": 3},
+        {"name": "b", "subset": [3, 4, 5], "pmf": ["1/4", "3/4"]},
+        {"name": "c", "subset": [5], "uniform": 2}]}))
+    code, out, _ = run_cli(capsys, "verify", str(model), "--json")
+    doc = json.loads(out)
+    assert code == EXIT_OK
+    assert [(c["name"], c["status"], c["detail"]) for c in doc["checks"]] == [
+        ("closed_form_vs_oracle", "ok", "1.000000 vs 1.000000"),
+        ("witness_entropy_brute_force", "ok", "1.000000 vs 1.000000"),
+        ("expansion_preserves_profile", "ok", "all subset entropies within tolerance"),
+        ("chain_vs_closed_form", "ok", "1.000000 vs 1.000000"),
+        ("lamination_at_zero", "ok", "1.000000 vs 1.000000"),
+    ]
+
+
+def test_verify_reports_a_chain_bound_that_depends_on_the_ordering(tmp_path, capsys, monkeypatch):
+    import zerotalk.cli as cli_module
+
+    model = tmp_path / "four.json"
+    model.write_text(json.dumps(_FOUR_USERS))
+    chain_bound = cli_module.chain_bound
+    # the identity ordering keeps the true bound; an ordering starting at user k adds k - 1
+    monkeypatch.setattr(cli_module, "chain_bound", lambda s, order: chain_bound(s, order) + order[0] - 1)
+    code, out, _ = run_cli(capsys, "verify", str(model), "--json")
+    checks = {c["name"]: (c["status"], c["detail"]) for c in json.loads(out)["checks"]}
+    assert code == EXIT_MISMATCH
+    assert checks["chain_vs_closed_form"][0] == "ok"
+    assert checks["chain_ordering_invariance"] == ("mismatch", "4 distinct value(s) over 24 orderings")
 
 
 def _one_global_edge(users: int) -> dict:
@@ -864,7 +955,7 @@ def test_simulate_reports_users_that_disagree(capsys, monkeypatch):
 
     def disagreeing(s):  # user i decodes every round as the label i
         decoders = [lambda obs, n, i=i: [i] * n for i in range(1, s.user_count + 1)]
-        return KeyExtractor(tuple(decoders), 0.0, 0.0, 1, lambda code: code)
+        return KeyExtractor(tuple(decoders), 1.0, 0.0, 1, lambda code: code)  # a rate of 0 is out of tolerance
 
     monkeypatch.setattr(sim_module, "build_extractor", disagreeing)
     digests = [hashlib.sha256(",".join(["1"] * 5).encode()).hexdigest(),
@@ -875,9 +966,15 @@ def test_simulate_reports_users_that_disagree(capsys, monkeypatch):
     assert (doc["agreement"], doc["key_digests"], doc["first_labels"]) == (False, digests, ["1"] * 5)
     code, out, _ = run_cli(capsys, "simulate", TWO_COINS, "--n", "5")
     assert code == EXIT_OK
-    assert "agreement: NO\n" in out
-    assert f"user 1 key digest: {digests[0]}\nuser 2 key digest: {digests[1]}\n" in out
-    assert not any(line.startswith("key digest: ") for line in out.splitlines())
+    assert out == (
+        "model: discrete (2 users)\n"
+        "rounds: 5, seed: 0\n"
+        "agreement: NO\n"
+        "discussion bits: 0\n"
+        "key rate: empirical 0.000000, expected 1.000000 bits/round (OUT OF TOLERANCE)\n"
+        f"user 1 key digest: {digests[0]}\nuser 2 key digest: {digests[1]}\n"
+        "first labels: 1 1 1 1 1\n"
+    )
 
 
 def test_simulate_human_output(capsys):
@@ -911,6 +1008,8 @@ def _discrete(*symbols, p=None) -> dict:
                      EXIT_MODEL, "edge name must be nonempty", id="empty-edge-name"),
         pytest.param({"model": "hypergraphical", "users": 2, "edges": [{"name": "e", "subset": [1], "pmf": []}]},
                      EXIT_MODEL, "edge 'e': empty distribution", id="empty-pmf"),
+        pytest.param({"model": "hypergraphical", "users": 2, "edges": [{"name": "e", "subset": [1]}]},
+                     EXIT_PARSE, "edge #0: needs 'uniform' or 'pmf'", id="edge-without-values"),
         pytest.param({"model": "hypergraphical", "users": 2,
                       "edges": [{"name": "e", "subset": [1], "pmf": [-0.5, 1.5]}]},
                      EXIT_MODEL, "edge 'e': bad probability -0.5", id="negative-probability"),

@@ -151,6 +151,10 @@ def test_matrix_shape_validation():
         FiniteMatrix.from_cols(2, [[1, 0], [1]])
 
 
+def test_matrix_of_no_rows_or_columns_is_0x0():
+    assert FiniteMatrix.from_rows(3, []) == FiniteMatrix.from_cols(3, []) == FiniteMatrix(3, 0, 0, ())
+
+
 @pytest.mark.parametrize("bad", [0.5, 1.9, 2.0, "1", True, False, None, Fraction(1)])
 def test_matrix_rejects_entries_that_are_not_ints(bad):
     for build in (
@@ -362,6 +366,14 @@ def test_intersection_rref_and_rank_are_one_elimination_each(monkeypatch, q):
     assert rref(a)[1] == (0, 1)
     assert rank(a) == 2
     assert shapes == [(5, 6), (3, 3), (3, 3)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 131, 2**31 - 1])
+@pytest.mark.parametrize("rows, cols", [(0, 3), (3, 0), (0, 0)])
+def test_rref_of_an_empty_matrix_is_itself_with_no_pivots(q, rows, cols):
+    m = FiniteMatrix(q, rows, cols, ())
+    assert rref(m) == (m, ())
+    assert rank(m) == 0
 
 
 def test_intersect_all_is_order_invariant():

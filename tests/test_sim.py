@@ -292,6 +292,18 @@ def test_uniform_edge_column_is_the_cdf_draw(seed):
         assert tuple(map(list, _observation_columns(h, random.Random(seed), 1000)[0])) == (cdf_draw,)
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_discrete_columns_are_each_users_symbols_of_the_cdf_draw(seed):
+    # random small supports (the byte table) and one of 300 points (choices' list)
+    rng = random.Random(seed)
+    wide = DiscreteSource((300, 3), {(i, i % 3): Fraction(1, 300) for i in range(300)})
+    for d in [random_discrete(rng, rng.randrange(2, 5)) for _ in range(10)] + [wide]:
+        support = d.support()
+        draws = random.Random(seed).choices(support, cum_weights=_cdf(d.weights.values(), d.total), k=500)
+        columns = [([r[i] for r in draws],) for i in range(d.user_count)]
+        assert _observation_columns(d, random.Random(seed), 500) == columns
+
+
 def _same_draw(size, n, seed, cum=None):
     """_draw returns random.choices' values and leaves the generator where it does."""
     a, b = random.Random(seed), random.Random(seed)

@@ -202,6 +202,7 @@ def test_expand_two_private_bits_are_independent():
     assert h1 == pytest.approx(1.0, abs=1e-12)
     assert h2 == pytest.approx(1.0, abs=1e-12)
     assert h1 + h2 - h12 == pytest.approx(0.0, abs=1e-12)  # mutual information zero
+    assert d.marginal(()) == {(): d.total}
 
 
 def test_expand_pairwise_xor(pairwise_xor_source):

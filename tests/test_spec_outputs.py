@@ -1,5 +1,6 @@
 """Pinned CLI outputs: the sha256 of every subcommand's ``--json`` stdout on
-every spec, recorded in ``tests/data/spec_outputs.json``.
+every spec, and of the text stdout of all but ``convert`` (whose stdout is
+JSON in both modes), recorded in ``tests/data/spec_outputs.json``.
 
 Criterion 9 compares repeat runs of one build; this file compares a build
 against the outputs recorded when the file was last written, so a change that
@@ -34,6 +35,11 @@ COMMANDS = {
     "bound --search": ["bound", "--search", "--json"],
     "convert": ["convert", "--to", "hypergraphical", "--json"],
     "simulate --n 1000 --seed 0": ["simulate", "--n", "1000", "--seed", "0", "--json"],
+    "jgk (text)": ["jgk"],
+    "oracle (text)": ["oracle"],
+    "verify (text)": ["verify"],
+    "bound --search (text)": ["bound", "--search"],
+    "simulate --n 1000 --seed 0 (text)": ["simulate", "--n", "1000", "--seed", "0"],
 }
 
 
