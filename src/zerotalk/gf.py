@@ -13,13 +13,13 @@ significant field (M4RI's packing: Albrecht, Bard and Hart, "Algorithm
 898", ACM TOMS 37(1), 2010): a bit over GF(2), where a row operation is one
 XOR, a byte for odd q < 128, where it is an int add between byte
 translates, and 32 bits for larger q, where it is one pass over the
-struct-unpacked fields.  ``row_space_keys`` walks GF(2) row spaces as
-packed ints too.  ``codes`` is the one mixed-radix encoder: it
-folds value columns into keys for that walk and for the simulator's
-decoders.  Subspaces are handled through their spanning column sets; every
-routine that returns a basis returns the canonical one, the RREF basis of
-the span read as columns, so span-equal inputs produce identical output
-matrices and golden tests stay stable.
+struct-unpacked fields.  ``row_space_keys`` walks the row space over every
+field alike, a chunk at a time through ``cols_mat`` and ``codes``, the one
+mixed-radix encoder: it folds value columns into keys for that walk and for
+the simulator's decoders.  Subspaces are handled through their spanning
+column sets; every routine that returns a basis returns the canonical one,
+the RREF basis of the span read as columns, so span-equal inputs produce
+identical output matrices and golden tests stay stable.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import math
 import struct
 from functools import lru_cache
 from itertools import accumulate, chain
-from operator import xor
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ModelError, SubspaceNotContained, Value
@@ -209,16 +208,27 @@ def cols_mat(x_cols: Sequence[Sequence[int]], a: FiniteMatrix, n: int) -> list[S
 def codes(cols: Sequence[Sequence[int]], radices: Sequence[int], n: int) -> Sequence[int]:
     """The n mixed-radix codes of the columns, the first most significant.
 
-    Column k holds n values in [0, radices[k]) (a list or bytes).  While
-    every code fits in a byte, a column is a big int of bytes and
-    acc * r + col carries nothing from byte to byte, as in cols_mat, and the
-    codes are returned as bytes; otherwise as a list.  No columns give n zeros.
+    Column k holds n values in [0, radices[k]) (a list or bytes).  A column
+    is a big int of fields and acc * r + col carries nothing from field to
+    field, as in cols_mat: codes below 256 take a byte each and are returned
+    as bytes; codes below 2**64 from radices up to 256 take fields of 2, 4
+    or 8 bytes (each column spread a byte per field) and are returned as a
+    list.  Wider codes and larger radices take one list step per value and
+    column.  No columns give n zeros.
     """
-    if math.prod(radices) <= 256:
+    span = math.prod(radices)
+    if span <= 256:
         acc = 0
         for col, r in zip(cols, radices):
             acc = acc * r + int.from_bytes(bytes(col), "little")
         return acc.to_bytes(n, "little")
+    if span <= 2**64 and max(radices) <= 256:
+        width = 2 if span <= 2**16 else 4 if span <= 2**32 else 8
+        spread, acc = bytearray(width * n), 0
+        for col, r in zip(cols, radices):
+            spread[::width] = bytes(col)
+            acc = acc * r + int.from_bytes(spread, "little")
+        return list(struct.unpack(f"<{n}{'HIQ'[width // 4]}", acc.to_bytes(width * n, "little")))
     out = [0] * n
     for col, r in zip(cols, radices):
         out = [c * r + v for c, v in zip(out, col)]
@@ -368,11 +378,10 @@ def row_space_keys(basis: FiniteMatrix, widths: Sequence[int]) -> Iterator[tuple
     slice is read as a base-q integer, most significant digit first.
 
     The walk runs in chunks of the q**low points (at most _CHUNK) spanned by
-    the first low rows, one chunk per combination of the other rows.  Over
-    GF(2) a point is one int with column 0 as its most significant bit, so
-    a point is one XOR and a key a shift and a mask.  Over odd q, cols_mat
-    computes a chunk a column at a time and ``codes`` reads the keys off
-    those columns.
+    the first low rows, one chunk per combination of the other rows, for
+    every q alike: cols_mat computes a chunk a column at a time and
+    ``codes`` reads the keys off those columns, a few whole-column int
+    operations per column while q < 256 and a key fits in 8 bytes.
     """
     if not widths or sum(widths) != basis.cols:
         raise ValueError(f"widths {list(widths)} do not cover {basis.cols} columns")
@@ -381,23 +390,6 @@ def row_space_keys(basis: FiniteMatrix, widths: Sequence[int]) -> Iterator[tuple
     while q**low > _CHUNK:
         low -= 1
     ends = list(accumulate(widths))
-    if q == 2:
-        cuts = [(basis.cols - end, (1 << w) - 1) for end, w in zip(ends, widths)]
-        rows = _packed_rows(basis)
-        chunk = [0]
-        for row in rows[:low]:
-            chunk += [p ^ row for p in chunk]
-        # combination h of the other rows differs from h - 1 in the rows of
-        # h's lowest set bit and below: flip their XOR, carry[t]
-        carry = list(accumulate(rows[low:], xor))
-        start = 0
-        for h in range(1 << len(carry)):
-            if h:
-                start ^= carry[(h & -h).bit_length() - 1]
-            for p in chunk:
-                p ^= start
-                yield tuple([(p >> shift) & mask for shift, mask in cuts])
-        return
     size = q**low
     digits = [[d for d in range(q) for _ in range(q**k)] * q ** (low - 1 - k) for k in range(low)]
     for h in range(q ** (r - low)):

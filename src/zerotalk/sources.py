@@ -42,6 +42,7 @@ import math
 import os
 from collections.abc import Mapping
 from fractions import Fraction
+from functools import cached_property
 from operator import itemgetter, lshift
 from types import MappingProxyType
 from typing import ClassVar, Optional, Union
@@ -247,6 +248,11 @@ class FiniteLinearSource(Value):
     @property
     def user_count(self) -> int:
         return len(self.matrices)
+
+    @cached_property
+    def _joint_basis(self) -> gf.FiniteMatrix:
+        """A basis of the row space of [M_1 | ... | M_m], reduced on the first read."""
+        return gf.row_space_basis(gf.hstack(*self.matrices))
 
 
 def _check_alphabets(sizes: tuple[int, ...]) -> None:
@@ -485,7 +491,7 @@ def expand_finite_linear(f: FiniteLinearSource) -> DiscreteSource:
 
 def _stacked_row_space(f: FiniteLinearSource) -> gf.FiniteMatrix:
     """A basis of the row space of [M_1 | ... | M_m], once its q**rank points pass the limit."""
-    basis = gf.row_space_basis(gf.hstack(*f.matrices))
+    basis = f._joint_basis
     check_budget("linear expansion", int(f.q) ** basis.rows, "support points")
     return basis
 

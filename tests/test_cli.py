@@ -31,6 +31,7 @@ from zerotalk.cli import (
     render_hypergraphical,
 )
 from zerotalk.errors import ModelError, ParseError
+from zerotalk.gf import hstack, rref
 from zerotalk.mcf import LabelingWitness
 from zerotalk.sim import KeyExtractor, run
 from zerotalk.sources import (
@@ -612,6 +613,23 @@ def test_verify_builds_each_entropy_profile_once(capsys, monkeypatch):
     assert run_cli(capsys, "verify", OVERLAP_PAIR)[0] == 0
     # the linear model, its expansion, and the converted edge model
     assert calls == ["FiniteLinearSource", "DiscreteSource", "HypergraphicalSource"]
+
+
+def test_verify_row_reduces_the_stacked_matrix_once(capsys, monkeypatch):
+    # the early budget check and the expansion share one basis of [M_1 | M_2];
+    # the witness check reduces [M_1 | M_2 | key basis], here a wider matrix
+    import zerotalk.gf as gf_module
+
+    stacked = hstack(*load_model(OVERLAP_PAIR).matrices)
+    reduced = []
+
+    def counting_rref(m):
+        reduced.append(m == stacked)
+        return rref(m)
+
+    monkeypatch.setattr(gf_module, "rref", counting_rref)
+    assert run_cli(capsys, "verify", OVERLAP_PAIR)[0] == 0
+    assert reduced.count(True) == 1
 
 
 def test_verify_on_a_discrete_model_runs_its_oracle_and_profile_once(capsys, monkeypatch):

@@ -133,9 +133,13 @@ def uniform_edges_beside(kind: str, n: int) -> HypergraphicalSource:
         HypergraphicalSource(2, ()),
         HypergraphicalSource(3, (Edge("a", {1, 2}, (Fraction(1, 3), Fraction(2, 3))),
                                  Edge("one", {2, 3}, (Fraction(1),)))),
+        # two exact edges before the float one: an int start would multiply
+        # them as Fractions and round once less, moving every weight
+        HypergraphicalSource(3, (Edge("a", {1}, (Fraction(1, 5), Fraction(4, 5))),
+                                 Edge("b", {2}, (Fraction(1, 5), Fraction(4, 5))), Edge("c", {3}, (0.25, 0.75)))),
         *(uniform_edges_beside(kind, n) for kind in ("exact", "float", "mixed") for n in range(1, 8)),
     ],
-    ids=["no-edges", "one-value-edge",
+    ids=["no-edges", "one-value-edge", "exact-exact-float",
          *(f"uniform-{n}-{kind}" for kind in ("exact", "float", "mixed") for n in range(1, 8))],
 )
 def test_degenerate_hypergraphical_expansions_match_the_fraction_path(h):

@@ -535,8 +535,13 @@ def test_cols_mat_rejects_wrong_column_count():
         cols_mat([[0, 1]], identity(2, 2), 2)
 
 
-# radix products 1 (no columns), 255 and 256 take the byte path; 257 and 272 the list path
-@pytest.mark.parametrize("radices", [(), (3, 5, 17), (2,) * 8, (257,), (16, 17)])
+# radix products 1 (no columns), 255 and 256 take the byte path; 272 and 2**16 fields of 2 bytes,
+# 2**17 and 2**32 of 4, 3**40 and 2**64 of 8; 3**41, 2**65 and any radix past 256 the list path
+WIDE_RADICES = [(16, 17), (256, 256), (2,) * 17, (256,) * 4, (3,) * 40, (2,) * 64, (3,) * 41, (2,) * 65,
+                (257,), (2, 257, 2)]
+
+
+@pytest.mark.parametrize("radices", [(), (3, 5, 17), (2,) * 8, *WIDE_RADICES])
 @pytest.mark.parametrize("n", [1, 1000])
 def test_codes_is_the_mixed_radix_index_most_significant_first(radices, n):
     rng = random.Random(f"{radices}-{n}")
@@ -547,8 +552,8 @@ def test_codes_is_the_mixed_radix_index_most_significant_first(radices, n):
     assert want[0] == math.prod(radices) - 1
 
 
-# a byte path returns bytes and the other path a list; bytes columns read as their lists
-@pytest.mark.parametrize("radices, kind", [((16, 16), bytes), ((257,), list), ((16, 17), list)])
+# a byte path returns bytes and the other paths a list; bytes columns read as their lists
+@pytest.mark.parametrize("radices, kind", [((16, 16), bytes), *((radices, list) for radices in WIDE_RADICES)])
 def test_codes_returns_bytes_while_every_code_fits_a_byte(radices, kind):
     rng = random.Random(f"{radices}-type")
     cols = [[rng.randrange(min(r, 256)) for _ in range(300)] for r in radices]
@@ -675,15 +680,18 @@ def test_row_space_keys_is_the_row_space_encoded_digit_by_digit(seed):
         assert list(row_space_keys(basis, widths)) == reference_row_space_keys(basis, widths)
 
 
-@pytest.mark.parametrize("q, rows", [(2, 12), (3, 7), (7, 4), (131, 2), (2053, 1)])
-def test_row_space_keys_past_one_chunk(q, rows):
-    # more points than one chunk of the walk holds, and q past the byte
-    # packing of cols_mat (131) and past one chunk (2053)
+@pytest.mark.parametrize("q, rows, wide", [(2, 12, 1), (3, 7, 1), (7, 4, 1), (131, 2, 1), (2053, 1, 1),
+                                           (2, 11, 9), (2, 11, 17), (2, 11, 33), (2, 11, 65),
+                                           (3, 7, 6), (3, 7, 11), (3, 7, 21), (3, 7, 41)])
+def test_row_space_keys_past_one_chunk(q, rows, wide):
+    # more points than one chunk of the walk holds, q past the byte packing
+    # of cols_mat (131) and past one chunk (2053), and a last slice whose
+    # keys pass 8, 16, 32 and 64 bits
     rng = random.Random(q)
     basis = FiniteMatrix.from_rows(  # in RREF: [I | random]
-        q, [[int(i == j) for j in range(rows)] + [rng.randrange(q) for _ in range(3)] for i in range(rows)]
+        q, [[int(i == j) for j in range(rows)] + [rng.randrange(q) for _ in range(wide + 2)] for i in range(rows)]
     )
-    widths = [2, rows - 1, 1, 1]
+    widths = [2, rows - 1, 1, wide]
     assert list(row_space_keys(basis, widths)) == reference_row_space_keys(basis, widths)
 
 
