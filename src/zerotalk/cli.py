@@ -49,7 +49,7 @@ from .bounds import (
 from .errors import ExpansionTooLarge, ParseError, UnsupportedModel, ZerotalkError
 from .gf import FiniteMatrix
 from .mcf import common_function, evaluate_witness, gk_oracle
-from .sim import run as run_simulation
+from .sim import labels_of, run as run_simulation
 from .sources import (
     ENTROPY_TOLERANCE,
     DiscreteSource,
@@ -534,27 +534,34 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_ok else EXIT_MISMATCH
 
 
-def _key_digest(codes, label) -> str:
-    """sha256 of the codes' label reprs joined by commas, hashed 2**16 rounds at a
-    time so the text is never held whole; each distinct code is labelled once."""
+def _label_reprs(streams, label) -> dict:
+    """Each distinct code of the streams -> repr(label(code)) as ASCII bytes."""
+    distinct = list(set().union(*streams))
+    return dict(zip(distinct, map(str.encode, map(repr, labels_of(label, distinct)))))
+
+
+def _key_digest(stream, reprs: dict) -> str:
+    """sha256 of the stream's label reprs joined by commas, hashed 2**16 rounds
+    at a time so the text is never held whole."""
     import hashlib  # here, not at the top: only simulate pays for loading it
-    reprs = {code: repr(label(code)) for code in set(codes)}
     digest, step = hashlib.sha256(), 1 << 16
-    for i in range(0, len(codes), step):
-        digest.update((("," if i else "") + ",".join(map(reprs.__getitem__, codes[i:i + step]))).encode())
+    for i in range(0, len(stream), step):
+        if i:
+            digest.update(b",")
+        digest.update(b",".join(map(reprs.__getitem__, stream[i:i + step])))
     return digest.hexdigest()
 
 
 def cmd_simulate(args) -> int:
     s = load_model(args.model)
     result = run_simulation(s, n=args.n, seed=args.seed)
-    codes, label = result.codes, result.label
     # agreeing users hold equal streams: hash one and repeat its digest
+    streams = result.codes[:1] if result.agreement else result.codes
+    reprs = _label_reprs(streams, result.label)
+    digests = [_key_digest(stream, reprs) for stream in streams]
     if result.agreement:
-        digests = [_key_digest(codes[0], label)] * len(codes)
-    else:
-        digests = [_key_digest(stream, label) for stream in codes]
-    preview = [repr(label(code)) for code in codes[0][:16]]
+        digests *= len(result.codes)
+    preview = [reprs[code].decode() for code in result.codes[0][:16]]
     report = {
         "command": "simulate",
         "model": s.model,

@@ -189,17 +189,20 @@ def cols_mat(x_cols: Sequence[Sequence[int]], a: FiniteMatrix, n: int) -> list[S
     reduce, scale = _byte_tables(q)
     packed = [bytes(col) for col in x_cols]
     batch = 255 // (q - 1)  # terms a byte can sum before it must be reduced
+    ints = {}  # (k, c) -> column k times c as an int, built once per call
     out = []
     for j in range(a.cols):
         acc, terms = 0, 0
-        for k, col in enumerate(packed):
-            c = a.at(k, j)
+        for k, (col, c) in enumerate(zip(packed, a.col(j))):
             if not c:
                 continue
             if terms == batch:
                 acc = int.from_bytes(acc.to_bytes(n, "little").translate(reduce), "little")
                 terms = 1
-            acc += int.from_bytes(col if c == 1 else col.translate(scale[c]), "little")
+            term = ints.get((k, c))
+            if term is None:
+                term = ints[k, c] = int.from_bytes(col if c == 1 else col.translate(scale[c]), "little")
+            acc += term
             terms += 1
         out.append(acc.to_bytes(n, "little").translate(reduce))
     return out
@@ -213,8 +216,9 @@ def codes(cols: Sequence[Sequence[int]], radices: Sequence[int], n: int) -> Sequ
     field, as in cols_mat: codes below 256 take a byte each and are returned
     as bytes; codes below 2**64 from radices up to 256 take fields of 2, 4
     or 8 bytes (each column spread a byte per field) and are returned as a
-    list.  Wider codes and larger radices take one list step per value and
-    column.  No columns give n zeros.
+    list.  Wider codes from radices up to 256 join runs of columns whose
+    codes fit 8 bytes, one list step per value and run; larger radices take
+    one list step per value and column.  No columns give n zeros.
     """
     span = math.prod(radices)
     if span <= 256:
@@ -229,6 +233,13 @@ def codes(cols: Sequence[Sequence[int]], radices: Sequence[int], n: int) -> Sequ
             spread[::width] = bytes(col)
             acc = acc * r + int.from_bytes(spread, "little")
         return list(struct.unpack(f"<{n}{'HIQ'[width // 4]}", acc.to_bytes(width * n, "little")))
+    if max(radices) <= 256:  # the last columns whose codes fit 8 bytes, joined to the codes of the rest
+        k, run = len(radices), 1
+        while run * radices[k - 1] <= 2**64:
+            k -= 1
+            run *= radices[k]
+        head = codes(cols[:k], radices[:k], n)
+        return [c * run + v for c, v in zip(head, codes(cols[k:], radices[k:], n))]
     out = [0] * n
     for col, r in zip(cols, radices):
         out = [c * r + v for c, v in zip(out, col)]

@@ -15,7 +15,12 @@ call.  A key is an int code, turned into its label only where one is shown.
 Edge and discrete columns are read off the generator's raw words through a
 table of the top byte or two of each round, the same draws as
 ``random.choices`` (``_draw``).  A column or key stream is ``bytes`` on the
-byte paths (a table draw, q < 128, codes below 256) and a list otherwise.
+byte paths and a list otherwise: an edge column is bytes when a table draws
+it, a linear user's columns when q < 128, and an edge or linear key stream
+when its codes are below 256.  A discrete run's index column is bytes when
+the support has at most 255 points; each user's column is then that column
+translated through the user's symbols, and its keys through a table of its
+components, both bytes when every alphabet has at most 256 symbols.
 The n values of every column drawn and the n keys each user decodes are
 checked against ``VALUES_PER_POINT`` times ``ZEROTALK_EXPANSION_LIMIT``
 before any decoder is built or value drawn.
@@ -64,6 +69,22 @@ def _digits(radices: tuple, code: int) -> tuple:
     return tuple(reversed(digits + [code])) if radices else ()
 
 
+def labels_of(label: Callable, codes: list) -> list:
+    """[label(code) for code in codes].  A radix key's label (the partial of
+    _digits build_extractor makes) takes its digits a digit column at a time."""
+    if not (isinstance(label, partial) and label.func is _digits):
+        return list(map(label, codes))
+    radices = label.args[0]
+    if not radices:
+        return [()] * len(codes)
+    columns = []
+    for r in reversed(radices[1:]):
+        columns.append([c % r for c in codes])
+        codes = [c // r for c in codes]
+    columns.append(codes)
+    return list(zip(*reversed(columns)))
+
+
 class KeyExtractor(Value):
     """Each user's key decoder for the maximum common function of a source.
 
@@ -83,6 +104,18 @@ class KeyExtractor(Value):
     label: Callable
 
 
+def _component_codes(lookup: dict, table: bytes | None, obs: tuple, n: int) -> Sequence[int]:
+    """A discrete user's n component codes, read off its one symbol column
+    through lookup (symbol -> component): a bytes column is translated through
+    table, the same map as 256 bytes, and a list column is mapped to a list.
+    The sampler's bytes columns come from at most 255 points, so from as many
+    components at most, which is when build_extractor makes the table."""
+    col = obs[0]
+    if table is not None and isinstance(col, bytes):
+        return col.translate(table)
+    return list(map(lookup.__getitem__, col))
+
+
 def build_extractor(s: AnySource) -> KeyExtractor:
     """Each user's decoder of common_function(s), read off its payload: the
     global edges, the basis of the common subspace or the support labeling."""
@@ -100,11 +133,14 @@ def build_extractor(s: AnySource) -> KeyExtractor:
         decoders = tuple(lambda obs, n, c=c: codes(cols_mat(obs, c, n), radices, n) for c in coeffs)
         var = 0.0  # the key is uniform over the image: its surprisal is constant
     else:  # a DiscreteSource: each symbol lies in one component, whose label is the code
-        lookups = [{r[i]: label for r, label in w.payload.items()}.__getitem__ for i in range(s.user_count)]
-        decoders = tuple(lambda obs, n, lookup=lookup: list(map(lookup, obs[0])) for lookup in lookups)
         masses = _label_masses(s.weights, w.payload)
+        decoders = []
+        for i in range(s.user_count):
+            lookup = {r[i]: label for r, label in w.payload.items()}
+            table = bytes(map(lookup.get, range(256), bytes(256))) if len(masses) <= 256 else None
+            decoders.append(partial(_component_codes, lookup, table))
         var = _surprisal_variance(m / s.total for m in masses.values())
-        return KeyExtractor(decoders, w.entropy_bits, var, len(masses), lambda code: code)
+        return KeyExtractor(tuple(decoders), w.entropy_bits, var, len(masses), lambda code: code)
     return KeyExtractor(decoders, w.entropy_bits, var, math.prod(radices), partial(_digits, radices))
 
 
@@ -150,19 +186,26 @@ def _draw(rng: random.Random, size: int, n: int, cum=None) -> Sequence[int]:
         cuts = [int(c / total * 2**53) for c in cum[:-1]]
     wide = len(cuts) > MAX_TABLE_CUTS
     shift, end = (37, 1 << 16) if wide else (45, 256)
-    table = bytearray()
+    slot = 1 << shift
+    # the table's pieces, joined once; filled is their length.  Cut k's slice
+    # t never falls below cut k - 1's, so a 255 already at t is cut k's too.
+    pieces, filled = [], 0
     for k, c in enumerate(cuts, 1):
-        t, r = divmod(c, 1 << shift)
-        inside = 64 < r < (1 << shift) - 64
+        t, r = divmod(c, slot)
+        inside = 64 < r < slot - 64
         if not inside:  # near a slice edge: the first slice from t - 1 whose highest m picks k
             t = max(t - 1, 0)
-            while t < end and pick(((t + 1) << shift) - 1) < k:
+            while t < end and pick((t + 1) * slot - 1) < k:
                 t += 1
-            inside = t < end and pick(t << shift) < k
-        table += bytes((k - 1,)) * (t - len(table))
-        if inside:
-            table[t:] = b"\xff"
-    table += bytes((size - 1,)) * (end - len(table))
+            inside = t < end and pick(t * slot) < k
+        if t > filled:
+            pieces.append(bytes((k - 1,)) * (t - filled))
+            filled = t
+        if inside and filled == t:
+            pieces.append(b"\xff")
+            filled += 1
+    pieces.append(bytes((size - 1,)) * (end - filled))
+    table = b"".join(pieces)
     out = bytearray()
     while len(out) < n:  # 2**16 rounds at a time bounds the raw bytes held
         base, rounds = len(out), min(n - len(out), 1 << 16)
@@ -228,6 +271,8 @@ def _observation_columns(s: AnySource, rng: random.Random, n: int) -> list:
         return [tuple(cols_mat(hidden, mat, n)) for mat in s.matrices]
     # a DiscreteSource: one column of support indices, off which each user reads its symbols
     picks = _draw(rng, len(s.weights), n, _cdf(s.weights.values(), s.total))
+    if isinstance(picks, bytes) and max(s.alphabet_sizes) <= 256:
+        return [(picks.translate(bytes(symbols).ljust(256, b"\0")),) for symbols in zip(*s.weights)]
     return [(list(map(symbols.__getitem__, picks)),) for symbols in zip(*s.weights)]
 
 

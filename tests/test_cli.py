@@ -948,6 +948,66 @@ def test_simulate_output_is_pinned_on_wide_keys_and_draws(capsys, tmp_path, doc,
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def _reference_digest(stream, label) -> str:
+    return hashlib.sha256(",".join(repr(label(code)) for code in stream).encode()).hexdigest()
+
+
+# one repr per distinct code feeds the digest and the preview: each must read
+# as sha256 of ",".join(repr(label(code))) and repr(label(code)) themselves
+_GF3_729 = {"model": "finite_linear", "q": 3, "dim": 6,
+            "matrices": {"1": [[int(i == j) for j in range(6)] for i in range(6)],
+                         "2": [[int(i == 5 - j) for j in range(6)] for i in range(6)]}}
+_EDGE_12 = {"model": "hypergraphical", "users": 3, "edges": [
+    {"name": "a", "subset": [1, 2, 3], "uniform": 4}, {"name": "b", "subset": [1, 2], "uniform": 2},
+    {"name": "c", "subset": [1, 2, 3], "pmf": ["1/6", "1/3", "1/2"]}]}
+_NO_KEY = {"model": "hypergraphical", "users": 3, "edges": [{"name": "a", "subset": [1, 2], "uniform": 4}]}
+_SYMBOL_257 = {"model": "discrete", "alphabets": [2, 257], "pmf": [
+    {"symbols": [0, 0], "p": "1/4"}, {"symbols": [0, 256], "p": "1/4"},
+    {"symbols": [1, 9], "p": "1/4"}, {"symbols": [1, 255], "p": "1/4"}]}
+
+
+@pytest.mark.parametrize("doc, kind", [(_EDGE_12, bytes), (_GF3_729, list), (_NO_KEY, bytes),
+                                       (json.loads(Path(TWO_COINS).read_text()), bytes), (_SYMBOL_257, list)],
+                         ids=["edges-12", "gf3-729", "no-key", "discrete-bytes", "discrete-list"])
+def test_simulate_digest_and_preview_read_each_label_repr(capsys, tmp_path, doc, kind):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    result = run(load_model(str(model)), 20000, 4)
+    assert result.agreement and type(result.codes[0]) is kind
+    code, out, _ = run_cli(capsys, "simulate", str(model), "--n", "20000", "--seed", "4", "--json")
+    assert code == 0
+    got = json.loads(out)
+    assert got["key_digests"] == [_reference_digest(result.codes[0], result.label)] * len(result.codes)
+    assert got["first_labels"] == [repr(result.label(c)) for c in result.codes[0][:16]]
+    if doc is _GF3_729:
+        assert len(set(result.codes[0])) == 729
+    if doc is _NO_KEY:
+        assert got["first_labels"] == ["()"] * 16
+
+
+def test_simulate_digests_of_disagreeing_radix_keys(capsys, monkeypatch):
+    # user 2 decodes a different radix key: its digest reads labels user 1 never holds
+    import zerotalk.sim as sim_module
+
+    build = sim_module.build_extractor
+
+    def disagreeing(s):
+        ext = build(s)
+        shifted = lambda obs, n: [code + ext.label_count for code in ext.decoders[1](obs, n)]
+        return KeyExtractor((ext.decoders[0], shifted, *ext.decoders[2:]), ext.expected_bits,
+                            ext.surprise_var, ext.label_count, ext.label)
+
+    monkeypatch.setattr(sim_module, "build_extractor", disagreeing)
+    code, out, _ = run_cli(capsys, "simulate", OVERLAP_PAIR, "--n", "500", "--seed", "3", "--json")
+    assert code == 0
+    got = json.loads(out)
+    result = sim_module.run(load_model(OVERLAP_PAIR), 500, 3)
+    assert not result.agreement and got["agreement"] is False
+    assert got["key_digests"] == [_reference_digest(stream, result.label) for stream in result.codes]
+    assert not set(result.codes[0]) & set(result.codes[1])
+    assert got["first_labels"] == [repr(result.label(c)) for c in result.codes[0][:16]]
+
+
 @pytest.mark.parametrize("n", ["0", "-5"])
 def test_simulate_rejects_nonpositive_rounds(capsys, n):
     code, _, err = run_cli(capsys, "simulate", SHARED_BIT, "--n", n)

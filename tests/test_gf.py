@@ -530,15 +530,32 @@ def test_cols_mat_is_vec_mat_row_by_row(q):
         assert [list(col) for col in cols_mat(x_cols, a, n)] == [[p[j] for p in products] for j in range(cols)]
 
 
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 127])
+def test_cols_mat_reuses_each_column_times_coefficient_term(q):
+    # each row's few coefficients repeat down one output column and across
+    # the others (two output columns are equal); 20 rows overflow a byte's sum
+    rng = random.Random(1000 + q)
+    n, rows = 50, 20
+    picks = [0, 1, q - 1, min(2, q - 1)]
+    cols = [[rng.choice(picks) for _ in range(rows)] for _ in range(4)]
+    a = FiniteMatrix.from_cols(q, cols + [cols[1], [q - 1] * rows], rows=rows)
+    xs = [[rng.randrange(q) for _ in range(rows)] for _ in range(n)]
+    x_cols = [[x[k] for x in xs] for k in range(rows)]
+    want = [[vec_mat(x, a)[j] for x in xs] for j in range(a.cols)]
+    for given in (x_cols, [bytes(col) for col in x_cols]):
+        assert [list(col) for col in cols_mat(given, a, n)] == want
+
+
 def test_cols_mat_rejects_wrong_column_count():
     with pytest.raises(ValueError):
         cols_mat([[0, 1]], identity(2, 2), 2)
 
 
 # radix products 1 (no columns), 255 and 256 take the byte path; 272 and 2**16 fields of 2 bytes,
-# 2**17 and 2**32 of 4, 3**40 and 2**64 of 8; 3**41, 2**65 and any radix past 256 the list path
+# 2**17 and 2**32 of 4, 3**40 and 2**64 of 8; 3**41, 2**65, 2**70, 2**136 and (2 * 3)**30 join runs
+# of columns that fit 8 bytes; any radix past 256 the list path
 WIDE_RADICES = [(16, 17), (256, 256), (2,) * 17, (256,) * 4, (3,) * 40, (2,) * 64, (3,) * 41, (2,) * 65,
-                (257,), (2, 257, 2)]
+                (2,) * 70, (256,) * 17, (2, 3) * 30, (257,), (2, 257, 2)]
 
 
 @pytest.mark.parametrize("radices", [(), (3, 5, 17), (2,) * 8, *WIDE_RADICES])

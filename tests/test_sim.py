@@ -24,6 +24,7 @@ from zerotalk.sim import (
     _observation_columns,
     _uniform_columns,
     build_extractor,
+    labels_of,
     rate_tolerance,
     run,
 )
@@ -252,6 +253,14 @@ def test_column_decoders_match_reference_round_by_round(s, w):
         assert labels == [ref(world[i]) for world in worlds]
 
 
+@pytest.mark.parametrize("s, w", _decoder_cases())
+def test_labels_of_a_code_list_is_each_codes_label(s, w):
+    # radix keys take their digits a column at a time; every code of the key, the largest first
+    ext = build_extractor(s)
+    codes = [ext.label_count - 1, *range(min(ext.label_count, 300)), 0]
+    assert labels_of(ext.label, codes) == list(map(ext.label, codes))
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_discrete_key_stream_matches_reference(seed, shared_bit_source):
     rng = random.Random(5200 + seed)
@@ -259,6 +268,21 @@ def test_discrete_key_stream_matches_reference(seed, shared_bit_source):
               to_discrete(shared_bit_source)):
         w = common_function(d)
         assert run(d, 300, seed).per_user_keys == round_key_streams(d, w, 300, seed)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_discrete_decoder_output_follows_its_column_type(seed, shared_bit_source):
+    # bytes in gives bytes out, list in gives list out, with equal codes; the
+    # last source has 255 points, each its own component
+    rng = random.Random(5300 + seed)
+    apart = DiscreteSource((255, 255), {(i, (i * 7) % 255): Fraction(1, 255) for i in range(255)})
+    for d in (load_model(str(TWO_COINS)), random_discrete(rng, 3), to_discrete(shared_bit_source), apart):
+        ext = build_extractor(d)
+        for decode, (col,) in zip(ext.decoders, _observation_columns(d, random.Random(seed), 500)):
+            assert type(col) is bytes
+            as_bytes, as_list = decode((col,), 500), decode((list(col),), 500)
+            assert type(as_bytes) is bytes and type(as_list) is list
+            assert list(as_bytes) == as_list
 
 
 class _CyclingBytes:
@@ -292,16 +316,28 @@ def test_uniform_edge_column_is_the_cdf_draw(seed):
         assert tuple(map(list, _observation_columns(h, random.Random(seed), 1000)[0])) == (cdf_draw,)
 
 
+def _column_kind(d, seed, n):
+    """bytes exactly when the index column is bytes and every alphabet is at most 256."""
+    picks = _draw(random.Random(seed), len(d.weights), n, _cdf(d.weights.values(), d.total))
+    return bytes if isinstance(picks, bytes) and max(d.alphabet_sizes) <= 256 else list
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_discrete_columns_are_each_users_symbols_of_the_cdf_draw(seed):
-    # random small supports (the byte table) and one of 300 points (choices' list)
+    # random small supports (the byte table), one of 300 points (choices' list)
+    # and one of 4 points whose second user's alphabet of 257 takes the list path
     rng = random.Random(seed)
     wide = DiscreteSource((300, 3), {(i, i % 3): Fraction(1, 300) for i in range(300)})
-    for d in [random_discrete(rng, rng.randrange(2, 5)) for _ in range(10)] + [wide]:
+    symbol_257 = DiscreteSource((2, 257), {(0, 0): Fraction(1, 4), (0, 256): Fraction(1, 4),
+                                           (1, 7): Fraction(1, 4), (1, 255): Fraction(1, 4)})
+    for d in [random_discrete(rng, rng.randrange(2, 5)) for _ in range(10)] + [wide, symbol_257]:
         support = d.support()
         draws = random.Random(seed).choices(support, cum_weights=_cdf(d.weights.values(), d.total), k=500)
         columns = [([r[i] for r in draws],) for i in range(d.user_count)]
-        assert _observation_columns(d, random.Random(seed), 500) == columns
+        got = _observation_columns(d, random.Random(seed), 500)
+        assert [tuple(map(list, cols)) for cols in got] == columns
+        assert {type(col) for cols in got for col in cols} == {_column_kind(d, seed, 500)}
+    assert _column_kind(symbol_257, seed, 500) is list and _column_kind(wide, seed, 500) is list
 
 
 def _same_draw(size, n, seed, cum=None):
@@ -345,8 +381,10 @@ def test_discrete_columns_are_the_choices_draw_on_1_to_120_points(seed):
         n = rng.choice([1, 7, 1000])
         a, b = random.Random(seed), random.Random(seed)
         draws = b.choices(d.support(), cum_weights=_cdf(d.weights.values(), d.total), k=n)
-        assert _observation_columns(d, a, n) == [(list(col),) for col in zip(*draws)]
+        got = _observation_columns(d, a, n)
+        assert [tuple(map(list, cols)) for cols in got] == [(list(col),) for col in zip(*draws)]
         assert a.random() == b.random()
+        assert {type(col) for cols in got for col in cols} == {_column_kind(d, seed, n)}
 
 
 def test_random_is_built_from_two_getrandbits_words():
