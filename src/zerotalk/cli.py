@@ -602,72 +602,172 @@ def cmd_simulate(args) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by later calls."""
+    """The argument parser, built on first use and shared by later calls.  Its
+    `plain` table, which main() reads plain command lines from, is built from
+    the actions that the add_argument calls below return."""
     parser = argparse.ArgumentParser(
         prog="zerotalk",
         description="Secrecy capacity at zero discussion rate for "
         "multiterminal source models.",
     )
-    parser.add_argument("--version", action="version", version=__version__)
+    # parser or subparser -> the actions its add_argument calls returned; a
+    # tuple holds the actions of one mutually exclusive group
+    declared = {parser: [parser.add_argument("--version", action="version", version=__version__)]}
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("jgk", help="common-function entropy and witness")
-    p.add_argument("model", help="model file (JSON)")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
+    declared[p] = [
+        p.add_argument("model", help="model file (JSON)"),
+        p.add_argument("--json", action="store_true", help="machine-readable output"),
+    ]
     p.set_defaults(func=cmd_jgk)
 
     p = sub.add_parser("bound", help="partition bound at a discussion rate")
-    p.add_argument("model", help="model file (JSON)")
     group = p.add_mutually_exclusive_group()
-    group.add_argument(
-        "--partition",
-        default="singletons",
-        help="blocks as '1,2/3' or 'singletons' (default)",
-    )
-    group.add_argument(
-        "--search", action="store_true", help="exhaustive best-partition search"
-    )
-    p.add_argument("--rate", type=float, default=0.0, help="discussion rate in bits")
-    p.add_argument("--json", action="store_true")
+    declared[p] = [
+        p.add_argument("model", help="model file (JSON)"),
+        (
+            group.add_argument(
+                "--partition",
+                default="singletons",
+                help="blocks as '1,2/3' or 'singletons' (default)",
+            ),
+            group.add_argument(
+                "--search", action="store_true", help="exhaustive best-partition search"
+            ),
+        ),
+        p.add_argument("--rate", type=float, default=0.0, help="discussion rate in bits"),
+        p.add_argument("--json", action="store_true"),
+    ]
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("oracle", help="brute-force common function")
-    p.add_argument("model", help="model file (JSON)")
-    p.add_argument("--json", action="store_true")
+    declared[p] = [
+        p.add_argument("model", help="model file (JSON)"),
+        p.add_argument("--json", action="store_true"),
+    ]
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("convert", help="two-user linear model to edge model")
-    p.add_argument("model", help="model file (JSON)")
-    p.add_argument(
-        "--to",
-        choices=["hypergraphical"],
-        required=True,
-        help="target model family",
-    )
-    p.add_argument("--out", help="write the converted model here instead of stdout")
-    p.add_argument("--json", action="store_true")
+    declared[p] = [
+        p.add_argument("model", help="model file (JSON)"),
+        p.add_argument(
+            "--to",
+            choices=["hypergraphical"],
+            required=True,
+            help="target model family",
+        ),
+        p.add_argument("--out", help="write the converted model here instead of stdout"),
+        p.add_argument("--json", action="store_true"),
+    ]
     p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("verify", help="cross-check engines against brute force")
-    p.add_argument("model", nargs="?", help="model file (JSON)")
-    p.add_argument("--random", type=int, help="verify N random models instead")
-    p.add_argument("--seed", type=int, default=0, help="seed for --random")
-    p.add_argument("--json", action="store_true")
+    declared[p] = [
+        p.add_argument("model", nargs="?", help="model file (JSON)"),
+        p.add_argument("--random", type=int, help="verify N random models instead"),
+        p.add_argument("--seed", type=int, default=0, help="seed for --random"),
+        p.add_argument("--json", action="store_true"),
+    ]
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("simulate", help="zero-discussion key agreement run")
-    p.add_argument("model", help="model file (JSON)")
-    p.add_argument("--n", type=int, default=1000, help="number of rounds")
-    p.add_argument("--seed", type=int, default=0, help="sampling seed")
-    p.add_argument("--json", action="store_true")
+    declared[p] = [
+        p.add_argument("model", help="model file (JSON)"),
+        p.add_argument("--n", type=int, default=1000, help="number of rounds"),
+        p.add_argument("--seed", type=int, default=0, help="sampling seed"),
+        p.add_argument("--json", action="store_true"),
+    ]
     p.set_defaults(func=cmd_simulate)
 
+    parser.plain = _plain_table(parser, sub, declared)
     return parser
 
 
+def _plain_table(parser, sub, declared: dict) -> dict:
+    """Subcommand -> (its positionals, how many of them are required, its
+    options by spelling with each one's exclusive group, its required options,
+    the Namespace defaults), read from the declared actions.  An option stores
+    one value, or its const when it takes none (nargs 0)."""
+    table = {}
+    for name, p in sub.choices.items():
+        positionals, options = [], {}
+        for item in declared[p]:
+            # an option outside a group is its own group: only it can fill it
+            for action in item if isinstance(item, tuple) else (item,):
+                if action.option_strings:
+                    options.update(dict.fromkeys(action.option_strings, (action, item)))
+                else:
+                    positionals.append(action)
+        actions = positionals + [action for action, _ in options.values()]
+        defaults = {a.dest: a.default for a in declared[parser] + actions
+                    if a.default is not argparse.SUPPRESS}
+        defaults[sub.dest] = name
+        defaults["func"] = p.get_default("func")
+        least = max((i + 1 for i, a in enumerate(positionals) if a.required), default=0)
+        required = frozenset(a for a in actions if a.option_strings and a.required)
+        table[name] = tuple(positionals), least, options, required, defaults
+    return table
+
+
+def _value(action, token: str):
+    """The token converted by the action's type and checked against its choices."""
+    value = token if action.type is None else action.type(token)
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"{value!r} is not a choice")
+    return value
+
+
+def _plain_args(argv):
+    """The Namespace that argparse returns for a plain command line, or None
+    to send argv to argparse.  Plain is the subcommand's name, then at most its
+    positionals, none starting with "-", then options spelled exactly as
+    declared.  An option's value is the next token: it does not start with "-",
+    converts by the option's type and lies in its choices.  At most one option
+    of each exclusive group is given, and every required one.  Help,
+    abbreviations, "--opt=value", "--", negative numbers and every usage error
+    are left to argparse."""
+    command = build_parser().plain.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    positionals, least, options, required, defaults = command
+    values = dict(defaults)
+    i, n = 1, len(argv)
+    given = {}  # exclusive group -> the option given from it
+    try:
+        for action in positionals:
+            if i == n or argv[i].startswith("-"):
+                break
+            values[action.dest] = _value(action, argv[i])
+            i += 1
+        if i - 1 < least:
+            return None
+        while i < n:
+            action, group = options.get(argv[i], (None, None))
+            if action is None:
+                return None
+            if action.nargs == 0:
+                values[action.dest] = action.const
+                i += 1
+            elif i + 1 < n and not argv[i + 1].startswith("-"):
+                values[action.dest] = _value(action, argv[i + 1])
+                i += 2
+            else:
+                return None
+            if given.setdefault(group, action) is not action:
+                return None
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        return None
+    if not required.issubset(given.values()):
+        return None
+    return argparse.Namespace(**values)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain_args(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ZerotalkError as exc:

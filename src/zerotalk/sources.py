@@ -307,7 +307,7 @@ class DiscreteSource(Value):
         sorted as the constructor sorts them but not checked again."""
         _check_sum(tuple(weights.values()), total, "joint pmf")
         d = cls.__new__(cls)
-        Value.__init__(d, tuple(alphabet_sizes), dict(sorted(weights.items())), total)
+        Value.__init__(d, tuple(alphabet_sizes), {k: weights[k] for k in sorted(weights)}, total)
         return d
 
     @classmethod

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import argparse
 import ast
 import hashlib
+import io
 import json
 import math
 import os
+import random
 import shlex
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -28,6 +32,7 @@ from zerotalk.cli import (
     parse_model,
     parse_partition_text,
     _jsonable,
+    _plain_args,
     render_hypergraphical,
 )
 from zerotalk.errors import ModelError, ParseError
@@ -1177,8 +1182,10 @@ def test_output_is_deterministic(capsys, argv):
     assert first == second
 
 
-def test_parser_is_built_once_and_reused(capsys):
+def test_parser_is_built_once_and_reused(capsys, monkeypatch):
     assert build_parser() is build_parser()
+    # the plain-command-line table is built with the shared parser, once
+    assert build_parser().plain is build_parser().plain
     helps = []
     for _ in range(2):
         with pytest.raises(SystemExit):
@@ -1192,16 +1199,117 @@ def test_parser_is_built_once_and_reused(capsys):
     capsys.readouterr()
     assert run_cli(capsys, "bound", SHARED_BIT, "--search")[0] == 0
 
+    # a plain command line skips argparse's parse pass; a declined one still reaches it
+    def parse_args(self, args=None, namespace=None):
+        raise AssertionError(f"parse_args {args}")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", parse_args)
+    assert run_cli(capsys, "bound", SHARED_BIT, "--search", "--json")[0] == 0
+    for argv in (["jgk", SHARED_BIT, "--js"], ["jgk", "-h"]):
+        with pytest.raises(AssertionError, match="parse_args"):
+            main(argv)
+
+
+# --- plain command lines ---
+
+SUBCOMMANDS = ("jgk", "bound", "oracle", "convert", "verify", "simulate")
+# the subcommands, every option string, and tokens that argparse reads in ways
+# the plain path leaves to it: abbreviations, "=", "--", "-", help, version,
+# negative numbers, values that fail their type or choices
+PLAIN_VOCABULARY = SUBCOMMANDS + (
+    "--json", "--partition", "--search", "--rate", "--to", "--out", "--random", "--seed", "--n",
+    "-h", "--help", "--version", "--js", "--n=5", "--", "-", "", "-1", "nan", "1e3", "x",
+    "hypergraphical", "graph", "5", "1/2", SHARED_BIT,
+)
+
+
+def _argparse_args(argv):
+    """argparse's Namespace for argv, or None where it exits (help, version, a usage error)."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return build_parser().parse_args(argv)
+        except SystemExit:
+            return None
+
+
+def _namespace_key(args) -> str:
+    """Equal for equal Namespaces, NaN values included."""
+    return repr(sorted(vars(args).items()))
+
+
+def plain_command_lines() -> list:
+    """Every subcommand on every spec, the benchmark's op shapes and the README's commands."""
+    argvs = []
+    for spec in sorted(str(f) for f in SPECS.glob("*.json")):
+        argvs += [
+            ["jgk", spec], ["jgk", spec, "--json"],
+            ["bound", spec], ["bound", spec, "--search", "--json"],
+            ["bound", spec, "--partition", "1,2/3", "--rate", "1.5", "--json"],
+            ["oracle", spec, "--json"],
+            ["convert", spec, "--to", "hypergraphical"],
+            ["convert", spec, "--to", "hypergraphical", "--out", "converted.json", "--json"],
+            ["verify", spec], ["verify", spec, "--json"],
+            ["simulate", spec, "--n", "1000", "--seed", "271828", "--json"],
+        ]
+    argvs += [["verify", "--random", "5", "--seed", "11", "--json"], ["verify", "--json", "--random", "3"]]
+    readme = [shlex.split(line, comments=True)[1:] for line in readme_command_block()
+              if line.startswith("zerotalk ")]
+    assert len(readme) >= 9
+    return argvs + readme
+
+
+def test_plain_command_lines_skip_argparse_with_its_namespace():
+    for argv in plain_command_lines():
+        args = _plain_args(argv)
+        assert args is not None, argv
+        assert _namespace_key(args) == _namespace_key(_argparse_args(argv)), argv
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--version"], ["-h"], ["graph", SHARED_BIT],
+    ["jgk"], ["jgk", "-h"], ["jgk", "--", SHARED_BIT], ["jgk", SHARED_BIT, "x"],
+    ["jgk", SHARED_BIT, "--js"], ["jgk", SHARED_BIT, "--json=1"], ["jgk", SHARED_BIT, "--version"],
+    ["bound", SHARED_BIT, "--rate", "-1"], ["bound", SHARED_BIT, "--rate", "x"], ["bound", SHARED_BIT, "--rate"],
+    ["bound", SHARED_BIT, "--search", "--partition", "1/2"],
+    ["convert", SHARED_BIT], ["convert", SHARED_BIT, "--to", "graph"],
+    ["convert", SHARED_BIT, "--to", "hypergraphical", "--out", "--json"],
+    ["verify", "--json", SHARED_BIT], ["simulate", SHARED_BIT, "--n=5"], ["simulate", SHARED_BIT, "--n", "1e3"],
+], ids=" ".join)
+def test_plain_path_leaves_other_command_lines_to_argparse(argv):
+    assert _plain_args(argv) is None
+
+
+def test_plain_path_agrees_with_argparse_on_drawn_command_lines():
+    """Whatever the plain path reads, argparse reads the same; what argparse
+    refuses, the plain path declines."""
+    rng = random.Random(0)
+    accepted = 0
+    for _ in range(12000):
+        head = [rng.choice(SUBCOMMANDS if rng.random() < 0.9 else PLAIN_VOCABULARY)]
+        argv = head + [rng.choice(PLAIN_VOCABULARY) for _ in range(rng.randrange(7))]
+        args = _plain_args(argv)
+        if args is None:
+            continue
+        accepted += 1
+        expected = _argparse_args(argv)
+        assert expected is not None, argv
+        assert _namespace_key(args) == _namespace_key(expected), argv
+    assert accepted >= 500
+
 
 # --- README examples ---
+
+
+def readme_command_block() -> list:
+    """The lines of the README's command-line block."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0].splitlines()
 
 
 def readme_examples():
     """(argv, expected stdout) for each command in the README's command-line
     block that is followed by its output as '# ' lines."""
-    text = (ROOT / "README.md").read_text(encoding="utf-8")
-    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    lines = block.splitlines()
+    lines = readme_command_block()
     examples = []
     for i, line in enumerate(lines):
         if not line.startswith("zerotalk "):
