@@ -182,8 +182,7 @@ def cols_mat(x_cols: Sequence[Sequence[int]], a: FiniteMatrix, n: int) -> list[S
             acc = [0] * n
             for k, col in enumerate(x_cols):
                 c = a.at(k, j)
-                if c:
-                    acc = [s + c * v for s, v in zip(acc, col)]
+                acc = [s + c * v for s, v in zip(acc, col)]
             out.append([s % q for s in acc])
         return out
     reduce, scale = _byte_tables(q)

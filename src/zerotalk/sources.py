@@ -156,7 +156,7 @@ class Edge(Value):
 
     def __init__(self, name: str, subset, pmf):
         probs = tuple(pmf)
-        self._store(name, subset, len(probs), probs)
+        super().__init__(name, frozenset(subset), len(probs), probs)
         weights, _ = _check_pmf(probs, f"edge {name!r}")
         if isinstance(weights[0], int) and weights.count(weights[0]) == len(weights):  # exact, all equal
             object.__setattr__(self, "probs", None)
@@ -169,19 +169,14 @@ class Edge(Value):
             raise ModelError(f"edge {name!r}: alphabet size must be positive, got {size}")
         check_budget(f"edge {name!r}", size, "uniform values")
         e = cls.__new__(cls)
-        e._store(name, subset, size, None)
+        Value.__init__(e, name, frozenset(subset), size, None)
         return e
 
-    def _store(self, name: str, subset, size: int, probs) -> None:
-        """Set the fields directly: Value's generic constructor is slower on this hot path."""
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "subset", frozenset(subset))
-        object.__setattr__(self, "alphabet_size", size)
-        object.__setattr__(self, "probs", probs)
-        if not name:
+    def __post_init__(self) -> None:
+        if not self.name:
             raise ModelError("edge name must be nonempty")
         if not self.subset:
-            raise ModelError(f"edge {name!r}: user subset must be nonempty")
+            raise ModelError(f"edge {self.name!r}: user subset must be nonempty")
 
     @property
     def pmf(self) -> tuple[Probability, ...]:
@@ -293,7 +288,7 @@ class DiscreteSource(Value):
             if len(key) != len(sizes):
                 raise ModelError(f"realization {key} has {len(key)} symbols, expected {len(sizes)}")
             for i, sym in enumerate(key, start=1):
-                if type(sym) is not int and not gf.is_int(sym):  # a plain int passes the cheap test
+                if not gf.is_int(sym):
                     raise ModelError(f"realization {key}: symbol {sym!r} of user {i} is not an integer")
         _check_symbols(sizes, masses)
         keys = sorted(k for k, p in masses.items() if p != 0)
@@ -407,15 +402,6 @@ class EntropyProfile:
                     if not k:
                         break
                     k = (k - 1) & rest
-
-    def of(self, subset) -> float:
-        mask = 0
-        for u in subset:
-            mask |= 1 << (u - 1)
-        return self.h[mask]
-
-    def total(self) -> float:
-        return self.h[-1]
 
     def matches(self, other: "EntropyProfile") -> bool:
         if self.user_count != other.user_count:

@@ -392,6 +392,11 @@ def pairwise_profile_ok(user_count: int, h: list) -> bool:
     return all(h[s] + h[t] >= h[s | t] + h[s & t] - tol for s in masks for t in masks)
 
 
+def profile_at(prof, subset) -> float:
+    """H(X_S) of an EntropyProfile for a set of 1-based users: prof.h at the mask."""
+    return prof.h[sum(1 << (u - 1) for u in set(subset))]
+
+
 # --- reference Fraction paths kept from before exact masses were integer weights ---
 
 

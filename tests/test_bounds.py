@@ -349,6 +349,21 @@ def test_partition_search_runs_at_the_cap_and_stops_one_step_past_it(monkeypatch
     assert str(info.value) == "partition search: 30695 search steps exceed the limit of 30694"
 
 
+def test_best_partition_reads_the_limit_once_below_the_cap(monkeypatch):
+    # the cap is read as the search starts, not at each of its 30695 steps
+    import zerotalk.bounds as bounds_module
+    import zerotalk.sources as sources_module
+
+    g = HypergraphicalSource(12, (Edge.uniform("g", range(1, 13), 2),))
+    reads = []
+    real = sources_module.expansion_limit
+    counting = lambda: reads.append(1) or real()
+    monkeypatch.setattr(bounds_module, "expansion_limit", counting)
+    monkeypatch.setattr(sources_module, "expansion_limit", counting)
+    assert best_partition(g).partition == Partition(12, [[1], range(2, 13)])
+    assert len(reads) == 1
+
+
 def test_best_partition_is_never_vacuous():
     # the singleton partition's coefficient is at most (m-2)/(m-1) < 1
     rng = random.Random(800)

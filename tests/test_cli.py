@@ -637,6 +637,57 @@ def test_verify_row_reduces_the_stacked_matrix_once(capsys, monkeypatch):
     assert reduced.count(True) == 1
 
 
+def test_simulate_hashes_one_stream_when_the_users_agree(capsys, monkeypatch):
+    import zerotalk.cli as cli_module
+
+    hashed = []
+    real = cli_module._key_digest
+    monkeypatch.setattr(cli_module, "_key_digest", lambda *args: hashed.append(args) or real(*args))
+    code, out, _ = run_cli(capsys, "simulate", SHARED_BIT, "--n", "1000", "--json")
+    report = json.loads(out)
+    assert code == 0 and report["agreement"]
+    assert len(hashed) == 1
+    assert report["key_digests"] == [real(*hashed[0])] * 3
+
+
+def test_simulate_labels_a_radix_key_a_digit_column_at_a_time(monkeypatch):
+    # no code of a radix key is split into its digits on its own
+    import zerotalk.cli as cli_module
+    import zerotalk.sim as sim_module
+
+    h = HypergraphicalSource(2, tuple(Edge.uniform(name, {1, 2}, r) for name, r in (("a", 3), ("b", 4), ("c", 5))))
+    label = sim_module.build_extractor(h).label
+    codes = range(60)
+    want = {code: repr(label(code)).encode() for code in codes}
+    splits = []
+    monkeypatch.setattr(sim_module, "divmod", lambda a, b: splits.append(a) or divmod(a, b), raising=False)
+    assert cli_module._label_reprs([codes], label) == want
+    assert splits == []
+
+
+def test_ascii_ratio_masses_load_without_fraction_or_the_checked_constructor(monkeypatch):
+    import zerotalk.cli as cli_module
+
+    def refuse(*args):
+        raise AssertionError(f"called with {args}")
+
+    monkeypatch.setattr(cli_module, "Fraction", refuse)
+    monkeypatch.setattr(DiscreteSource, "__init__", refuse)
+    d = load_model(TWO_COINS)
+    assert d.weights == {(0, 0): 1, (1, 1): 1} and d.total == 2
+
+
+def test_a_list_of_plain_ints_passes_on_its_types_alone(monkeypatch):
+    import zerotalk.cli as cli_module
+
+    checked = []
+    monkeypatch.setattr(cli_module, "isinstance", lambda v, t: checked.append(v) or isinstance(v, t), raising=False)
+    assert cli_module._all_ints([3, 1, 2])
+    assert checked == []
+    assert not cli_module._all_ints([1, True])
+    assert True in checked  # a bool is an int subclass: only the full test turns it away
+
+
 def test_verify_on_a_discrete_model_runs_its_oracle_and_profile_once(capsys, monkeypatch):
     calls = []
 

@@ -368,6 +368,14 @@ def test_intersection_rref_and_rank_are_one_elimination_each(monkeypatch, q):
     assert shapes == [(5, 6), (3, 3), (3, 3)]
 
 
+def test_gf2_elimination_packs_a_bit_per_entry():
+    # a GF(2) row of 64 entries is a 64-bit int, so a row operation is one XOR of it
+    import zerotalk.gf as gf_module
+
+    m = FiniteMatrix(2, 2, 64, (1,) * 64 + (0, 1) * 32)
+    assert [row.bit_length() for row in gf_module._packed_rows(m)] == [64, 63]
+
+
 @pytest.mark.parametrize("q", [2, 3, 131, 2**31 - 1])
 @pytest.mark.parametrize("rows, cols", [(0, 3), (3, 0), (0, 0)])
 def test_rref_of_an_empty_matrix_is_itself_with_no_pivots(q, rows, cols):
@@ -544,6 +552,48 @@ def test_cols_mat_reuses_each_column_times_coefficient_term(q):
     want = [[vec_mat(x, a)[j] for x in xs] for j in range(a.cols)]
     for given in (x_cols, [bytes(col) for col in x_cols]):
         assert [list(col) for col in cols_mat(given, a, n)] == want
+
+
+def test_cols_mat_scales_columns_only_by_coefficients_past_one(monkeypatch):
+    # a zero coefficient adds no term and a one adds the column as it is:
+    # of the coefficients 0, 1, 3 and 1, 2, 0 only 3 and 2 read a scale table
+    import zerotalk.gf as gf_module
+
+    scaled = []
+
+    class Recording(tuple):
+        def __getitem__(self, c):
+            scaled.append(c)
+            return tuple.__getitem__(self, c)
+
+    reduce, scale = gf_module._byte_tables(5)
+    monkeypatch.setattr(gf_module, "_byte_tables", lambda q: (reduce, Recording(scale)))
+    a = FiniteMatrix.from_rows(5, [[0, 1], [1, 2], [3, 0]])
+    xs = [(1, 3, 0), (2, 4, 1)]
+    got = cols_mat([[x[k] for x in xs] for k in range(3)], a, 2)
+    assert [list(col) for col in got] == [[vec_mat(x, a)[j] for x in xs] for j in range(2)]
+    assert scaled == [3, 2]
+
+
+def test_cols_mat_reduces_a_column_once_per_batch_of_terms(monkeypatch):
+    # over GF(2) a byte sums 255 terms before it must be reduced: ten terms of
+    # one output column read ten columns and are reduced once, at the end
+    import zerotalk.gf as gf_module
+
+    reads = []
+
+    class CountingInt(int):
+        @staticmethod
+        def from_bytes(*args):
+            reads.append(args)
+            return int.from_bytes(*args)
+
+    a = FiniteMatrix(2, 10, 1, (1,) * 10)
+    monkeypatch.setattr(gf_module, "int", CountingInt, raising=False)
+    xs = [(1,) * 10, (1, 0) * 5, (0, 1, 1, 1, 0, 0, 0, 0, 0, 0)]
+    got = cols_mat([[x[k] for x in xs] for k in range(10)], a, 3)
+    assert list(got[0]) == [sum(x) % 2 for x in xs]
+    assert len(reads) == 10
 
 
 def test_cols_mat_rejects_wrong_column_count():

@@ -39,6 +39,7 @@ from helpers import (
     hidden_walk_witness_bits,
     identity,
     partition_of,
+    profile_at,
     random_discrete,
     random_fls,
     random_hypergraphical,
@@ -98,6 +99,26 @@ def test_oracle_labels_are_canonical():
     # lexicographically smallest realization gets label 0, next gets 1, ...
     ordered = sorted(w.payload)
     assert [w.payload[r] for r in ordered] == [0, 1, 2]
+
+
+def test_oracle_joins_a_realization_only_to_one_sharing_its_symbol():
+    # no two realizations share a symbol, so find runs once per realization, for its label
+    import sys
+
+    h = HypergraphicalSource(2, (Edge.uniform("e", {1, 2}, 4),))
+    finds = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "find" and frame.f_code.co_filename.endswith("mcf.py"):
+            finds.append(event)
+
+    sys.setprofile(profile)
+    try:
+        w = gk_oracle(h)
+    finally:
+        sys.setprofile(None)
+    assert len(set(w.payload.values())) == 4
+    assert len(finds) == 4
 
 
 def test_oracle_respects_limit(shared_bit_source, monkeypatch):
@@ -307,7 +328,7 @@ def test_common_information_bounded_by_min_marginal():
         from zerotalk.sources import entropy_profile
 
         prof = entropy_profile(d)
-        least = min(prof.of({i}) for i in range(1, 4))
+        least = min(profile_at(prof, {i}) for i in range(1, 4))
         assert w.entropy_bits <= least + 1e-9
 
 

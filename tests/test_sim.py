@@ -496,6 +496,18 @@ def test_draw_returns_bytes_on_the_table_path(size, weighted, kind):
     _same_draw(size, 1000, 2, cum)
 
 
+def test_draw_table_picks_only_for_cuts_near_a_slice_edge(monkeypatch):
+    # the cut of a 1 : 2 draw lies a third of the way into its slice of m, so the
+    # table marks that slice with no pick; a cut on a slice edge is searched by picks
+    picks = []
+    real = sim_module.bisect_right
+    monkeypatch.setattr(sim_module, "bisect_right", lambda *args: picks.append(args) or real(*args))
+    assert _draw(random.Random(0), 2, 0, [1, 3]) == b""
+    assert picks == []
+    assert _draw(random.Random(0), 2, 0, [1, 2]) == b""
+    assert picks
+
+
 def test_draw_of_a_huge_uniform_edge_builds_nothing_per_value():
     # a 10**6-value edge goes to random.choices before any per-cut list is made
     tracemalloc.start()

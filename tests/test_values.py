@@ -167,6 +167,19 @@ def test_constructor_rejects_missing_extra_and_repeated_fields(call):
         call()
 
 
+def test_every_field_given_in_order_builds_no_dict(monkeypatch):
+    # only keywords or a wrong count go through the dict of names to values
+    import zerotalk.errors as errors_module
+
+    made = []
+    monkeypatch.setattr(errors_module, "dict", lambda *args, **kwargs: made.append(args) or dict(*args, **kwargs),
+                        raising=False)
+    assert repr(_matrix()) == MATRIX
+    assert made == []
+    assert FiniteMatrix(q=3, rows=2, cols=2, entries=(1, 5, 0, 2)) == _matrix()
+    assert len(made) == 1
+
+
 def test_simulation_run_compares_and_hashes_its_scalars_and_keys():
     run = _run()
     assert hash(run) == hash(_run())
