@@ -10,100 +10,36 @@ linear-to-edge conversion, and a zero-discussion agreement simulator round
 out the toolkit.
 """
 
-from .bounds import (
-    LaminationBound,
-    Partition,
-    all_partitions,
-    alpha,
-    best_partition,
-    chain_bound,
-    lamination_bound,
-    singleton_partition,
-)
-from .errors import (
-    ExpansionTooLarge,
-    ModelError,
-    NotTwoUsers,
-    ParseError,
-    PartitionInvalid,
-    SubspaceNotContained,
-    UnsupportedModel,
-    WitnessInvalid,
-    ZerotalkError,
-)
-from .gf import FieldOrder, FiniteMatrix
-from .mcf import (
-    CommonFunctionWitness,
-    EdgeSubsetWitness,
-    LabelingWitness,
-    SubspaceWitness,
-    common_function,
-    evaluate_witness,
-    gk_finite_linear,
-    gk_hypergraphical,
-    gk_oracle,
-    jgk,
-)
-from .sim import KeyExtractor, SimulationRun, build_extractor, run
-from .sources import (
-    DiscreteSource,
-    Edge,
-    EntropyProfile,
-    FiniteLinearSource,
-    HypergraphicalSource,
-    entropy_profile,
-    expand_finite_linear,
-    expand_hypergraphical,
-    fls_to_hypergraphical,
-    shannon_bits,
-    to_discrete,
-)
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "CommonFunctionWitness",
-    "DiscreteSource",
-    "Edge",
-    "EdgeSubsetWitness",
-    "EntropyProfile",
-    "ExpansionTooLarge",
-    "FieldOrder",
-    "FiniteLinearSource",
-    "FiniteMatrix",
-    "HypergraphicalSource",
-    "KeyExtractor",
-    "LabelingWitness",
-    "LaminationBound",
-    "ModelError",
-    "NotTwoUsers",
-    "ParseError",
-    "Partition",
-    "PartitionInvalid",
-    "SimulationRun",
-    "SubspaceNotContained",
-    "SubspaceWitness",
-    "UnsupportedModel",
-    "WitnessInvalid",
-    "ZerotalkError",
-    "all_partitions",
-    "alpha",
-    "best_partition",
-    "build_extractor",
-    "chain_bound",
-    "common_function",
-    "entropy_profile",
-    "evaluate_witness",
-    "expand_finite_linear",
-    "expand_hypergraphical",
-    "fls_to_hypergraphical",
-    "gk_finite_linear",
-    "gk_hypergraphical",
-    "gk_oracle",
-    "jgk",
-    "lamination_bound",
-    "run",
-    "shannon_bits",
-    "singleton_partition",
-    "to_discrete",
-]
+# the public names by defining module; each module loads on the first use of one
+# of its names (PEP 562), so importing the package loads none of them
+_EXPORTS = {
+    "bounds": ("LaminationBound", "Partition", "all_partitions", "alpha", "best_partition",
+               "chain_bound", "lamination_bound", "singleton_partition"),
+    "errors": ("ExpansionTooLarge", "ModelError", "NotTwoUsers", "ParseError", "PartitionInvalid",
+               "SubspaceNotContained", "UnsupportedModel", "WitnessInvalid", "ZerotalkError"),
+    "gf": ("FieldOrder", "FiniteMatrix"),
+    "mcf": ("CommonFunctionWitness", "EdgeSubsetWitness", "LabelingWitness", "SubspaceWitness",
+            "common_function", "evaluate_witness", "gk_finite_linear", "gk_hypergraphical",
+            "gk_oracle", "jgk"),
+    "sim": ("KeyExtractor", "SimulationRun", "build_extractor", "run"),
+    "sources": ("DiscreteSource", "Edge", "EntropyProfile", "FiniteLinearSource",
+                "HypergraphicalSource", "entropy_profile", "expand_finite_linear",
+                "expand_hypergraphical", "fls_to_hypergraphical", "shannon_bits", "to_discrete"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

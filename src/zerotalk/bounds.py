@@ -13,8 +13,8 @@ Two families:
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence, Union
 
 from .errors import PartitionInvalid, UnsupportedModel, Value
 from .gf import FiniteMatrix, column_space_intersection
@@ -221,8 +221,8 @@ def best_partition(h: HypergraphicalSource) -> LaminationBound:
 
 
 def chain_bound(
-    s: Union[HypergraphicalSource, FiniteLinearSource],
-    ordering: Optional[Sequence[int]] = None,
+    s: HypergraphicalSource | FiniteLinearSource,
+    ordering: Sequence[int] | None = None,
 ) -> float:
     """Sequential two-party bound: fold users in, keeping the pairwise
     common function of the next user's observation and the running value.

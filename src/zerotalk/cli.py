@@ -34,22 +34,14 @@ import functools
 import itertools
 import json
 import math
-import random
 import sys
 from fractions import Fraction
 
+# mcf, bounds, sim and random are imported by the commands that run them, so a
+# command loads only the modules it needs
 from . import __version__
-from .bounds import (
-    Partition,
-    best_partition,
-    chain_bound,
-    lamination_bound,
-    singleton_partition,
-)
 from .errors import ExpansionTooLarge, ParseError, UnsupportedModel, ZerotalkError
-from .gf import FiniteMatrix
-from .mcf import common_function, evaluate_witness, gk_oracle
-from .sim import labels_of, run as run_simulation
+from .gf import FieldOrder, FiniteMatrix
 from .sources import (
     ENTROPY_TOLERANCE,
     DiscreteSource,
@@ -167,7 +159,11 @@ def _parse_finite_linear(doc: dict) -> FiniteLinearSource:
         if len(widths) > 1:
             raise ParseError(f"{where}: ragged rows")
         cols = widths.pop() if widths else 0
-        matrices.append(FiniteMatrix.from_rows(q, rows, cols=cols))
+        # q is checked once this matrix's rows parse; the entries passed _all_ints
+        # above, so the matrix is built without FiniteMatrix's second check
+        field = FieldOrder(q)
+        entries = tuple(x % field for row in rows for x in row)
+        matrices.append(FiniteMatrix._of(field, len(rows), cols, entries))
     return FiniteLinearSource(q, dim, tuple(matrices))
 
 
@@ -288,6 +284,8 @@ def _bits(x: float) -> str:
 
 
 def cmd_jgk(args) -> int:
+    from .mcf import common_function
+
     s = load_model(args.model)
     w = common_function(s)
     report = {
@@ -307,6 +305,8 @@ def cmd_jgk(args) -> int:
 
 
 def parse_partition_text(text: str, users: int) -> Partition:
+    from .bounds import Partition, singleton_partition
+
     if text == "singletons":
         return singleton_partition(users)
     blocks = []
@@ -325,6 +325,8 @@ def parse_partition_text(text: str, users: int) -> Partition:
 
 
 def cmd_bound(args) -> int:
+    from .bounds import best_partition, lamination_bound
+
     if not math.isfinite(args.rate) or args.rate < 0:
         raise ParseError(f"--rate must be a finite nonnegative number, got {args.rate!r}")
     rate = args.rate + 0.0  # -0.0 reads as 0.0
@@ -372,6 +374,8 @@ def cmd_bound(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .mcf import gk_oracle
+
     s = load_model(args.model)
     d = to_discrete(s)
     w = gk_oracle(d)
@@ -413,7 +417,7 @@ def cmd_convert(args) -> int:
     return EXIT_OK
 
 
-def _random_model(rng: random.Random):
+def _random_model(rng):
     if rng.random() < 0.5:
         users = rng.randrange(2, 5)
         edges = []
@@ -448,6 +452,9 @@ def _profiles_agree(name: str, a, b, detail: str) -> tuple:
 
 def _verify_one(s) -> list:
     """Cross-checks for one model; returns (name, ok, detail) triples."""
+    from .bounds import chain_bound, lamination_bound, singleton_partition
+    from .mcf import common_function, evaluate_witness, gk_oracle
+
     w = common_function(s)
     closed = w.entropy_bits
     # every budget of the expansion and both profiles, in the order they would
@@ -495,6 +502,8 @@ def cmd_verify(args) -> int:
             raise ParseError("give a model file or --random, not both")
         if args.random < 1:
             raise ParseError(f"--random needs N >= 1, got {args.random}")
+        import random
+
         rng = random.Random(args.seed)
         models = [_random_model(rng) for _ in range(args.random)]
         scope = f"{args.random} random models (seed {args.seed})"
@@ -536,6 +545,8 @@ def cmd_verify(args) -> int:
 
 def _label_reprs(streams, label) -> dict:
     """Each distinct code of the streams -> repr(label(code)) as ASCII bytes."""
+    from .sim import labels_of
+
     distinct = list(set().union(*streams))
     return dict(zip(distinct, map(str.encode, map(repr, labels_of(label, distinct)))))
 
@@ -553,6 +564,8 @@ def _key_digest(stream, reprs: dict) -> str:
 
 
 def cmd_simulate(args) -> int:
+    from .sim import run as run_simulation
+
     s = load_model(args.model)
     result = run_simulation(s, n=args.n, seed=args.seed)
     # agreeing users hold equal streams: hash one and repeat its digest

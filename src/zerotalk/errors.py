@@ -53,11 +53,12 @@ class WitnessInvalid(ZerotalkError):
 
 
 class Value:
-    """Immutable value with the fields its class annotates, ClassVars aside:
-    built from them, positional or keyword, then ``__post_init__`` if any.
-    repr, same-class ``==`` and ``hash`` read the first ``compared`` fields
-    (a class keyword; all by default).  Only ``object.__setattr__`` sets a
-    field: assigning or deleting an attribute raises AttributeError."""
+    """Immutable value with the fields its class annotates (a class constant
+    is left unannotated): built from them, positional or keyword, then
+    ``__post_init__`` if any.  repr, same-class ``==`` and ``hash`` read the
+    first ``compared`` fields (a class keyword; all by default).  Only
+    ``object.__setattr__`` sets a field: assigning or deleting an attribute
+    raises AttributeError."""
 
     _fields = ()
     __post_init__ = None  # or a method that checks and normalizes the fields
@@ -65,7 +66,7 @@ class Value:
     def __init_subclass__(cls, compared=None, **kwargs):
         super().__init_subclass__(**kwargs)
         own = vars(cls).get("__annotations__", {})
-        cls._fields += tuple(n for n, a in own.items() if "ClassVar" not in str(a))
+        cls._fields += tuple(own)
         cls._shown = cls._fields[:compared]
         cls._key = attrgetter(*cls._shown)
 

@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
 from itertools import accumulate, chain
-from typing import Iterable, Iterator, Sequence
 
 from .errors import ModelError, SubspaceNotContained, Value
 

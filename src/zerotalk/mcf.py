@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import reduce
-from typing import ClassVar
 
 from .errors import ModelError, Value, WitnessInvalid
 from .gf import FiniteMatrix, column_space_intersection, hstack, row_space_basis, row_space_keys
@@ -61,7 +60,6 @@ class CommonFunctionWitness(Value):
     entropy_bits is the entropy of the witness value under the source law.
     """
 
-    kind: ClassVar[str]
     payload: object
     entropy_bits: float
 

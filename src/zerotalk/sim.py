@@ -32,9 +32,9 @@ import math
 import random
 from bisect import bisect_right
 from collections import Counter
+from collections.abc import Callable, Sequence
 from functools import cached_property, partial
 from struct import unpack, unpack_from
-from typing import Callable, ClassVar, Sequence
 
 from .errors import ModelError, Value
 from .gf import codes, cols_mat, solve
@@ -289,7 +289,7 @@ class SimulationRun(Value, compared=6):
     rate_ok: bool
     codes: tuple
     label: Callable
-    discussion_bits: ClassVar[int] = 0
+    discussion_bits = 0
     __hash__ = Value.__hash__  # defining __eq__ below would clear it
 
     @cached_property

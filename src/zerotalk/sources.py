@@ -45,13 +45,12 @@ from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter, lshift
 from types import MappingProxyType
-from typing import ClassVar, Optional, Union
 
 from . import gf
 from .errors import ExpansionTooLarge, ModelError, NotTwoUsers, Value
 
-Probability = Union[Fraction, float]
-Weight = Union[int, Fraction, float]  # an int over a common total, or a mass over 1
+Probability = Fraction | float
+Weight = int | Fraction | float  # an int over a common total, or a mass over 1
 
 DEFAULT_EXPANSION_LIMIT = 10**6
 PROJECTIONS_PER_POINT = 100  # 10**8 profile projections, ~210 ns each: ~20 s (2-vCPU VM, CPython 3.11)
@@ -152,7 +151,7 @@ class Edge(Value):
     name: str
     subset: frozenset[int]
     alphabet_size: int
-    probs: Optional[tuple[Probability, ...]]
+    probs: tuple[Probability, ...] | None
 
     def __init__(self, name: str, subset, pmf):
         probs = tuple(pmf)
@@ -190,7 +189,7 @@ class Edge(Value):
 class HypergraphicalSource(Value):
     """Independent edge variables; user i observes every edge whose subset contains i."""
 
-    model: ClassVar[str] = "hypergraphical"
+    model = "hypergraphical"
     user_count: int
     edges: tuple[Edge, ...]
 
@@ -220,7 +219,7 @@ class HypergraphicalSource(Value):
 class FiniteLinearSource(Value):
     """Shared uniform vector over GF(q); user i observes x @ matrices[i]."""
 
-    model: ClassVar[str] = "finite_linear"
+    model = "finite_linear"
     q: gf.FieldOrder
     dim: int
     matrices: tuple[gf.FiniteMatrix, ...]
@@ -275,7 +274,7 @@ class DiscreteSource(Value):
     read-only mapping of the masses themselves, built on each read.
     """
 
-    model: ClassVar[str] = "discrete"
+    model = "discrete"
     alphabet_sizes: tuple[int, ...]
     weights: dict[tuple[int, ...], Weight]
     total: int
@@ -347,7 +346,7 @@ class DiscreteSource(Value):
             out[proj] = out.get(proj, 0) + w
         return out
 
-AnySource = Union[DiscreteSource, HypergraphicalSource, FiniteLinearSource]
+AnySource = DiscreteSource | HypergraphicalSource | FiniteLinearSource
 
 
 class EntropyProfile:

@@ -36,7 +36,7 @@ from zerotalk.cli import (
     render_hypergraphical,
 )
 from zerotalk.errors import ModelError, ParseError
-from zerotalk.gf import hstack, rref
+from zerotalk.gf import FiniteMatrix, hstack, rref
 from zerotalk.mcf import LabelingWitness
 from zerotalk.sim import KeyExtractor, run
 from zerotalk.sources import (
@@ -87,6 +87,31 @@ def test_parse_finite_linear_document():
     assert isinstance(s, FiniteLinearSource)
     assert s.matrices[0].cols == 2  # keys sorted numerically, user 1 first
     assert s.matrices[1].col(0) == (1, 2)
+
+
+def test_finite_linear_entries_are_checked_once_on_load(monkeypatch):
+    rows = {"1": [[1, -1], [5, 0], [3, 7]], "2": [[-4], [2], [9]]}
+    doc = {"model": "finite_linear", "q": 3, "dim": 3, "matrices": rows}
+    calls = []
+    real = FiniteMatrix.__post_init__
+    monkeypatch.setattr(FiniteMatrix, "__post_init__", lambda m: calls.append(m) or real(m))
+    s = parse_model(doc)
+    assert calls == []  # the parse checked every entry; the matrices skip the second check
+    assert s.matrices == tuple(FiniteMatrix.from_rows(3, rows[k]) for k in ("1", "2"))
+    assert len(calls) == 2 and s.matrices[0].entries == (1, 2, 2, 0, 0, 1)
+
+
+@pytest.mark.parametrize("matrices, expected", [
+    # the field is checked once the first matrix's rows parse, before the second matrix
+    ({"1": [[1], [0]], "2": [[1], ["x"]]}, (EXIT_MODEL, "error: field order must be prime, got 4\n")),
+    ({"1": [[1], [True]], "2": [[1], [0]]},
+     (EXIT_PARSE, "error: matrix for user 1: rows must be lists of integers\n")),
+])
+def test_finite_linear_errors_surface_in_file_order(tmp_path, capsys, matrices, expected):
+    model = tmp_path / "gf4.json"
+    model.write_text(json.dumps({"model": "finite_linear", "q": 4, "dim": 2, "matrices": matrices}))
+    code, out, err = run_cli(capsys, "jgk", str(model))
+    assert (code, err) == expected and out == ""
 
 
 def test_parse_discrete_document():
@@ -541,12 +566,10 @@ def test_verify_runs_no_partition_search(tmp_path, capsys, monkeypatch):
     # lamination_at_zero reads the singleton line: at rate 0 every line that is
     # not vacuous reads J_GK, so the search would decide nothing
     import zerotalk.bounds as bounds_module
-    import zerotalk.cli as cli_module
 
     def refuse(h):
         raise AssertionError("verify ran the partition search")
 
-    monkeypatch.setattr(cli_module, "best_partition", refuse)
     monkeypatch.setattr(bounds_module, "best_partition", refuse)
     converted = str(tmp_path / "converted.json")
     assert run_cli(capsys, "convert", OVERLAP_PAIR, "--to", "hypergraphical", "--out", converted)[0] == EXIT_OK
@@ -559,12 +582,12 @@ def test_verify_runs_no_partition_search(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_reports_mismatch(capsys, monkeypatch):
-    import zerotalk.cli as cli_module
+    import zerotalk.mcf as mcf_module
 
     def broken_oracle(s):
         return LabelingWitness({}, 123.0)
 
-    monkeypatch.setattr(cli_module, "gk_oracle", broken_oracle)
+    monkeypatch.setattr(mcf_module, "gk_oracle", broken_oracle)
     code, out, _ = run_cli(capsys, "verify", SHARED_BIT, "--json")
     assert code == EXIT_MISMATCH
     doc = json.loads(out)
@@ -572,9 +595,9 @@ def test_verify_reports_mismatch(capsys, monkeypatch):
 
 
 def test_verify_text_of_models_that_mismatch(capsys, monkeypatch):
-    import zerotalk.cli as cli_module
+    import zerotalk.mcf as mcf_module
 
-    monkeypatch.setattr(cli_module, "gk_oracle", lambda s: LabelingWitness({}, 123.0))
+    monkeypatch.setattr(mcf_module, "gk_oracle", lambda s: LabelingWitness({}, 123.0))
     code, out, _ = run_cli(capsys, "verify", "--random", "2", "--seed", "1")
     assert code == EXIT_MISMATCH
     assert out == (
@@ -835,13 +858,13 @@ def test_verify_pins_the_checks_of_a_five_user_model(tmp_path, capsys):
 
 
 def test_verify_reports_a_chain_bound_that_depends_on_the_ordering(tmp_path, capsys, monkeypatch):
-    import zerotalk.cli as cli_module
+    import zerotalk.bounds as bounds_module
 
     model = tmp_path / "four.json"
     model.write_text(json.dumps(_FOUR_USERS))
-    chain_bound = cli_module.chain_bound
+    chain_bound = bounds_module.chain_bound
     # the identity ordering keeps the true bound; an ordering starting at user k adds k - 1
-    monkeypatch.setattr(cli_module, "chain_bound", lambda s, order: chain_bound(s, order) + order[0] - 1)
+    monkeypatch.setattr(bounds_module, "chain_bound", lambda s, order: chain_bound(s, order) + order[0] - 1)
     code, out, _ = run_cli(capsys, "verify", str(model), "--json")
     checks = {c["name"]: (c["status"], c["detail"]) for c in json.loads(out)["checks"]}
     assert code == EXIT_MISMATCH

@@ -7,15 +7,10 @@ class, ``hash`` over the compared fields, and no assignment or deletion.
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-import zerotalk
 from zerotalk.bounds import LaminationBound, Partition
 from zerotalk.errors import Value
 from zerotalk.gf import FiniteMatrix
@@ -197,13 +192,3 @@ def test_class_constants_are_not_fields():
     assert DiscreteSource._fields == ("alphabet_sizes", "weights", "total")
     assert CommonFunctionWitness._fields == EdgeSubsetWitness._fields == ("payload", "entropy_bits")
     assert EdgeSubsetWitness.kind == "edge-subset"
-
-
-def test_cli_import_loads_no_dataclasses_inspect_or_hashlib():
-    """A cold ``import zerotalk.cli`` skips the modules only simulate or no one needs."""
-    code = ("import sys, zerotalk.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'hashlib'} & set(sys.modules)))")
-    env = dict(os.environ, PYTHONPATH=str(Path(zerotalk.__file__).resolve().parent.parent))
-    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
-                          env=env, timeout=60, check=True)
-    assert proc.stdout == "[]\n"
