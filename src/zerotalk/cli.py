@@ -41,7 +41,7 @@ from fractions import Fraction
 # command loads only the modules it needs
 from . import __version__
 from .errors import ExpansionTooLarge, ParseError, UnsupportedModel, ZerotalkError
-from .gf import FieldOrder, FiniteMatrix
+from .gf import FieldOrder, FiniteMatrix, digits
 from .sources import (
     ENTROPY_TOLERANCE,
     DiscreteSource,
@@ -543,12 +543,12 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_ok else EXIT_MISMATCH
 
 
-def _label_reprs(streams, label) -> dict:
-    """Each distinct code of the streams -> repr(label(code)) as ASCII bytes."""
-    from .sim import labels_of
-
+def _label_reprs(streams, radices) -> dict:
+    """Each distinct code of the streams -> the repr of its label, as ASCII
+    bytes: its gf.digits, or the code itself when radices is None."""
     distinct = list(set().union(*streams))
-    return dict(zip(distinct, map(str.encode, map(repr, labels_of(label, distinct)))))
+    labels = distinct if radices is None else digits(distinct, radices)
+    return dict(zip(distinct, map(str.encode, map(repr, labels))))
 
 
 def _key_digest(stream, reprs: dict) -> str:
@@ -570,7 +570,7 @@ def cmd_simulate(args) -> int:
     result = run_simulation(s, n=args.n, seed=args.seed)
     # agreeing users hold equal streams: hash one and repeat its digest
     streams = result.codes[:1] if result.agreement else result.codes
-    reprs = _label_reprs(streams, result.label)
+    reprs = _label_reprs(streams, result.radices)
     digests = [_key_digest(stream, reprs) for stream in streams]
     if result.agreement:
         digests *= len(result.codes)

@@ -55,20 +55,18 @@ class WitnessInvalid(ZerotalkError):
 class Value:
     """Immutable value with the fields its class annotates (a class constant
     is left unannotated): built from them, positional or keyword, then
-    ``__post_init__`` if any.  repr, same-class ``==`` and ``hash`` read the
-    first ``compared`` fields (a class keyword; all by default).  Only
-    ``object.__setattr__`` sets a field: assigning or deleting an attribute
-    raises AttributeError."""
+    ``__post_init__`` if any.  repr, same-class ``==`` and ``hash`` read every
+    field.  Only ``object.__setattr__`` sets a field: assigning or deleting an
+    attribute raises AttributeError."""
 
     _fields = ()
     __post_init__ = None  # or a method that checks and normalizes the fields
 
-    def __init_subclass__(cls, compared=None, **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         own = vars(cls).get("__annotations__", {})
         cls._fields += tuple(own)
-        cls._shown = cls._fields[:compared]
-        cls._key = attrgetter(*cls._shown)
+        cls._key = attrgetter(*cls._fields)
 
     def __init__(self, *args, **kwargs):
         names = self._fields
@@ -83,7 +81,7 @@ class Value:
             self.__post_init__()
 
     def __repr__(self):
-        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._shown)
+        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
         return f"{type(self).__qualname__}({shown})"
 
     def __eq__(self, other):

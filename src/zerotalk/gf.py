@@ -16,10 +16,11 @@ translates, and 32 bits for larger q, where it is one pass over the
 struct-unpacked fields.  ``row_space_keys`` walks the row space over every
 field alike, a chunk at a time through ``cols_mat`` and ``codes``, the one
 mixed-radix encoder: it folds value columns into keys for that walk and for
-the simulator's decoders.  Subspaces are handled through their spanning
-column sets; every routine that returns a basis returns the canonical one,
-the RREF basis of the span read as columns, so span-equal inputs produce
-identical output matrices and golden tests stay stable.
+the simulator's decoders, and ``digits`` is its inverse.  Subspaces are
+handled through their spanning column sets; every routine that returns a
+basis returns the canonical one, the RREF basis of the span read as columns,
+so span-equal inputs produce identical output matrices and golden tests stay
+stable.
 """
 
 from __future__ import annotations
@@ -243,6 +244,19 @@ def codes(cols: Sequence[Sequence[int]], radices: Sequence[int], n: int) -> Sequ
     for col, r in zip(cols, radices):
         out = [c * r + v for c, v in zip(out, col)]
     return out
+
+
+def digits(codes: Sequence[int], radices: Sequence[int]) -> list[tuple[int, ...]]:
+    """The digit tuple of each code of codes(cols, radices, n), the first most
+    significant, taken a digit column at a time.  No radices give ()."""
+    if not radices:
+        return [()] * len(codes)
+    columns = []
+    for r in reversed(radices[1:]):
+        columns.append([c % r for c in codes])
+        codes = [c // r for c in codes]
+    columns.append(codes)
+    return list(zip(*reversed(columns)))
 
 
 def hstack(*mats: FiniteMatrix) -> FiniteMatrix:

@@ -11,7 +11,9 @@ rounds at once (one column per edge or hidden coordinate; a discrete run draws
 one column of support indices, off which each user reads its own symbols), and
 each user's decoder, read off ``common_function(s).payload`` by
 ``build_extractor``, turns its own observation columns into its n keys in one
-call.  A key is an int code, turned into its label only where one is shown.
+call.  A key is an int code plus the radices it is mixed-radix in (``None``
+for a discrete key, whose code is its component label); ``gf.digits`` turns
+codes into labels only where they are shown.
 Edge and discrete columns are read off the generator's raw words through a
 table of the top byte or two of each round, the same draws as
 ``random.choices`` (``_draw``).  A column or key stream is ``bytes`` on the
@@ -30,10 +32,11 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from bisect import bisect_right
 from collections import Counter
-from collections.abc import Callable, Sequence
-from functools import cached_property, partial
+from collections.abc import Sequence
+from functools import partial
 from struct import unpack, unpack_from
 
 from .errors import ModelError, Value
@@ -60,31 +63,6 @@ def _surprisal_variance(probs) -> float:
     return math.fsum(p * (s - mean) ** 2 for p, s in zip(ps, surprises))
 
 
-def _digits(radices: tuple, code: int) -> tuple:
-    """The digits of a code of gf.codes; the first is what the lower radices leave."""
-    digits = []
-    for r in reversed(radices[1:]):
-        code, v = divmod(code, r)
-        digits.append(v)
-    return tuple(reversed(digits + [code])) if radices else ()
-
-
-def labels_of(label: Callable, codes: list) -> list:
-    """[label(code) for code in codes].  A radix key's label (the partial of
-    _digits build_extractor makes) takes its digits a digit column at a time."""
-    if not (isinstance(label, partial) and label.func is _digits):
-        return list(map(label, codes))
-    radices = label.args[0]
-    if not radices:
-        return [()] * len(codes)
-    columns = []
-    for r in reversed(radices[1:]):
-        columns.append([c % r for c in codes])
-        codes = [c // r for c in codes]
-    columns.append(codes)
-    return list(zip(*reversed(columns)))
-
-
 class KeyExtractor(Value):
     """Each user's key decoder for the maximum common function of a source.
 
@@ -93,15 +71,16 @@ class KeyExtractor(Value):
     (bytes on the byte paths, a list otherwise).
     expected_bits is the witness entropy, surprise_var the variance of the
     key's surprisal in bits^2 (for the rate tolerance), label_count the number
-    of possible keys, and label(code) the key's label: the chosen edges'
-    values, the subspace coordinates, or the support component.
+    of possible keys, and radices those of the codes, whose gf.digits are the
+    chosen edges' values or the subspace coordinates; None for a discrete
+    source, whose code is its support component.
     """
 
     decoders: tuple
     expected_bits: float
     surprise_var: float
     label_count: int
-    label: Callable
+    radices: tuple | None
 
 
 def _component_codes(lookup: dict, table: bytes | None, obs: tuple, n: int) -> Sequence[int]:
@@ -140,8 +119,8 @@ def build_extractor(s: AnySource) -> KeyExtractor:
             table = bytes(map(lookup.get, range(256), bytes(256))) if len(masses) <= 256 else None
             decoders.append(partial(_component_codes, lookup, table))
         var = _surprisal_variance(m / s.total for m in masses.values())
-        return KeyExtractor(tuple(decoders), w.entropy_bits, var, len(masses), lambda code: code)
-    return KeyExtractor(decoders, w.entropy_bits, var, math.prod(radices), partial(_digits, radices))
+        return KeyExtractor(tuple(decoders), w.entropy_bits, var, len(masses), None)
+    return KeyExtractor(decoders, w.entropy_bits, var, math.prod(radices), radices)
 
 
 def _cdf(weights, total: int) -> list:
@@ -276,10 +255,10 @@ def _observation_columns(s: AnySource, rng: random.Random, n: int) -> list:
     return [(list(map(symbols.__getitem__, picks)),) for symbols in zip(*s.weights)]
 
 
-class SimulationRun(Value, compared=6):
+class SimulationRun(Value):
     """Outcome of n zero-discussion key-extraction rounds: each user's stream
     of n key codes (bytes on the byte paths, a list otherwise; all users' of
-    one type) and label(code), a code's key label.  Runs compare by labels."""
+    one type) and the extractor's radices of those codes."""
 
     n: int
     seed: int
@@ -288,23 +267,16 @@ class SimulationRun(Value, compared=6):
     expected_rate_bits: float
     rate_ok: bool
     codes: tuple
-    label: Callable
+    radices: tuple | None
     discussion_bits = 0
-    __hash__ = Value.__hash__  # defining __eq__ below would clear it
-
-    @cached_property
-    def per_user_keys(self) -> tuple:
-        """One tuple of key labels per user, built when first read."""
-        return tuple(tuple(map(self.label, stream)) for stream in self.codes)
-
-    def __eq__(self, other):
-        return Value.__eq__(self, other) is True and self.per_user_keys == other.per_user_keys
 
 
 def rate_tolerance(surprise_var: float, label_count: int, n: int) -> float:
     """Allowed |empirical - expected| gap: three standard errors of the mean
-    surprisal plus a plug-in bias allowance of order label_count/n."""
-    return 3.0 * math.sqrt(surprise_var / n) + 3.0 * label_count / n
+    surprisal plus a plug-in bias allowance of order label_count/n, infinite
+    past the float range."""
+    bias = 3.0 * label_count / n if label_count <= sys.float_info.max else math.inf
+    return 3.0 * math.sqrt(surprise_var / n) + bias
 
 
 def run(s: AnySource, n: int, seed: int) -> SimulationRun:
@@ -329,5 +301,5 @@ def run(s: AnySource, n: int, seed: int) -> SimulationRun:
         expected_rate_bits=ext.expected_bits,
         rate_ok=ok,
         codes=codes,
-        label=ext.label,
+        radices=ext.radices,
     )

@@ -351,6 +351,24 @@ def round_decoders(s, w):
     return [{r[coord]: w.payload[r] for r in s.pmf}.__getitem__ for coord in range(s.user_count)]
 
 
+def key_label(radices, code):
+    """The label of one simulator key code: its mixed-radix digits, the first
+    most significant, or the code itself when radices is None (a discrete
+    key).  The per-code reference for gf.digits."""
+    if radices is None:
+        return code
+    digits = []
+    for r in reversed(radices[1:]):
+        code, v = divmod(code, r)
+        digits.append(v)
+    return tuple(reversed(digits + [code])) if radices else ()
+
+
+def key_labels(run) -> tuple:
+    """One tuple of key labels per user of a SimulationRun."""
+    return tuple(tuple(key_label(run.radices, code) for code in stream) for stream in run.codes)
+
+
 def round_key_streams(s, w, n: int, seed: int) -> tuple:
     """Per-user key streams of n rounds, one draw and one decode per round."""
     decoders = round_decoders(s, w)

@@ -47,6 +47,7 @@ from zerotalk.sources import (
     entropy_profile,
 )
 
+from helpers import key_label, key_labels
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -676,15 +677,16 @@ def test_simulate_hashes_one_stream_when_the_users_agree(capsys, monkeypatch):
 def test_simulate_labels_a_radix_key_a_digit_column_at_a_time(monkeypatch):
     # no code of a radix key is split into its digits on its own
     import zerotalk.cli as cli_module
+    import zerotalk.gf as gf_module
     import zerotalk.sim as sim_module
 
     h = HypergraphicalSource(2, tuple(Edge.uniform(name, {1, 2}, r) for name, r in (("a", 3), ("b", 4), ("c", 5))))
-    label = sim_module.build_extractor(h).label
+    radices = sim_module.build_extractor(h).radices
     codes = range(60)
-    want = {code: repr(label(code)).encode() for code in codes}
+    want = {code: repr(key_label(radices, code)).encode() for code in codes}
     splits = []
-    monkeypatch.setattr(sim_module, "divmod", lambda a, b: splits.append(a) or divmod(a, b), raising=False)
-    assert cli_module._label_reprs([codes], label) == want
+    monkeypatch.setattr(gf_module, "divmod", lambda a, b: splits.append(a) or divmod(a, b), raising=False)
+    assert cli_module._label_reprs([codes], radices) == want
     assert splits == []
 
 
@@ -972,12 +974,33 @@ def test_simulate_output(capsys):
     assert len(doc["first_labels"]) == 16
 
 
+# keys of more labels than a float holds: 52 global edges of 10**6 values
+# (10**312 labels) and a 40-dim subspace of GF(2**31 - 1) that both users see
+_EYE_40 = [[int(i == j) for j in range(40)] for i in range(40)]
+_PAST_FLOAT_KEYS = [
+    {"model": "hypergraphical", "users": 2,
+     "edges": [{"name": f"g{k}", "subset": [1, 2], "uniform": 10**6} for k in range(52)]},
+    {"model": "finite_linear", "q": 2147483647, "dim": 40, "matrices": {"1": _EYE_40, "2": _EYE_40}},
+]
+
+
+@pytest.mark.parametrize("doc", _PAST_FLOAT_KEYS, ids=["edges-10**312", "gf2147483647-dim40"])
+def test_simulate_keys_past_the_float_range_are_within_tolerance(capsys, tmp_path, doc):
+    # the label-count allowance is infinite there, not an OverflowError
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "simulate", str(model), "--n", "10", "--json")
+    assert code == EXIT_OK
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert report["agreement"] and report["rate_ok"]
+
+
 @pytest.mark.parametrize("model", [SHARED_BIT, OVERLAP_PAIR, TWO_COINS])
 def test_simulate_digest_is_sha256_of_joined_labels(capsys, model):
     code, out, _ = run_cli(capsys, "simulate", model, "--n", "300", "--seed", "2", "--json")
     assert code == 0
     doc = json.loads(out)
-    stream = run(load_model(model), n=300, seed=2).per_user_keys[0]
+    stream = key_labels(run(load_model(model), n=300, seed=2))[0]
     joined = ",".join(map(repr, stream))
     assert doc["key_digests"][0] == hashlib.sha256(joined.encode()).hexdigest()
     assert doc["key_digests"] == [doc["key_digests"][0]] * doc["users"]
@@ -990,7 +1013,7 @@ def test_simulate_digest_is_sha256_of_joined_labels(capsys, model):
 def test_simulate_digest_past_one_chunk_is_sha256_of_joined_labels(capsys, model, n):
     code, out, _ = run_cli(capsys, "simulate", model, "--n", str(n), "--seed", "2", "--json")
     assert code == 0
-    stream = run(load_model(model), n=n, seed=2).per_user_keys[0]
+    stream = key_labels(run(load_model(model), n=n, seed=2))[0]
     joined = ",".join(map(repr, stream))
     assert json.loads(out)["key_digests"][0] == hashlib.sha256(joined.encode()).hexdigest()
 
@@ -1027,12 +1050,12 @@ def test_simulate_output_is_pinned_on_wide_keys_and_draws(capsys, tmp_path, doc,
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def _reference_digest(stream, label) -> str:
-    return hashlib.sha256(",".join(repr(label(code)) for code in stream).encode()).hexdigest()
+def _reference_digest(stream, radices) -> str:
+    return hashlib.sha256(",".join(repr(key_label(radices, code)) for code in stream).encode()).hexdigest()
 
 
 # one repr per distinct code feeds the digest and the preview: each must read
-# as sha256 of ",".join(repr(label(code))) and repr(label(code)) themselves
+# as sha256 of ",".join(repr(key_label(radices, code))) and those reprs themselves
 _GF3_729 = {"model": "finite_linear", "q": 3, "dim": 6,
             "matrices": {"1": [[int(i == j) for j in range(6)] for i in range(6)],
                          "2": [[int(i == 5 - j) for j in range(6)] for i in range(6)]}}
@@ -1056,8 +1079,8 @@ def test_simulate_digest_and_preview_read_each_label_repr(capsys, tmp_path, doc,
     code, out, _ = run_cli(capsys, "simulate", str(model), "--n", "20000", "--seed", "4", "--json")
     assert code == 0
     got = json.loads(out)
-    assert got["key_digests"] == [_reference_digest(result.codes[0], result.label)] * len(result.codes)
-    assert got["first_labels"] == [repr(result.label(c)) for c in result.codes[0][:16]]
+    assert got["key_digests"] == [_reference_digest(result.codes[0], result.radices)] * len(result.codes)
+    assert got["first_labels"] == [repr(key_label(result.radices, c)) for c in result.codes[0][:16]]
     if doc is _GF3_729:
         assert len(set(result.codes[0])) == 729
     if doc is _NO_KEY:
@@ -1074,7 +1097,7 @@ def test_simulate_digests_of_disagreeing_radix_keys(capsys, monkeypatch):
         ext = build(s)
         shifted = lambda obs, n: [code + ext.label_count for code in ext.decoders[1](obs, n)]
         return KeyExtractor((ext.decoders[0], shifted, *ext.decoders[2:]), ext.expected_bits,
-                            ext.surprise_var, ext.label_count, ext.label)
+                            ext.surprise_var, ext.label_count, ext.radices)
 
     monkeypatch.setattr(sim_module, "build_extractor", disagreeing)
     code, out, _ = run_cli(capsys, "simulate", OVERLAP_PAIR, "--n", "500", "--seed", "3", "--json")
@@ -1082,9 +1105,9 @@ def test_simulate_digests_of_disagreeing_radix_keys(capsys, monkeypatch):
     got = json.loads(out)
     result = sim_module.run(load_model(OVERLAP_PAIR), 500, 3)
     assert not result.agreement and got["agreement"] is False
-    assert got["key_digests"] == [_reference_digest(stream, result.label) for stream in result.codes]
+    assert got["key_digests"] == [_reference_digest(stream, result.radices) for stream in result.codes]
     assert not set(result.codes[0]) & set(result.codes[1])
-    assert got["first_labels"] == [repr(result.label(c)) for c in result.codes[0][:16]]
+    assert got["first_labels"] == [repr(key_label(result.radices, c)) for c in result.codes[0][:16]]
 
 
 @pytest.mark.parametrize("n", ["0", "-5"])
@@ -1112,7 +1135,7 @@ def test_simulate_reports_users_that_disagree(capsys, monkeypatch):
 
     def disagreeing(s):  # user i decodes every round as the label i
         decoders = [lambda obs, n, i=i: [i] * n for i in range(1, s.user_count + 1)]
-        return KeyExtractor(tuple(decoders), 1.0, 0.0, 1, lambda code: code)  # a rate of 0 is out of tolerance
+        return KeyExtractor(tuple(decoders), 1.0, 0.0, 1, None)  # a rate of 0 is out of tolerance
 
     monkeypatch.setattr(sim_module, "build_extractor", disagreeing)
     digests = [hashlib.sha256(",".join(["1"] * 5).encode()).hexdigest(),

@@ -25,6 +25,7 @@ from zerotalk.gf import (
     cols_mat,
     column_space_intersection,
     columns_subset,
+    digits,
     extend_basis,
     hstack,
     matmul,
@@ -41,6 +42,7 @@ from helpers import (
     _digits,
     greedy_extend_basis,
     identity,
+    key_label,
     list_rref,
     reference_column_space_basis,
     reference_hstack,
@@ -617,6 +619,21 @@ def test_codes_is_the_mixed_radix_index_most_significant_first(radices, n):
     want = [_digits([col[i] for col in cols], radices) for i in range(n)]
     assert list(codes(cols, radices, n)) == want
     assert want[0] == math.prod(radices) - 1
+
+
+# digits inverts codes on each of its paths (bytes, fields of 2, 4 and 8 bytes,
+# joined runs, radices past 256) and on no radices, and agrees code by code
+# with the per-code decoder
+@pytest.mark.parametrize("radices", [(), (3, 5, 17), (2,) * 8, *WIDE_RADICES])
+def test_digits_inverts_codes_and_matches_the_per_code_decoder(radices):
+    n = 300
+    rng = random.Random(f"{radices}-digits")
+    cols = [[rng.randrange(r) for _ in range(n)] for r in radices]
+    cols = [[r - 1] + col[1:] for r, col in zip(radices, cols)]  # the largest code in round 0
+    keys = codes(cols, radices, n)
+    rows = digits(keys, radices)
+    assert rows == [tuple(col[i] for col in cols) for i in range(n)]
+    assert rows == [key_label(radices, code) for code in keys]
 
 
 # a byte path returns bytes and the other paths a list; bytes columns read as their lists

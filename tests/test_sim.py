@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from zerotalk.errors import ExpansionTooLarge, ModelError
-from zerotalk.gf import FiniteMatrix, vec_mat
+from zerotalk.gf import FiniteMatrix, digits, vec_mat
 from zerotalk.mcf import common_function, gk_oracle
 from zerotalk.cli import load_model
 import zerotalk.sim as sim_module
@@ -24,7 +24,6 @@ from zerotalk.sim import (
     _observation_columns,
     _uniform_columns,
     build_extractor,
-    labels_of,
     rate_tolerance,
     run,
 )
@@ -37,6 +36,8 @@ from zerotalk.sources import (
 )
 from helpers import (
     identity,
+    key_label,
+    key_labels,
     random_discrete,
     random_fls,
     random_hypergraphical,
@@ -55,8 +56,8 @@ def test_run_shared_bit(shared_bit_source):
     assert result.expected_rate_bits == pytest.approx(1.0, abs=1e-12)
     assert abs(result.empirical_rate_bits - 1.0) < 0.1
     assert result.rate_ok
-    assert len(result.per_user_keys) == 3
-    assert all(len(k) == 1000 for k in result.per_user_keys)
+    assert len(key_labels(result)) == 3
+    assert all(len(k) == 1000 for k in key_labels(result))
 
 
 def test_run_overlap_pair(overlap_pair_source):
@@ -72,7 +73,7 @@ def test_run_trivial_key(pairwise_xor_source):
     assert result.expected_rate_bits == 0.0
     assert result.empirical_rate_bits == 0.0
     assert result.rate_ok
-    assert set(result.per_user_keys[0]) == {()}
+    assert set(key_labels(result)[0]) == {()}
 
 
 def test_run_is_deterministic(shared_bit_source):
@@ -80,7 +81,7 @@ def test_run_is_deterministic(shared_bit_source):
     b = run(shared_bit_source, n=100, seed=5)
     assert a == b
     c = run(shared_bit_source, n=100, seed=6)
-    assert c.per_user_keys != a.per_user_keys
+    assert key_labels(c) != key_labels(a)
 
 
 def test_run_discrete_oracle_witness(shared_bit_source):
@@ -162,9 +163,9 @@ def test_extractor_projects_global_edge(shared_bit_source):
     ext = build_extractor(shared_bit_source)
     # user 1 sees (a, b, c); users 2 and 3 see two edges each; each decoder
     # must pick out exactly the c component (one round: one-value columns)
-    assert list(map(ext.label, ext.decoders[0](([10], [20], [30]), 1))) == [(30,)]
-    assert list(map(ext.label, ext.decoders[1](([20], [30]), 1))) == [(30,)]
-    assert list(map(ext.label, ext.decoders[2](([10], [30]), 1))) == [(30,)]
+    assert [key_label(ext.radices, c) for c in ext.decoders[0](([10], [20], [30]), 1)] == [(30,)]
+    assert [key_label(ext.radices, c) for c in ext.decoders[1](([20], [30]), 1)] == [(30,)]
+    assert [key_label(ext.radices, c) for c in ext.decoders[2](([10], [30]), 1)] == [(30,)]
     assert ext.label_count == 2
     assert ext.surprise_var == pytest.approx(0.0, abs=1e-12)
 
@@ -178,7 +179,7 @@ def test_extractor_computes_hidden_sum(overlap_pair_source):
         expected = ((x[0] + x[1]) % 2,)
         for decode, mat in zip(ext.decoders, overlap_pair_source.matrices):
             obs = tuple([v] for v in vec_mat(x, mat))
-            assert list(map(ext.label, decode(obs, 1))) == [expected]
+            assert [key_label(ext.radices, c) for c in decode(obs, 1)] == [expected]
 
 
 # --- column decoders and sampler against the per-round reference ---
@@ -242,14 +243,14 @@ def _user_columns(worlds, i, source):
 
 @pytest.mark.parametrize("s, w", _decoder_cases())
 def test_column_decoders_match_reference_round_by_round(s, w):
-    # the decoders return int codes; label(code) is the reference's label
+    # the decoders return int codes; each code's key_label is the reference's label
     ext = build_extractor(s)
     reference = round_decoders(s, w)
     rng = random.Random(17)
     draw = round_sampler(s)
     worlds = [draw(rng) for _ in range(80)]
     for i, (decode, ref) in enumerate(zip(ext.decoders, reference)):
-        labels = list(map(ext.label, decode(_user_columns(worlds, i, s), len(worlds))))
+        labels = [key_label(ext.radices, c) for c in decode(_user_columns(worlds, i, s), len(worlds))]
         assert labels == [ref(world[i]) for world in worlds]
 
 
@@ -258,7 +259,8 @@ def test_labels_of_a_code_list_is_each_codes_label(s, w):
     # radix keys take their digits a column at a time; every code of the key, the largest first
     ext = build_extractor(s)
     codes = [ext.label_count - 1, *range(min(ext.label_count, 300)), 0]
-    assert labels_of(ext.label, codes) == list(map(ext.label, codes))
+    labels = codes if ext.radices is None else digits(codes, ext.radices)
+    assert labels == [key_label(ext.radices, c) for c in codes]
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -267,7 +269,7 @@ def test_discrete_key_stream_matches_reference(seed, shared_bit_source):
     for d in (load_model(str(TWO_COINS)), random_discrete(rng, 2), random_discrete(rng, 3),
               to_discrete(shared_bit_source)):
         w = common_function(d)
-        assert run(d, 300, seed).per_user_keys == round_key_streams(d, w, 300, seed)
+        assert key_labels(run(d, 300, seed)) == round_key_streams(d, w, 300, seed)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -525,9 +527,11 @@ def test_run_streams_share_one_type_and_compare_by_labels(labels, kind):
     result = run(h, 1000, 6)
     assert result.agreement and [type(stream) for stream in result.codes] == [kind] * 3
     as_lists = SimulationRun(*[getattr(result, f) for f in SimulationRun._fields[:6]],
-                             tuple(map(list, result.codes)), result.label)
-    assert as_lists == result and as_lists.per_user_keys == result.per_user_keys
-    assert result.per_user_keys[0] == tuple((code,) for code in list(result.codes[0]))
+                             tuple(map(list, result.codes)), result.radices)
+    # runs compare by every field: a list-coded copy of a bytes-coded run is
+    # another run, with the same key labels
+    assert (as_lists == result) is (kind is list) and key_labels(as_lists) == key_labels(result)
+    assert key_labels(result)[0] == tuple((code,) for code in list(result.codes[0]))
 
 
 def test_large_field_run_agrees():
@@ -535,8 +539,8 @@ def test_large_field_run_agrees():
     f = _linear(q, 2, [[1, 5]], [[2, 10], [0, 1]])
     result = run(f, n=300, seed=8)
     assert result.agreement and result.rate_ok
-    assert len(set(result.per_user_keys[0])) > 250
-    assert all(0 <= v < q for (v,) in result.per_user_keys[0])
+    assert len(set(key_labels(result)[0])) > 250
+    assert all(0 <= v < q for (v,) in key_labels(result)[0])
 
 
 # --- empirical rate behavior ---
@@ -544,6 +548,13 @@ def test_large_field_run_agrees():
 
 def test_rate_tolerance_shrinks_with_n():
     assert rate_tolerance(1.0, 4, 10000) < rate_tolerance(1.0, 4, 100)
+
+
+def test_rate_tolerance_is_infinite_past_the_float_range():
+    # a label count no float holds gives an infinite allowance, not an OverflowError
+    assert rate_tolerance(0.0, 10**312, 10) == math.inf
+    assert rate_tolerance(0.0, 2**1024, 10**9) == math.inf
+    assert rate_tolerance(0.0, 10**300, 10) == pytest.approx(3e299)
 
 
 def test_rate_concentrates_on_biased_edge():
@@ -564,7 +575,7 @@ def test_rate_gap_of_ten_standard_errors_is_out_of_tolerance(monkeypatch, errors
     ext = build_extractor(h)
     n = 4000
     moved = ext.expected_bits + errors * math.sqrt(ext.surprise_var / n)
-    shifted = KeyExtractor(ext.decoders, moved, ext.surprise_var, ext.label_count, ext.label)
+    shifted = KeyExtractor(ext.decoders, moved, ext.surprise_var, ext.label_count, ext.radices)
     monkeypatch.setattr(sim_module, "build_extractor", lambda s: shifted)
     result = run(h, n=n, seed=99)
     assert result.agreement and result.rate_ok is ok
@@ -577,4 +588,4 @@ def test_keys_over_larger_alphabet(shared_bit_source):
     result = run(h, n=2000, seed=1)
     assert result.agreement
     assert result.rate_ok
-    assert set(result.per_user_keys[0]) <= {(v,) for v in range(5)}
+    assert set(key_labels(result)[0]) <= {(v,) for v in range(5)}

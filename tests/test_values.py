@@ -2,7 +2,7 @@
 
 Each class is a plain class on ``errors.Value``: positional and keyword
 construction, the repr the classes have always printed, ``==`` within one
-class, ``hash`` over the compared fields, and no assignment or deletion.
+class, ``hash`` over every field, and no assignment or deletion.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ from zerotalk.gf import FiniteMatrix
 from zerotalk.mcf import CommonFunctionWitness, EdgeSubsetWitness, SubspaceWitness
 from zerotalk.sim import KeyExtractor, SimulationRun
 from zerotalk.sources import DiscreteSource, Edge, FiniteLinearSource, HypergraphicalSource
+
+from helpers import key_labels
 
 EDGE_A = "Edge(name='a', subset=frozenset({1, 2}), alphabet_size=2, probs=(Fraction(1, 4), Fraction(3, 4)))"
 EDGE_B = "Edge(name='b', subset=frozenset({1}), alphabet_size=2, probs=None)"
@@ -45,8 +47,8 @@ def _hypergraph():
     return HypergraphicalSource(2, (_edge(), _uniform_edge()))
 
 
-def _run(codes=((0, 1, 0, 1), (0, 1, 0, 1)), label=str):
-    return SimulationRun(4, 7, True, 1.0, 1.0, True, codes, label)
+def _run(codes=((0, 1, 0, 1), (0, 1, 0, 1)), radices=(2,)):
+    return SimulationRun(4, 7, True, 1.0, 1.0, True, codes, radices)
 
 
 # (class, build, repr): each repr is the text these classes have always
@@ -57,16 +59,17 @@ VALUES = [
     pytest.param(LaminationBound, lambda: LaminationBound(_partition(), Fraction(1, 2), 1.0),
                  f"LaminationBound(partition={PARTITION}, coefficient=Fraction(1, 2), intercept_bits=1.0)",
                  id="LaminationBound"),
-    pytest.param(KeyExtractor, lambda: KeyExtractor((), 1.0, 0.25, 2, str),
+    pytest.param(KeyExtractor, lambda: KeyExtractor((), 1.0, 0.25, 2, (2,)),
                  "KeyExtractor(decoders=(), expected_bits=1.0, surprise_var=0.25, "
-                 "label_count=2, label=<class 'str'>)", id="KeyExtractor"),
+                 "label_count=2, radices=(2,))", id="KeyExtractor"),
     pytest.param(CommonFunctionWitness, lambda: EdgeSubsetWitness(("a",), 0.5),
                  "EdgeSubsetWitness(payload=('a',), entropy_bits=0.5)", id="EdgeSubsetWitness"),
     pytest.param(CommonFunctionWitness, lambda: SubspaceWitness(_matrix(), 2.0),
                  f"SubspaceWitness(payload={MATRIX}, entropy_bits=2.0)", id="SubspaceWitness"),
     pytest.param(SimulationRun, _run,
                  "SimulationRun(n=4, seed=7, agreement=True, empirical_rate_bits=1.0, "
-                 "expected_rate_bits=1.0, rate_ok=True)", id="SimulationRun"),
+                 "expected_rate_bits=1.0, rate_ok=True, codes=((0, 1, 0, 1), (0, 1, 0, 1)), "
+                 "radices=(2,))", id="SimulationRun"),
     pytest.param(Edge, _edge, EDGE_A, id="Edge"),
     pytest.param(Edge, _uniform_edge, EDGE_B, id="Edge-uniform"),
     pytest.param(HypergraphicalSource, _hypergraph, HYPER, id="HypergraphicalSource"),
@@ -129,11 +132,11 @@ CONSTRUCTIONS = [  # (class, positional args, the same as keywords in another or
     (Partition, (3, [[3, 1], [2]]), dict(blocks=[[3, 1], [2]], user_count=3)),
     (LaminationBound, (_partition(), Fraction(1, 2), 1.0),
      dict(intercept_bits=1.0, coefficient=Fraction(1, 2), partition=_partition())),
-    (KeyExtractor, ((), 1.0, 0.25, 2, str),
-     dict(label=str, label_count=2, surprise_var=0.25, expected_bits=1.0, decoders=())),
+    (KeyExtractor, ((), 1.0, 0.25, 2, (2,)),
+     dict(radices=(2,), label_count=2, surprise_var=0.25, expected_bits=1.0, decoders=())),
     (EdgeSubsetWitness, (("a",), 0.5), dict(entropy_bits=0.5, payload=("a",))),
-    (SimulationRun, (4, 7, True, 1.0, 1.0, True, ((0, 1),) * 2, str),
-     dict(label=str, codes=((0, 1),) * 2, rate_ok=True, expected_rate_bits=1.0, empirical_rate_bits=1.0,
+    (SimulationRun, (4, 7, True, 1.0, 1.0, True, ((0, 1),) * 2, (2,)),
+     dict(radices=(2,), codes=((0, 1),) * 2, rate_ok=True, expected_rate_bits=1.0, empirical_rate_bits=1.0,
           agreement=True, seed=7, n=4)),
     (Edge, ("a", [2, 1], [Fraction(1, 4), Fraction(3, 4)]),
      dict(pmf=[Fraction(1, 4), Fraction(3, 4)], subset=[2, 1], name="a")),
@@ -178,11 +181,19 @@ def test_every_field_given_in_order_builds_no_dict(monkeypatch):
 def test_simulation_run_compares_and_hashes_its_scalars_and_keys():
     run = _run()
     assert hash(run) == hash(_run())
-    # the same key labels from other codes and another label map
-    assert run == _run(((1, 0, 1, 0), (1, 0, 1, 0)), lambda c: str(1 - c))
+    # the same key labels from other codes and other radices: another run
+    a, b = _run(((2, 1),) * 2, (2, 2)), _run(((3, 1),) * 2, (2, 3))
+    assert a != b and key_labels(a) == key_labels(b) == (((1, 0), (0, 1)),) * 2
     assert run != _run(((1, 0, 1, 0), (1, 0, 1, 0)))
-    assert run != SimulationRun(4, 8, True, 1.0, 1.0, True, run.codes, str)
-    assert run.per_user_keys == (("0", "1", "0", "1"),) * 2
+    assert run != SimulationRun(4, 8, True, 1.0, 1.0, True, run.codes, (2,))
+    # a list-coded copy of a bytes-coded run: unequal and unhashable, with the same key labels
+    as_bytes = _run((bytes((0, 1, 0, 1)),) * 2)
+    as_lists = _run(tuple(map(list, as_bytes.codes)))
+    assert as_bytes != as_lists and key_labels(as_bytes) == key_labels(as_lists) == key_labels(run)
+    assert hash(as_bytes) == hash(_run((bytes((0, 1, 0, 1)),) * 2))
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(as_lists)
+    assert key_labels(run) == (((0,), (1,), (0,), (1,)),) * 2
     assert run.discussion_bits == 0 and "discussion_bits" not in SimulationRun._fields
 
 
