@@ -17,9 +17,8 @@ from collections.abc import Iterator, Sequence
 from fractions import Fraction
 
 from .errors import PartitionInvalid, UnsupportedModel, Value
-from .gf import FiniteMatrix, column_space_intersection
 from .mcf import gk_hypergraphical
-from .sources import FiniteLinearSource, HypergraphicalSource, check_budget, expansion_limit
+from .sources import FiniteLinearSource, HypergraphicalSource, check_budget, expansion_limit, load_gf
 
 
 class Partition(Value):
@@ -152,11 +151,17 @@ def best_partition(h: HypergraphicalSource) -> LaminationBound:
     Touches never shrink and a completion has at most (blocks so far + users
     left) blocks, so no completion's coefficient is below
     (max touches - 1)/(blocks so far + users left - 1).  A prefix is cut when
-    that bound is above the best coefficient, or equals it with more blocks
-    opened than the best has, or when it cannot reach two blocks.  The worst
-    case is still a Bell number of partitions, so the search counts steps (a
-    user placed, an edge count updated, a user read out of a leaf) against
-    ZEROTALK_EXPANSION_LIMIT and raises ExpansionTooLarge past it.
+    that bound is above the best coefficient, or when it cannot reach two
+    blocks.  A prefix whose bound ties the best coefficient is cut when it
+    has opened more blocks than the best has, or as many and its blocks so
+    far are not lexicographically below the best's: a completion that opens
+    another block loses the tie-break, and one that opens none appends later
+    users to the ends of these blocks, which cannot take them below the
+    best's.  So every leaf that is not cut beats the best.
+    The worst case is still a Bell number of partitions, so the search
+    counts steps (a user placed, an edge count updated, a user read out of a
+    tie or a leaf) against ZEROTALK_EXPANSION_LIMIT and raises
+    ExpansionTooLarge past it.
     """
     m = h.user_count
     # an edge of one user touches one block, and a repeated edge never raises the max
@@ -204,20 +209,30 @@ def best_partition(h: HypergraphicalSource) -> LaminationBound:
             continue
         if best is not None:
             over, under = (grown - 1) * best[1], best[0] * (most - 1)
-            if over > under or over == under and blocks > best[2]:
+            if over > under:
                 continue
+            if over == under and blocks >= best[2]:  # a tie, with no fewer blocks than the best
+                if blocks > best[2]:
+                    continue
+                steps += user + 1
+                if _blocks(labels, user + 1, blocks) >= best[3]:
+                    continue
         if user + 1 < m:
             user += 1
             opened[user], worst[user] = blocks, grown
             continue
-        # a leaf that was not cut ties or beats the best: read out its blocks
         steps += m
-        parts = [[] for _ in range(blocks)]
-        for u, c in enumerate(labels, start=1):
-            parts[c].append(u)
-        if best is None or over < under or (blocks, parts) < best[2:]:
-            best = (grown - 1, blocks - 1, blocks, parts)
+        best = (grown - 1, blocks - 1, blocks, _blocks(labels, m, blocks))
     return lamination_bound(h, Partition(m, best[3]))
+
+
+def _blocks(labels: list, placed: int, count: int) -> list:
+    """The blocks, as ascending user lists, of the first ``placed`` users'
+    block labels."""
+    parts = [[] for _ in range(count)]
+    for u in range(placed):
+        parts[labels[u]].append(u + 1)
+    return parts
 
 
 def chain_bound(
@@ -246,7 +261,7 @@ def chain_bound(
         for user in order[1:]:
             carried &= set(s.incident(user))
         return math.fsum(s.edges[k].entropy_bits() for k in carried)
-    carried: FiniteMatrix = s.matrices[order[0] - 1]
+    intersect, carried = load_gf().column_space_intersection, s.matrices[order[0] - 1]
     for user in order[1:]:
-        carried = column_space_intersection(carried, s.matrices[user - 1])
+        carried = intersect(carried, s.matrices[user - 1])
     return carried.cols * math.log2(int(s.q))

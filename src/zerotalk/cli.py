@@ -37,11 +37,11 @@ import math
 import sys
 from fractions import Fraction
 
-# mcf, bounds, sim and random are imported by the commands that run them, so a
-# command loads only the modules it needs
+# mcf, bounds, sim and random are imported by the commands that run them, and gf
+# (through load_gf) by the first finite linear model or simulate, so a command
+# loads only the modules it needs
 from . import __version__
 from .errors import ExpansionTooLarge, ParseError, UnsupportedModel, ZerotalkError
-from .gf import FieldOrder, FiniteMatrix, digits
 from .sources import (
     ENTROPY_TOLERANCE,
     DiscreteSource,
@@ -51,6 +51,7 @@ from .sources import (
     check_projections,
     entropy_profile,
     fls_to_hypergraphical,
+    load_gf,
     support_size,
     to_discrete,
 )
@@ -146,7 +147,7 @@ def _parse_finite_linear(doc: dict) -> FiniteLinearSource:
         raise ParseError("finite_linear model: matrix keys must be user ids") from exc
     if keys != [str(u) for u in range(1, len(keys) + 1)]:  # "01", " 1" and "+1" are not ids
         raise ParseError(f"finite_linear model: matrix keys must be the user ids 1..{len(keys)}, got {keys}")
-    matrices = []
+    gf, matrices = load_gf(), []
     for uid, key in enumerate(keys, start=1):
         rows = raw[key]
         where = f"matrix for user {uid}"
@@ -161,9 +162,9 @@ def _parse_finite_linear(doc: dict) -> FiniteLinearSource:
         cols = widths.pop() if widths else 0
         # q is checked once this matrix's rows parse; the entries passed _all_ints
         # above, so the matrix is built without FiniteMatrix's second check
-        field = FieldOrder(q)
+        field = gf.FieldOrder(q)
         entries = tuple(x % field for row in rows for x in row)
-        matrices.append(FiniteMatrix._of(field, len(rows), cols, entries))
+        matrices.append(gf.FiniteMatrix._of(field, len(rows), cols, entries))
     return FiniteLinearSource(q, dim, tuple(matrices))
 
 
@@ -430,7 +431,7 @@ def _random_model(rng):
     q = rng.choice([2, 3, 5])
     dim = rng.randrange(1, 4)
     mats = tuple(
-        FiniteMatrix(
+        load_gf().FiniteMatrix(
             q, dim, cols, tuple(rng.randrange(q) for _ in range(dim * cols))
         )
         for cols in (rng.randrange(0, 3) for _ in range(users))
@@ -452,7 +453,6 @@ def _profiles_agree(name: str, a, b, detail: str) -> tuple:
 
 def _verify_one(s) -> list:
     """Cross-checks for one model; returns (name, ok, detail) triples."""
-    from .bounds import chain_bound, lamination_bound, singleton_partition
     from .mcf import common_function, evaluate_witness, gk_oracle
 
     w = common_function(s)
@@ -471,6 +471,7 @@ def _verify_one(s) -> list:
                                   "all subset entropies within tolerance"))
     if isinstance(s, DiscreteSource):
         return checks
+    from .bounds import chain_bound, lamination_bound, singleton_partition
 
     m = s.user_count
     identity = tuple(range(1, m + 1))
@@ -547,7 +548,7 @@ def _label_reprs(streams, radices) -> dict:
     """Each distinct code of the streams -> the repr of its label, as ASCII
     bytes: its gf.digits, or the code itself when radices is None."""
     distinct = list(set().union(*streams))
-    labels = distinct if radices is None else digits(distinct, radices)
+    labels = distinct if radices is None else load_gf().digits(distinct, radices)
     return dict(zip(distinct, map(str.encode, map(repr, labels))))
 
 

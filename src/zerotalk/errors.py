@@ -8,12 +8,19 @@ New errors should subclass the family whose code they need.  None stands
 for an internal bug: identities that hold by construction are checked by
 ``verify`` and the tests, not at run time.  ``Value``, the immutable base of
 the value classes, lives here too: no import loads ``dataclasses`` (with
-``inspect``, ``ast`` and ``dis``) or runs generated code.
+``inspect``, ``ast`` and ``dis``) or runs generated code.  ``is_int``, the
+integer test of sizes, shapes, symbols and matrix entries, lives here as
+well: edge and discrete models pass it without loading ``gf``.
 """
 
 from operator import attrgetter
 
 _set = object.__setattr__  # a global: faster than object.__setattr__ in Value.__init__'s loop
+
+
+def is_int(x) -> bool:
+    """An int and not a bool: the test of every matrix entry, shape and size."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 class ZerotalkError(Exception):

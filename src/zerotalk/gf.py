@@ -31,15 +31,10 @@ from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
 from itertools import accumulate, chain
 
-from .errors import ModelError, SubspaceNotContained, Value
+from .errors import ModelError, SubspaceNotContained, Value, is_int
 
 MAX_FIELD_ORDER = 2**31
 _CHUNK = 1024  # most points row_space_keys holds at once
-
-
-def is_int(x) -> bool:
-    """An int and not a bool: the test of every matrix entry, shape and size."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @lru_cache(maxsize=64)  # a model file names its field once per matrix

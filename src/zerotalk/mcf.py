@@ -23,19 +23,24 @@ from collections import Counter
 from functools import reduce
 
 from .errors import ModelError, Value, WitnessInvalid
-from .gf import FiniteMatrix, column_space_intersection, hstack, row_space_basis, row_space_keys
-# Unused here; perfbench's test_instrument_patches_every_namespace_and_restores_it
-# reads mcf.vec_mat.
-from .gf import vec_mat  # noqa: F401
 from .sources import (
     AnySource,
     DiscreteSource,
     FiniteLinearSource,
     HypergraphicalSource,
     check_budget,
+    load_gf,
     shannon_bits,
     to_discrete,
 )
+
+
+def __getattr__(name):
+    """mcf.vec_mat, which perfbench's tests read, is gf.vec_mat; reading it
+    loads gf (PEP 562)."""
+    if name == "vec_mat":
+        return load_gf().vec_mat
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _label_masses(weights: dict, labeling: dict) -> dict:
@@ -101,10 +106,10 @@ class EdgeSubsetWitness(CommonFunctionWitness):
 class SubspaceWitness(CommonFunctionWitness):
     kind = "subspace-basis"
 
-    def _basis(self, s: AnySource) -> FiniteMatrix:
+    def _basis(self, s: AnySource):
         if not isinstance(s, FiniteLinearSource):
             raise WitnessInvalid("subspace-basis witness needs a finite linear source")
-        basis: FiniteMatrix = self.payload
+        basis = self.payload
         if basis.q != s.q or basis.rows != s.dim:
             raise WitnessInvalid("witness basis has the wrong field or dimension")
         return basis
@@ -112,11 +117,11 @@ class SubspaceWitness(CommonFunctionWitness):
     def brute_force_bits(self, s: AnySource) -> float:
         """Walks the row space of [A | basis], A = [M_1 | ... | M_m]: the support
         of (observations, label), q**rank points, valid witness or not."""
-        basis = self._basis(s)
-        joint = row_space_basis(hstack(*s.matrices, basis))
+        basis, gf = self._basis(s), load_gf()
+        joint = gf.row_space_basis(gf.hstack(*s.matrices, basis))
         total = int(s.q) ** joint.rows
         check_budget("witness check", total, "points")
-        walk = row_space_keys(joint, (joint.cols - basis.cols, basis.cols))
+        walk = gf.row_space_keys(joint, (joint.cols - basis.cols, basis.cols))
         counts = Counter(label for _, label in walk)
         return shannon_bits(counts.values(), total)
 
@@ -165,7 +170,7 @@ def gk_finite_linear(f: FiniteLinearSource) -> SubspaceWitness:
     is a canonical basis of that intersection.  A source has at least two
     users, so the fold's first step already returns the canonical basis.
     """
-    basis = reduce(column_space_intersection, f.matrices)
+    basis = reduce(load_gf().column_space_intersection, f.matrices)
     bits = basis.cols * math.log2(int(f.q))
     return SubspaceWitness(basis, bits)
 

@@ -42,12 +42,11 @@ import math
 import os
 from collections.abc import Mapping
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from operator import itemgetter, lshift
 from types import MappingProxyType
 
-from . import gf
-from .errors import ExpansionTooLarge, ModelError, NotTwoUsers, Value
+from .errors import ExpansionTooLarge, ModelError, NotTwoUsers, Value, is_int
 
 Probability = Fraction | float
 Weight = int | Fraction | float  # an int over a common total, or a mass over 1
@@ -56,6 +55,15 @@ DEFAULT_EXPANSION_LIMIT = 10**6
 PROJECTIONS_PER_POINT = 100  # 10**8 profile projections, ~210 ns each: ~20 s (2-vCPU VM, CPython 3.11)
 PROBABILITY_TOLERANCE = 1e-9
 ENTROPY_TOLERANCE = 1e-9
+
+
+@cache
+def load_gf():
+    """The finite-field module ``gf``, imported on the first call.  Only
+    finite linear models use it (and the simulator, which imports it itself),
+    so a command on an edge or discrete model never compiles it."""
+    from . import gf
+    return gf
 
 
 def expansion_limit() -> int:
@@ -162,7 +170,7 @@ class Edge(Value):
 
     @classmethod
     def uniform(cls, name: str, subset, size: int) -> "Edge":
-        if not gf.is_int(size):
+        if not is_int(size):
             raise ModelError(f"edge {name!r}: alphabet size must be an integer, got {size!r}")
         if size < 1:
             raise ModelError(f"edge {name!r}: alphabet size must be positive, got {size}")
@@ -195,7 +203,7 @@ class HypergraphicalSource(Value):
 
     def __post_init__(self):
         object.__setattr__(self, "edges", tuple(self.edges))
-        if not gf.is_int(self.user_count):
+        if not is_int(self.user_count):
             raise ModelError(f"user count must be an integer, got {self.user_count!r}")
         if self.user_count < 2:
             raise ModelError(f"need at least 2 users, got {self.user_count}")
@@ -220,14 +228,14 @@ class FiniteLinearSource(Value):
     """Shared uniform vector over GF(q); user i observes x @ matrices[i]."""
 
     model = "finite_linear"
-    q: gf.FieldOrder
+    q: int  # a gf.FieldOrder
     dim: int
-    matrices: tuple[gf.FiniteMatrix, ...]
+    matrices: tuple  # a gf.FiniteMatrix per user
 
     def __post_init__(self):
-        object.__setattr__(self, "q", gf.FieldOrder(self.q))
+        object.__setattr__(self, "q", load_gf().FieldOrder(self.q))
         object.__setattr__(self, "matrices", tuple(self.matrices))
-        if not gf.is_int(self.dim):
+        if not is_int(self.dim):
             raise ModelError(f"ambient dimension must be an integer, got {self.dim!r}")
         if self.dim < 1:
             raise ModelError(f"ambient dimension must be positive, got {self.dim}")
@@ -244,15 +252,16 @@ class FiniteLinearSource(Value):
         return len(self.matrices)
 
     @cached_property
-    def _joint_basis(self) -> gf.FiniteMatrix:
+    def _joint_basis(self):
         """A basis of the row space of [M_1 | ... | M_m], reduced on the first read."""
+        gf = load_gf()
         return gf.row_space_basis(gf.hstack(*self.matrices))
 
 
 def _check_alphabets(sizes: tuple[int, ...]) -> None:
     if len(sizes) < 2:
         raise ModelError(f"need at least 2 users, got {len(sizes)}")
-    if not all(gf.is_int(a) and a >= 1 for a in sizes):
+    if not all(is_int(a) and a >= 1 for a in sizes):
         raise ModelError(f"alphabet sizes must be positive integers, got {sizes}")
 
 
@@ -287,7 +296,7 @@ class DiscreteSource(Value):
             if len(key) != len(sizes):
                 raise ModelError(f"realization {key} has {len(key)} symbols, expected {len(sizes)}")
             for i, sym in enumerate(key, start=1):
-                if not gf.is_int(sym):
+                if not is_int(sym):
                     raise ModelError(f"realization {key}: symbol {sym!r} of user {i} is not an integer")
         _check_symbols(sizes, masses)
         keys = sorted(k for k, p in masses.items() if p != 0)
@@ -470,11 +479,11 @@ def expand_finite_linear(f: FiniteLinearSource) -> DiscreteSource:
     q = int(f.q)
     basis = _stacked_row_space(f)
     widths = [m.cols for m in f.matrices]
-    weights = dict.fromkeys(gf.row_space_keys(basis, widths), 1)
+    weights = dict.fromkeys(load_gf().row_space_keys(basis, widths), 1)
     return DiscreteSource._from_weights(tuple(q**w for w in widths), weights, q**basis.rows)
 
 
-def _stacked_row_space(f: FiniteLinearSource) -> gf.FiniteMatrix:
+def _stacked_row_space(f: FiniteLinearSource):
     """A basis of the row space of [M_1 | ... | M_m], once its q**rank points pass the limit."""
     basis = f._joint_basis
     check_budget("linear expansion", int(f.q) ** basis.rows, "support points")
@@ -546,7 +555,7 @@ def entropy_profile(s: AnySource) -> EntropyProfile:
         h = [math.fsum(bits for edge, bits in edges if edge & mask) for mask in masks]
         return EntropyProfile(m, h)
     if isinstance(s, FiniteLinearSource):
-        log_q = math.log2(int(s.q))
+        gf, log_q = load_gf(), math.log2(int(s.q))
         h = [0.0] + [
             gf.rank(gf.hstack(*(s.matrices[i - 1] for i in _users_of(mask)))) * log_q
             for mask in masks[1:]
@@ -596,6 +605,7 @@ def fls_to_hypergraphical(f: FiniteLinearSource) -> HypergraphicalSource:
     """
     if f.user_count != 2:
         raise NotTwoUsers(f"conversion needs exactly 2 users, got {f.user_count}")
+    gf = load_gf()
     r1, r2 = (gf.rank(m) for m in f.matrices)
     shared = r1 + r2 - gf.rank(gf.hstack(*f.matrices))
     q = int(f.q)

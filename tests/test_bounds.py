@@ -302,8 +302,10 @@ def sweep_model(rng: random.Random, users: int, kind: str) -> HypergraphicalSour
 @pytest.mark.parametrize("kind", ["random", "no-edges", "global-only", "single-user", "duplicates"])
 @pytest.mark.parametrize("users", range(2, 9))
 def test_best_partition_matches_exhaustive_search(users, kind):
+    # 1200 models of 2-7 users: the search cuts the ties whose blocks so far are
+    # not below the best's, and must pick the partition that scoring them all picks
     rng = random.Random(f"sweep:{users}:{kind}")
-    for _ in range(3 if users < 8 else 1):
+    for _ in range(40 if users < 8 else 1):
         h = sweep_model(rng, users, kind)
         assert best_partition(h) == exhaustive_best_partition(h), h
 
@@ -335,22 +337,22 @@ def test_best_partition_step_budget(monkeypatch):
     monkeypatch.setenv("ZEROTALK_EXPANSION_LIMIT", "1000")
     with pytest.raises(ExpansionTooLarge) as info:
         best_partition(g)
-    assert str(info.value) == "partition search: 1005 search steps exceed the limit of 1000"
+    assert str(info.value) == "partition search: 1002 search steps exceed the limit of 1000"
 
 
 def test_partition_search_runs_at_the_cap_and_stops_one_step_past_it(monkeypatch):
-    # the whole search on one global edge over 12 users takes 30695 steps
+    # the whole search on one global edge over 12 users takes 1375 steps
     g = HypergraphicalSource(12, (Edge.uniform("g", range(1, 13), 2),))
-    monkeypatch.setenv("ZEROTALK_EXPANSION_LIMIT", "30695")
+    monkeypatch.setenv("ZEROTALK_EXPANSION_LIMIT", "1375")
     assert best_partition(g).partition == Partition(12, [[1], range(2, 13)])
-    monkeypatch.setenv("ZEROTALK_EXPANSION_LIMIT", "30694")
+    monkeypatch.setenv("ZEROTALK_EXPANSION_LIMIT", "1374")
     with pytest.raises(ExpansionTooLarge) as info:
         best_partition(g)
-    assert str(info.value) == "partition search: 30695 search steps exceed the limit of 30694"
+    assert str(info.value) == "partition search: 1375 search steps exceed the limit of 1374"
 
 
 def test_best_partition_reads_the_limit_once_below_the_cap(monkeypatch):
-    # the cap is read as the search starts, not at each of its 30695 steps
+    # the cap is read as the search starts, not at each of its 1375 steps
     import zerotalk.bounds as bounds_module
     import zerotalk.sources as sources_module
 

@@ -331,20 +331,24 @@ def test_bound_search(capsys):
     assert json.loads(out)["coefficient"] == "1/2"
 
 
-@pytest.mark.parametrize("users", [16, 20])
-def test_bound_search_on_one_global_edge(tmp_path, capsys, monkeypatch, users):
-    # every partition ties at coefficient 0; the search is capped by its steps, not by users
+@pytest.mark.parametrize("users, pair", [(16, False), (18, False), (20, False), (40, False), (20, True)],
+                         ids=["16", "18", "20", "40", "20-and-a-pair"])
+def test_bound_search_on_one_global_edge(tmp_path, capsys, monkeypatch, users, pair):
+    # every partition ties at coefficient 0, and the first block the answer needs is {1} (or the
+    # pair {1, 2}); cutting the ties that cannot win keeps 40 users to 45643 search steps, where
+    # 18 users went past the default limit of 10**6
     monkeypatch.delenv("ZEROTALK_EXPANSION_LIMIT", raising=False)
     model = tmp_path / "global.json"
-    model.write_text(json.dumps({"model": "hypergraphical", "users": users,
-                                 "edges": [{"name": "g", "subset": list(range(1, users + 1)), "uniform": 2}]}))
+    edges = [{"name": "g", "subset": list(range(1, users + 1)), "uniform": 2}]
+    edges += [{"name": "p", "subset": [1, 2], "uniform": 2}] if pair else []
+    model.write_text(json.dumps({"model": "hypergraphical", "users": users, "edges": edges}))
+    start = time.perf_counter()
     code, out, err = run_cli(capsys, "bound", str(model), "--search")
-    if users == 16:
-        assert (code, err) == (EXIT_OK, "")
-        assert out.startswith("partition: 1/2,3,4,5,6,7,8,9,10,11,12,13,14,15,16\nspread coefficient: 0\n")
-    else:
-        assert (code, out) == (EXIT_RESOURCE, "")
-        assert err == "error: partition search: 1000002 search steps exceed the limit of 1000000\n"
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (EXIT_OK, "")
+    first = "1,2/" if pair else "1/"
+    rest = ",".join(map(str, range(3 if pair else 2, users + 1)))
+    assert out.startswith(f"partition: {first}{rest}\nspread coefficient: 0\n")
 
 
 @pytest.mark.parametrize("text", ["1,1/2/3", "1/1,2/3"], ids=["one-block", "two-blocks"])
@@ -879,6 +883,13 @@ def _one_global_edge(users: int) -> dict:
             "edges": [{"name": "g", "subset": list(range(1, users + 1)), "uniform": 2}]}
 
 
+def _all_but_one(users: int) -> dict:
+    """An edge seen by every user but k, for each user k."""
+    return {"model": "hypergraphical", "users": users,
+            "edges": [{"name": f"e{k}", "subset": [u for u in range(1, users + 1) if u != k], "uniform": 2}
+                      for k in range(1, users + 1)]}
+
+
 # Every past-the-cap case at the default limit.  The stages checked before
 # their work starts get 1 s; the partition search counts its steps as it goes.
 @pytest.mark.parametrize(
@@ -909,8 +920,8 @@ def _one_global_edge(users: int) -> dict:
         pytest.param({"model": "hypergraphical", "users": 10**6, "edges": []}, ["simulate", "--n", "1000"],
                      1.0, "simulation: 1000001000 values exceed the limit of 100000000",
                      id="simulation-before-extractor"),
-        pytest.param(_one_global_edge(20), ["bound", "--search"], 5.0,
-                     "partition search: 1000002 search steps exceed the limit of 1000000", id="partition-search"),
+        pytest.param(_all_but_one(12), ["bound", "--search"], 5.0,
+                     "partition search: 1000008 search steps exceed the limit of 1000000", id="partition-search"),
     ],
 )
 def test_oversized_model_file_exits_5_fast(tmp_path, capsys, monkeypatch, doc, argv, seconds, stage):

@@ -2,15 +2,17 @@
 
 Every name a zerotalk module imports is used in that module, so a deletion
 that leaves its import behind fails here rather than lingering.  A cold
-``import zerotalk.cli`` loads only ``errors``, ``gf`` and ``sources``; each
-command imports the rest of what it runs, and the package's exports load
-their module on first use.
+``import zerotalk.cli`` loads only ``errors`` and ``sources``; each command
+imports the rest of what it runs, ``gf`` loads with the first finite linear
+model or ``simulate``, and the package's exports load their module on first
+use.  A source pickled in one process runs every engine in a fresh one.
 """
 
 from __future__ import annotations
 
 import ast
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -23,9 +25,10 @@ PACKAGE = Path(zerotalk.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
 SPECS = PACKAGE.parent.parent / "specs"
 # perfbench's tracing patches gf.vec_mat in every namespace that holds it,
-# and its tests read these two.
-UNUSED_ALLOWED = {("mcf", "vec_mat"), ("sim", "vec_mat")}
-DEFERRED = {"zerotalk.mcf", "zerotalk.bounds", "zerotalk.sim"}
+# and its tests read sim.vec_mat (and mcf.vec_mat, which mcf's __getattr__ serves).
+UNUSED_ALLOWED = {("sim", "vec_mat")}
+MCF, BOUNDS, SIM, GF = "zerotalk.mcf", "zerotalk.bounds", "zerotalk.sim", "zerotalk.gf"
+DEFERRED = {MCF, BOUNDS, SIM, GF}
 EXPORTS = [
     "CommonFunctionWitness", "DiscreteSource", "Edge", "EdgeSubsetWitness", "EntropyProfile",
     "ExpansionTooLarge", "FieldOrder", "FiniteLinearSource", "FiniteMatrix", "HypergraphicalSource",
@@ -74,35 +77,90 @@ def test_the_allowed_unused_imports_are_still_imported():
         assert name in imported and name not in used, (stem, name)
 
 
-def _loaded(code: str, *argv: str) -> set[str]:
-    """The modules a fresh ``python -S`` process holds after running code,
-    which leaves sys.modules' names on stderr."""
+def _python(code: str, *argv: str, stdin: bytes = b"") -> subprocess.CompletedProcess:
+    """A fresh ``python -S`` process running code; -S makes an import check
+    exact, as site imports nothing first."""
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    proc = subprocess.run([sys.executable, "-S", "-c", code, *argv], capture_output=True,
-                          text=True, env=env, timeout=60, check=True)
-    return set(proc.stderr.split())
+    return subprocess.run([sys.executable, "-S", "-c", code, *argv], input=stdin,
+                          capture_output=True, env=env, timeout=60)
+
+
+def _loaded(code: str, *argv: str) -> tuple[int, set[str]]:
+    """The exit code of code and the modules the process then holds, which
+    code prints as the last line of stderr."""
+    proc = _python(code, *argv)
+    return proc.returncode, set(proc.stderr.decode().splitlines()[-1].split())
 
 
 def test_cli_import_loads_only_what_every_command_needs():
-    """-S makes the check exact: site imports nothing first."""
-    loaded = _loaded("import sys, zerotalk.cli; print(*sys.modules, file=sys.stderr)")
-    assert {"zerotalk.errors", "zerotalk.gf", "zerotalk.sources"} <= loaded
+    code, loaded = _loaded("import sys, zerotalk.cli; print(*sys.modules, file=sys.stderr)")
+    assert code == 0
+    assert {"zerotalk.errors", "zerotalk.sources"} <= loaded
     assert not loaded & {"dataclasses", "inspect", "hashlib", "random", "typing", *DEFERRED}
 
 
-@pytest.mark.parametrize("argv, loads", [
-    (["convert", "overlap_pair.json", "--to", "hypergraphical"], set()),
-    (["jgk", "shared_bit.json"], {"zerotalk.mcf"}),
-    (["oracle", "two_coins.json"], {"zerotalk.mcf"}),
-    (["bound", "shared_bit.json", "--search"], {"zerotalk.mcf", "zerotalk.bounds"}),
-    (["verify", "pairwise_xor.json"], {"zerotalk.mcf", "zerotalk.bounds"}),
-    (["simulate", "shared_bit.json", "--n", "10"], {"zerotalk.mcf", "zerotalk.sim"}),
-], ids=["convert", "jgk", "oracle", "bound", "verify", "simulate"])
-def test_each_command_loads_only_the_modules_it_runs(argv, loads):
+FAMILIES = {"edge": "shared_bit.json", "discrete": "two_coins.json", "linear": "overlap_pair.json"}
+# command -> (exit code, deferred modules loaded) on an edge, a discrete and a
+# linear model: only a linear model or the simulator loads gf, and a
+# discrete model's verify runs no bound
+COMMANDS = {
+    "jgk": ((0, {MCF}), (0, {MCF}), (0, {MCF, GF})),
+    "oracle": ((0, {MCF}), (0, {MCF}), (0, {MCF, GF})),
+    "verify": ((0, {MCF, BOUNDS}), (0, {MCF}), (0, {MCF, BOUNDS, GF})),
+    "bound --search": ((0, {MCF, BOUNDS}), (4, {MCF, BOUNDS}), (0, {MCF, BOUNDS, GF})),
+    "convert --to hypergraphical": ((4, set()), (4, set()), (0, {GF})),
+    "simulate --n 10": ((0, {MCF, SIM, GF}),) * 3,
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_command_loads_only_the_modules_it_runs(command, family):
+    name, *options = command.split()
     code = ("import sys\nfrom zerotalk import cli\ncode = cli.main(sys.argv[1:])\n"
             "print(*sys.modules, file=sys.stderr)\nsys.exit(code)")
-    loaded = _loaded(code, argv[0], str(SPECS / argv[1]), *argv[2:])
-    assert loaded & DEFERRED == loads
+    exit_code, loaded = _loaded(code, name, str(SPECS / FAMILIES[family]), *options)
+    assert (exit_code, loaded & DEFERRED) == COMMANDS[command][list(FAMILIES).index(family)]
+
+
+def test_mcf_vec_mat_is_gf_vec_mat():
+    from zerotalk import gf, mcf
+
+    assert mcf.vec_mat is gf.vec_mat
+    with pytest.raises(AttributeError, match="module 'zerotalk.mcf' has no attribute 'row_space_keys'"):
+        mcf.row_space_keys  # noqa: B018
+
+
+def test_gf_is_int_is_errors_is_int():
+    from zerotalk import errors, gf
+
+    assert gf.is_int is errors.is_int
+
+
+# jgk and verify run before sim, whose import loads gf
+UNPICKLED_RUN = """
+import pickle, sys
+from zerotalk import cli, mcf
+s = pickle.loads(sys.stdin.buffer.read())
+out = [mcf.jgk(s), cli._verify_one(s)]
+from zerotalk import sim
+out.append(sim.run(s, 500, 7))
+sys.stdout.buffer.write(pickle.dumps(out))
+"""
+
+
+@pytest.mark.parametrize("used", [False, True], ids=["fresh", "used"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_an_unpickled_source_runs_in_a_fresh_process(family, used):
+    """A used source carries what it cached, a linear one its reduced basis."""
+    from zerotalk import cli, mcf, sim
+
+    s = cli.load_model(str(SPECS / FAMILIES[family]))
+    pickled = pickle.dumps(s)
+    want = [mcf.jgk(s), cli._verify_one(s), sim.run(s, 500, 7)]
+    proc = _python(UNPICKLED_RUN, stdin=pickle.dumps(s) if used else pickled)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert pickle.loads(proc.stdout) == want
 
 
 def test_the_exports_are_the_defining_modules_objects():

@@ -214,12 +214,12 @@ def test_subspace_witness_bits_match_hidden_walk(q, seed):
 
 
 def test_subspace_witness_check_respects_limit(monkeypatch):
-    import zerotalk.mcf as mcf_module
+    import zerotalk.gf as gf_module
 
     def no_walk(basis, widths):
         raise AssertionError("the walk started before the limit check")
 
-    monkeypatch.setattr(mcf_module, "row_space_keys", no_walk)
+    monkeypatch.setattr(gf_module, "row_space_keys", no_walk)
     eye = identity(2, 16)
     f = FiniteLinearSource(2, 16, (eye, eye))  # full rank: 2**16 points to walk
     w = gk_finite_linear(f)
