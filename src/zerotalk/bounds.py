@@ -244,7 +244,8 @@ def chain_bound(
 
     For hypergraphical sources the running value is a set of edges; folding
     in a user keeps the edges that user also sees.  For finite linear sources
-    it is a column space; folding intersects with the user's column space.
+    it is a column space held as packed columns; folding meets it with the
+    user's cached ``packed_cols`` by ``gf.packed_meet``, building no matrix.
     Both collapse to the full common-function entropy, for every ordering.
     """
     if not isinstance(s, (HypergraphicalSource, FiniteLinearSource)):
@@ -261,7 +262,7 @@ def chain_bound(
         for user in order[1:]:
             carried &= set(s.incident(user))
         return math.fsum(s.edges[k].entropy_bits() for k in carried)
-    intersect, carried = load_gf().column_space_intersection, s.matrices[order[0] - 1]
+    meet, carried = load_gf().packed_meet, s.matrices[order[0] - 1].packed_cols
     for user in order[1:]:
-        carried = intersect(carried, s.matrices[user - 1])
-    return carried.cols * math.log2(int(s.q))
+        carried = meet(s.q, s.dim, carried, s.matrices[user - 1].packed_cols)
+    return len(carried) * math.log2(int(s.q))

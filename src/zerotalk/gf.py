@@ -13,14 +13,17 @@ significant field (M4RI's packing: Albrecht, Bard and Hart, "Algorithm
 898", ACM TOMS 37(1), 2010): a bit over GF(2), where a row operation is one
 XOR, a byte for odd q < 128, where it is an int add between byte
 translates, and 32 bits for larger q, where it is one pass over the
-struct-unpacked fields.  ``row_space_keys`` walks the row space over every
-field alike, a chunk at a time through ``cols_mat`` and ``codes``, the one
-mixed-radix encoder: it folds value columns into keys for that walk and for
-the simulator's decoders, and ``digits`` is its inverse.  Subspaces are
-handled through their spanning column sets; every routine that returns a
-basis returns the canonical one, the RREF basis of the span read as columns,
-so span-equal inputs produce identical output matrices and golden tests stay
-stable.
+struct-unpacked fields.  A matrix packs its columns once, on the first read
+of ``packed_cols``, and keeps them; the meet (``packed_meet``) and the rank
+of any columns (``packed_rank``) take packed ints and return them, so a
+fold or a chain of ranks builds no matrix.  ``row_space_keys`` walks the
+row space over every field alike, a chunk at a time through ``cols_mat``
+and ``codes``, the one mixed-radix encoder: it folds value columns into
+keys for that walk and for the simulator's decoders, and ``digits`` is its
+inverse.  Subspaces are handled through their spanning column sets; every
+routine that returns a basis returns the canonical one, the RREF basis of
+the span read as columns, so span-equal inputs produce identical output
+matrices and golden tests stay stable.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import math
 import struct
 from collections.abc import Iterable, Iterator, Sequence
-from functools import lru_cache
+from functools import cached_property, lru_cache, partial, reduce
 from itertools import accumulate, chain
 
 from .errors import ModelError, SubspaceNotContained, Value, is_int
@@ -126,6 +129,11 @@ class FiniteMatrix(Value):
 
     def col(self, j: int) -> tuple[int, ...]:
         return self.entries[j :: self.cols]
+
+    @cached_property  # set on the instance on first read: not a field, so ==, hash and repr skip it
+    def packed_cols(self) -> tuple[int, ...]:
+        """The _pack of each column, row 0 most significant."""
+        return tuple(_pack(self.q, self.col(j)) for j in range(self.cols))
 
 
 def matmul(a: FiniteMatrix, b: FiniteMatrix) -> FiniteMatrix:
@@ -416,41 +424,51 @@ def row_space_keys(basis: FiniteMatrix, widths: Sequence[int]) -> Iterator[tuple
         yield from zip(*(codes(cols[end - w : end], (q,) * w, size) for end, w in zip(ends, widths)))
 
 
+def packed_rank(q: int, rows: int, cols: Iterable[int]) -> int:
+    """Rank over GF(q) of packed columns of rows coordinates each, such as
+    the packed_cols of several matrices chained: _eliminate's pivots."""
+    return len(_eliminate(q, cols, rows, rows))
+
+
 def rank(m: FiniteMatrix) -> int:
-    """Rank of m over GF(q): _eliminate's pivots with no back-substitution."""
-    return len(_eliminate(m.q, _packed_rows(m), m.cols, m.cols))
+    """Rank of m over GF(q): packed_rank of its packed columns."""
+    return packed_rank(m.q, m.rows, m.packed_cols)
 
 
-def column_space_intersection(a: FiniteMatrix, b: FiniteMatrix) -> FiniteMatrix:
-    """Canonical basis of the intersection of two column spaces.
+def packed_meet(q: int, rows: int, a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Packed columns of the canonical basis of span(a) & span(b), for packed
+    columns a and b of rows coordinates each.
 
     Zassenhaus's algorithm, one elimination: row-reduce the block whose
     rows are [a_j | a_j] for each column a_j of a and [b_j | 0] for each
-    column b_j of b, packed from the entries.
-    The block's row space is {[u + v | u] : u in span(a), v in span(b)}.  In
-    any echelon form of it the rows that lead in the right half are [0 | w],
-    and their w span span(a) & span(b).  Only they are back-substituted, to
-    the RREF basis of the meet, read as columns: span-equal inputs give the
-    identical matrix.
-
-    Args:
-        a, b: matrices with the same row count over the same field.
-
-    Returns:
-        Full-column-rank matrix whose columns span span(a) & span(b);
-        zero columns when the intersection is the trivial space.
+    column b_j of b.  The block's row space is {[u + v | u] : u in span(a),
+    v in span(b)}.  In any echelon form of it the rows that lead in the
+    right half are [0 | w], and their w span span(a) & span(b).  Only they
+    are back-substituted, to the RREF basis of the meet, read as columns:
+    span-equal inputs give identical output.
     """
-    if a.q != b.q:
-        raise ValueError(f"field mismatch: GF({int(a.q)}) vs GF({int(b.q)})")
-    if a.rows != b.rows:
-        raise ValueError(f"row-count mismatch: {a.rows} vs {b.rows}")
+    w = _field_bits(q) * rows
+    vecs = [v << w | v for v in a] + [v << w for v in b]
+    return [v for p, v in _eliminate(q, vecs, 2 * rows, rows) if p >= rows]
+
+
+def column_space_intersection(a: FiniteMatrix, b: FiniteMatrix, *more: FiniteMatrix) -> FiniteMatrix:
+    """Canonical basis of the intersection of the column spaces of two or
+    more matrices with one row count and field: packed_meet folded over their
+    packed columns, unpacked once, keeping the meet as its packed_cols.  It
+    has full column rank (no columns for the trivial space), and span-equal
+    inputs give the identical matrix."""
+    for m in (b, *more):
+        if m.q != a.q:
+            raise ValueError(f"field mismatch: GF({int(a.q)}) vs GF({int(m.q)})")
+        if m.rows != a.rows:
+            raise ValueError(f"row-count mismatch: {a.rows} vs {m.rows}")
     q, n = a.q, a.rows
-    w = _field_bits(q) * n
-    vecs = [v << w | v for v in (_pack(q, a.col(j)) for j in range(a.cols))]
-    vecs += [_pack(q, b.col(j)) << w for j in range(b.cols)]
-    meet = [v for p, v in _eliminate(q, vecs, 2 * n, n) if p >= n]
+    meet = reduce(partial(packed_meet, q, n), (m.packed_cols for m in (b, *more)), a.packed_cols)
     body = _unpack(q, meet, n)  # column after column
-    return FiniteMatrix._of(q, n, len(meet), tuple(chain.from_iterable(body[i::n] for i in range(n))))
+    out = FiniteMatrix._of(q, n, len(meet), tuple(chain.from_iterable(body[i::n] for i in range(n))))
+    out.__dict__["packed_cols"] = tuple(meet)
+    return out
 
 
 def reduce_to_full_column_rank(m: FiniteMatrix) -> FiniteMatrix:

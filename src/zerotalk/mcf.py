@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from functools import reduce
 
 from .errors import ModelError, Value, WitnessInvalid
 from .sources import (
@@ -115,14 +114,16 @@ class SubspaceWitness(CommonFunctionWitness):
         return basis
 
     def brute_force_bits(self, s: AnySource) -> float:
-        """Walks the row space of [A | basis], A = [M_1 | ... | M_m]: the support
-        of (observations, label), q**rank points, valid witness or not."""
+        """Counts labels over the support of (observations, label), the q**rank
+        points of the row space of [A | basis], A = [M_1 | ... | M_m], valid
+        witness or not: every combination of its RREF rows, walked over their
+        last basis.cols columns only (the same labels, no observations)."""
         basis, gf = self._basis(s), load_gf()
         joint = gf.row_space_basis(gf.hstack(*s.matrices, basis))
         total = int(s.q) ** joint.rows
         check_budget("witness check", total, "points")
-        walk = gf.row_space_keys(joint, (joint.cols - basis.cols, basis.cols))
-        counts = Counter(label for _, label in walk)
+        labels = gf.columns_subset(joint, range(joint.cols - basis.cols, joint.cols))
+        counts = Counter(gf.row_space_keys(labels, (basis.cols,)))
         return shannon_bits(counts.values(), total)
 
     def _columns(self) -> list:
@@ -167,10 +168,10 @@ def gk_finite_linear(f: FiniteLinearSource) -> SubspaceWitness:
 
     The linear functions of the hidden vector that every user can compute are
     exactly those in the intersection of the users' column spaces; the witness
-    is a canonical basis of that intersection.  A source has at least two
-    users, so the fold's first step already returns the canonical basis.
+    is a canonical basis of that intersection: ``column_space_intersection``
+    folds the meet over the users' packed columns and builds one matrix.
     """
-    basis = reduce(load_gf().column_space_intersection, f.matrices)
+    basis = load_gf().column_space_intersection(*f.matrices)
     bits = basis.cols * math.log2(int(f.q))
     return SubspaceWitness(basis, bits)
 

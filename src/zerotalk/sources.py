@@ -43,6 +43,7 @@ import os
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache, cached_property
+from itertools import chain
 from operator import itemgetter, lshift
 from types import MappingProxyType
 
@@ -525,18 +526,20 @@ def to_discrete(s: AnySource) -> DiscreteSource:
 def entropy_profile(s: AnySource) -> EntropyProfile:
     """Subset entropies of any source model, in bits.
 
-    Hypergraphical and linear sources use their closed forms (edge-entropy
-    sums and rank times log2 q).  A discrete source packs each realization
-    into one int, a field of (alphabet size - 1).bit_length() bits per user
-    with user 1 most significant, and a subset's marginal keeps key & fields:
-    the weights ``marginal`` adds, in its first-seen order, so each entropy
-    is bit-identical to ``shannon_bits(s.marginal(users).values(), s.total)``.
+    Hypergraphical and linear sources use their closed forms: edge-entropy
+    sums, and rank times log2 q, the rank of the subset's chained
+    ``packed_cols`` (``gf.packed_rank``, no matrix built).  A discrete source
+    packs each realization into one int, a field of
+    (alphabet size - 1).bit_length() bits per user with user 1 most
+    significant, and a subset's marginal keeps key & fields: the weights
+    ``marginal`` adds, in its first-seen order, so each entropy is
+    bit-identical to ``shannon_bits(s.marginal(users).values(), s.total)``.
     ``shannon_bits`` sums exactly, so that order matters only to float
     weights, whose additions into one entry round.  A subset whose marginal
-    keeps every point apart has the point weights as its masses and the
-    full entropy H(full), and so does every superset: in increasing mask
-    order, a subset one user larger than such a subset reuses H(full),
-    computed once, without projecting a point.
+    keeps every point apart has the point weights as its masses and the full
+    entropy H(full), and so does every superset: in increasing mask order, a
+    subset one user larger than such a subset reuses H(full), computed once,
+    without projecting a point.
 
     Raises:
         ExpansionTooLarge: if the m + C(m,2)*2**(m-2) elemental inequalities
@@ -555,11 +558,10 @@ def entropy_profile(s: AnySource) -> EntropyProfile:
         h = [math.fsum(bits for edge, bits in edges if edge & mask) for mask in masks]
         return EntropyProfile(m, h)
     if isinstance(s, FiniteLinearSource):
-        gf, log_q = load_gf(), math.log2(int(s.q))
-        h = [0.0] + [
-            gf.rank(gf.hstack(*(s.matrices[i - 1] for i in _users_of(mask)))) * log_q
-            for mask in masks[1:]
-        ]
+        rank, log_q = load_gf().packed_rank, math.log2(int(s.q))
+        cols = [m.packed_cols for m in s.matrices]
+        h = [rank(s.q, s.dim, chain.from_iterable(cols[i - 1] for i in _users_of(mask))) * log_q
+             for mask in masks]
         return EntropyProfile(m, h)
     check_projections(m, support_size(s))  # the support cap, then the projections
     # one int per realization: a bit field per user, user 1 most significant
@@ -598,16 +600,17 @@ def fls_to_hypergraphical(f: FiniteLinearSource) -> HypergraphicalSource:
     part is carried by one uniform edge, "shared", "own1" and "own2", of
     q**k, q**(r1 - k) and q**(r2 - k) values; empty parts get no edge.  The
     three ranks fix the entropy profile of both models, so the profiles
-    agree (``verify`` checks this as conversion_preserves_profile).
+    agree (``verify`` checks this as conversion_preserves_profile).  Each
+    rank is a ``gf.packed_rank`` of ``packed_cols``, with no matrix built.
 
     Raises:
         NotTwoUsers: for sources with more or fewer than two users.
     """
     if f.user_count != 2:
         raise NotTwoUsers(f"conversion needs exactly 2 users, got {f.user_count}")
-    gf = load_gf()
-    r1, r2 = (gf.rank(m) for m in f.matrices)
-    shared = r1 + r2 - gf.rank(gf.hstack(*f.matrices))
+    rank, (c1, c2) = load_gf().packed_rank, (m.packed_cols for m in f.matrices)
+    r1, r2 = rank(f.q, f.dim, c1), rank(f.q, f.dim, c2)
+    shared = r1 + r2 - rank(f.q, f.dim, c1 + c2)
     q = int(f.q)
     parts = (("shared", {1, 2}, shared), ("own1", {1}, r1 - shared), ("own2", {2}, r2 - shared))
     edges = [Edge.uniform(name, subset, q**dim) for name, subset, dim in parts if dim > 0]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import bisect
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from operator import add
@@ -18,6 +19,7 @@ from zerotalk.gf import (
     hstack,
     rank,
     row_space_basis,
+    row_space_keys,
     solve,
     vec_mat,
 )
@@ -471,6 +473,31 @@ def fraction_expansion(h: HypergraphicalSource) -> dict:
             )
             pmf[key] = p
     return dict(sorted(pmf.items()))
+
+
+def joint_walk_witness_bits(f: FiniteLinearSource, basis: FiniteMatrix) -> float:
+    """SubspaceWitness.brute_force_bits by the full walk: every point of the
+    row space of [A | basis], observations and label, counted by label."""
+    joint = row_space_basis(hstack(*f.matrices, basis))
+    walk = row_space_keys(joint, (joint.cols - basis.cols, basis.cols))
+    return shannon_bits(Counter(label for _, label in walk).values(), int(f.q) ** joint.rows)
+
+
+def forbid_matrix_builds(monkeypatch) -> list:
+    """Make every FiniteMatrix build (checked or through ``_of``) and every
+    ``gf.hstack`` raise; returns the list that each ``gf._pack`` call then
+    appends its values to, as a tuple."""
+    import zerotalk.gf as gf_module
+
+    def built(*args, **kwargs):
+        raise AssertionError("a FiniteMatrix was built")
+
+    packed, real_pack = [], gf_module._pack
+    monkeypatch.setattr(gf_module, "_pack", lambda q, values: packed.append(tuple(values)) or real_pack(q, values))
+    monkeypatch.setattr(gf_module.FiniteMatrix, "_of", classmethod(built))
+    monkeypatch.setattr(gf_module.FiniteMatrix, "__post_init__", built)
+    monkeypatch.setattr(gf_module, "hstack", built)
+    return packed
 
 
 def fraction_subspace_bits(f: FiniteLinearSource, basis: FiniteMatrix) -> float:

@@ -22,9 +22,10 @@ from zerotalk.bounds import (
     singleton_partition,
 )
 from zerotalk.errors import ExpansionTooLarge, PartitionInvalid, UnsupportedModel
+from zerotalk.gf import FiniteMatrix
 from zerotalk.mcf import gk_hypergraphical, jgk
-from zerotalk.sources import Edge, HypergraphicalSource, fls_to_hypergraphical, to_discrete
-from helpers import block_of, exhaustive_best_partition, random_fls, random_hypergraphical
+from zerotalk.sources import Edge, FiniteLinearSource, HypergraphicalSource, fls_to_hypergraphical, to_discrete
+from helpers import block_of, exhaustive_best_partition, forbid_matrix_builds, random_fls, random_hypergraphical
 
 
 def alpha_reference(h, blocks):
@@ -409,6 +410,23 @@ def test_chain_bound_is_ordering_invariant(seed):
             for order in itertools.permutations((1, 2, 3))
         }
         assert len(values) == 1
+
+
+@pytest.mark.parametrize("q", [2, 5, 131])
+def test_chain_bound_packs_each_input_column_once_and_builds_no_matrix(monkeypatch, q):
+    rng = random.Random(f"chain-packs:{q}")
+    dim, shared = 5, [rng.randrange(q) for _ in range(5)]
+    mats = tuple(  # a shared column, so the meet is not trivial, then random ones
+        FiniteMatrix.from_cols(q, [shared] + [[rng.randrange(q) for _ in range(dim)] for _ in range(c)], rows=dim)
+        for c in (3, 1, 2, 0)
+    )
+    s = FiniteLinearSource(q, dim, mats)
+    packed = forbid_matrix_builds(monkeypatch)
+    # every ordering computes its own chain; only the first packs the columns it reads
+    values = {chain_bound(s, order) for order in itertools.permutations((1, 2, 3, 4))}
+    assert sorted(packed) == sorted(m.col(j) for m in mats for j in range(m.cols))
+    monkeypatch.undo()
+    assert values == {jgk(s)}
 
 
 def test_chain_bound_rejects_bad_ordering(shared_bit_source):

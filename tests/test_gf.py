@@ -11,7 +11,7 @@ import math
 import random
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +29,7 @@ from zerotalk.gf import (
     extend_basis,
     hstack,
     matmul,
+    packed_rank,
     rank,
     reduce_to_full_column_rank,
     row_space_basis,
@@ -392,6 +393,8 @@ def test_intersect_all_is_order_invariant():
         mats = [random_matrix(rng, 3, 4, rng.randrange(1, 4)) for _ in range(3)]
         results = {reduce(column_space_intersection, perm) for perm in permutations(mats)}
         assert len(results) == 1
+        # the variadic form folds the same meet and unpacks once
+        assert {column_space_intersection(*perm) for perm in permutations(mats)} == results
 
 
 # --- basis selection / extension ---
@@ -675,6 +678,8 @@ GF2_2x2, GF2_3x1, GF3_2x2 = identity(2, 2), zeros(2, 3, 1), identity(3, 2)
                      id="intersection-field"),
         pytest.param(lambda: column_space_intersection(GF2_2x2, GF2_3x1), "row-count mismatch: 2 vs 3",
                      id="intersection-rows"),
+        pytest.param(lambda: column_space_intersection(GF2_2x2, GF2_2x2, GF3_2x2), "field mismatch: GF(2) vs GF(3)",
+                     id="intersection-third-field"),
         pytest.param(lambda: extend_basis(GF2_2x2, GF3_2x2), "base and target must share field and row count",
                      id="extend_basis-field"),
         pytest.param(lambda: extend_basis(GF2_2x2, GF2_3x1), "base and target must share field and row count",
@@ -726,6 +731,36 @@ def test_rref_and_bases_match_the_list_references(seed):
 def test_rank_is_the_pivot_count_of_the_list_reference(seed):
     for m in differential_cases(930 + seed):
         assert rank(m) == len(list_rref(m)[1])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_packed_rank_of_several_matrices_is_the_rank_of_their_hstack(seed):
+    # every field of differential_cases, 2 to 2**31 - 1, zero-column matrices included
+    rng = random.Random(940 + seed)
+    cases = list(differential_cases(940 + seed))
+    for a in cases:
+        mats = [a] + rng.sample([c for c in cases if c.q == a.q and c.rows == a.rows], rng.randrange(1, 3))
+        want = len(list_rref(reference_hstack(*mats))[1])
+        assert packed_rank(a.q, a.rows, chain.from_iterable(m.packed_cols for m in mats)) == want
+        assert rank(hstack(*mats)) == want
+
+
+def test_a_matrix_with_its_packed_columns_cached_is_the_same_value():
+    import zerotalk.gf as gf_module
+
+    for q in (2, 5, 131):
+        cached, fresh = (FiniteMatrix.from_rows(q, [[1, 2, 0], [0, 4, 3]]) for _ in range(2))
+        assert cached.packed_cols == tuple(gf_module._pack(q, cached.col(j)) for j in range(3))
+        assert "packed_cols" in vars(cached) and "packed_cols" not in vars(fresh)
+        assert (cached, hash(cached), repr(cached)) == (fresh, hash(fresh), repr(fresh))
+        with pytest.raises(AttributeError):
+            cached.packed_cols = ()
+        # an intersection keeps its meet as its cache: the packing of its entries
+        meet = column_space_intersection(cached, FiniteMatrix.from_cols(q, [[1, 0], [0, 1]]))
+        assert "packed_cols" in vars(meet)
+        fresh = FiniteMatrix(q, meet.rows, meet.cols, meet.entries)
+        assert (meet, hash(meet), repr(meet)) == (fresh, hash(fresh), repr(fresh))
+        assert meet.packed_cols == fresh.packed_cols
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -152,13 +152,18 @@ sys.stdout.buffer.write(pickle.dumps(out))
 @pytest.mark.parametrize("used", [False, True], ids=["fresh", "used"])
 @pytest.mark.parametrize("family", FAMILIES)
 def test_an_unpickled_source_runs_in_a_fresh_process(family, used):
-    """A used source carries what it cached, a linear one its reduced basis."""
+    """A used source carries what it cached, a linear one its reduced basis
+    and its matrices' packed columns."""
     from zerotalk import cli, mcf, sim
 
     s = cli.load_model(str(SPECS / FAMILIES[family]))
     pickled = pickle.dumps(s)
     want = [mcf.jgk(s), cli._verify_one(s), sim.run(s, 500, 7)]
-    proc = _python(UNPICKLED_RUN, stdin=pickle.dumps(s) if used else pickled)
+    if used:
+        pickled = pickle.dumps(s)
+    if family == "linear":
+        assert all(("packed_cols" in vars(m)) is used for m in pickle.loads(pickled).matrices)
+    proc = _python(UNPICKLED_RUN, stdin=pickled)
     assert proc.returncode == 0, proc.stderr.decode()
     assert pickle.loads(proc.stdout) == want
 

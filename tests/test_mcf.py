@@ -12,7 +12,7 @@ from functools import reduce
 import pytest
 
 from zerotalk.errors import ExpansionTooLarge, WitnessInvalid
-from zerotalk.gf import FiniteMatrix, column_space_intersection, matmul
+from zerotalk.gf import FiniteMatrix, column_space_intersection, hstack, matmul, rank
 from zerotalk.mcf import (
     CommonFunctionWitness,
     EdgeSubsetWitness,
@@ -38,6 +38,7 @@ from helpers import (
     bfs_components,
     hidden_walk_witness_bits,
     identity,
+    joint_walk_witness_bits,
     partition_of,
     profile_at,
     random_discrete,
@@ -211,6 +212,35 @@ def test_subspace_witness_bits_match_hidden_walk(q, seed):
     for basis in (gk_finite_linear(f).payload, draw(dim, rng.randrange(0, 3))):
         w = SubspaceWitness(basis, 0.0)
         assert evaluate_witness(f, w) == hidden_walk_witness_bits(f, basis)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_label_only_witness_walk_equals_the_joint_walk(q):
+    # 70 models a field: the engine's witness, the witness plus a column outside
+    # the meet when there is one, and an arbitrary basis
+    rng = random.Random(f"label-walk:{q}")
+
+    def draw(rows, cols):
+        return FiniteMatrix(q, rows, cols, tuple(rng.randrange(q) for _ in range(rows * cols)))
+
+    outside_seen = 0
+    for _ in range(70):
+        dim = rng.randrange(1, {2: 7, 3: 5, 5: 4}[q])
+        embed = draw(dim, rng.randrange(0, dim + 1))
+        f = FiniteLinearSource(
+            q, dim, tuple(matmul(embed, draw(embed.cols, rng.randrange(0, 4))) for _ in range(rng.randrange(2, 5)))
+        )
+        meet = gk_finite_linear(f).payload
+        bases = [meet, draw(dim, rng.randrange(0, 3))]
+        if meet.cols < dim:
+            extra = draw(dim, 1)
+            while rank(hstack(meet, extra)) == meet.cols:
+                extra = draw(dim, 1)
+            bases.append(hstack(meet, extra))
+            outside_seen += 1
+        for basis in bases:
+            assert evaluate_witness(f, SubspaceWitness(basis, 0.0)) == joint_walk_witness_bits(f, basis)
+    assert outside_seen >= 35
 
 
 def test_subspace_witness_check_respects_limit(monkeypatch):

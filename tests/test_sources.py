@@ -32,6 +32,7 @@ from zerotalk.sources import (
 )
 
 from helpers import (
+    forbid_matrix_builds,
     hidden_walk_expansion,
     identity,
     pairwise_profile_ok,
@@ -482,6 +483,23 @@ def test_profile_formulas_agree_with_expansion_random_fls():
     for _ in range(15):
         f = random_fls(rng)
         assert entropy_profile(f).matches(entropy_profile(to_discrete(f)))
+
+
+@pytest.mark.parametrize("q", [2, 3, 131])
+def test_linear_profile_and_conversion_pack_each_column_once_and_build_no_matrix(monkeypatch, q):
+    rng = random.Random(f"profile-packs:{q}")
+    dim = 4 if q < 128 else 2  # a converted edge of q**k values stays under the limit
+    for users in (2, 4):
+        seed = rng.random()
+        want, s = (random_fls(random.Random(seed), users, q, dim) for _ in range(2))  # equal, each fresh
+        converts = users == 2
+        packed = forbid_matrix_builds(monkeypatch)
+        profile = entropy_profile(s)
+        converted = fls_to_hypergraphical(s) if converts else None
+        assert sorted(packed) == sorted(m.col(j) for m in s.matrices for j in range(m.cols))
+        monkeypatch.undo()
+        assert profile.h == entropy_profile(want).h
+        assert converted == (fls_to_hypergraphical(want) if converts else None)
 
 
 @st.composite
